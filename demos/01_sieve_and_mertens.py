@@ -1,8 +1,8 @@
 #!/usr/bin/env python3
-"""Segmented sieve basics: least prime factors, mu, Lambda, and M(x).
+"""Segmented sieve basics: mu, Lambda, and M(x).
 
-The sieve stores one substrate per block (least prime factor + multiplicity)
-and derives the Moebius and von Mangoldt functions from it exactly.
+One pass over the base primes gives each block its Moebius values and its
+prime powers, which carry the von Mangoldt values.
 """
 
 import math
@@ -18,10 +18,10 @@ print("=" * 70)
 seg = sieve.build_segment(2, 21, sieve.base_primes(5))
 mu = sieve.mobius_from_segment(seg)
 lam = sieve.lambda_from_segment(seg)
-print(f"{'n':>4} {'lpf':>5} {'mult':>5} {'mu':>4} {'Lambda':>10}")
+print(f"{'n':>4} {'mu':>4} {'Lambda':>10}")
 for n in range(2, 21):
     i = n - 2
-    print(f"{n:>4} {seg.lpf[i]:>5} {seg.lpf_mult[i]:>5} {mu[i]:>4} {lam[i]:>10.6f}")
+    print(f"{n:>4} {mu[i]:>4} {lam[i]:>10.6f}")
 
 print()
 print("=" * 70)

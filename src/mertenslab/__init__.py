@@ -1,6 +1,6 @@
 """mertenslab: numerical workbench for Mertens-function arithmetic.
 
-Segmented least-prime-factor sieves, Selberg-weight Dirichlet convolutions,
+A segmented Moebius and von Mangoldt sieve, Selberg-weight Dirichlet convolutions,
 checkpointed summatory functions, exact-identity checks with remainder
 tracking, and zero-interval statistics of the normalized smoothed sum
 H(x) = e^{-sqrt(x)} F(e^{sqrt(x)}).

@@ -41,14 +41,6 @@ def kahan_slice_add(out: np.ndarray, comp: np.ndarray, sl, addend) -> None:
     out[sl] = t
 
 
-def compensated_sum(values: np.ndarray, chunk: int = 1 << 16) -> float:
-    """Sum a 1-D float array: pairwise per chunk, Neumaier across chunks."""
-    acc = NeumaierSum()
-    for i in range(0, len(values), chunk):
-        acc.add(float(np.sum(values[i:i + chunk])))
-    return acc.value
-
-
 def chunked_cumsum(values: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
     """Cumulative sum with compensated carries at chunk boundaries."""
     out = np.empty(len(values), dtype=np.float64)

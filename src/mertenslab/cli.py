@@ -61,7 +61,6 @@ class RunConfig:
     tail_fraction: float = 0.5
     tol_rel: float = 1e-9
     tol_abs: float = 1e-9
-    cache_dir: str | None = None
     out: str | None = None
     fmt: str = "json"
     lam: float = 0.5
@@ -69,7 +68,6 @@ class RunConfig:
     alpha: float = 1.0
     samples_per_decade: int = 32
     timings: str | None = None
-    workers: int = 1
 
     def validate(self) -> None:
         if self.n_max < 1:
@@ -140,8 +138,7 @@ class Context:
         if self._store is None:
             with self.timings.measure("build-prefix-sums"):
                 self._store = summatory.PrefixSums(
-                    self.config.n_max, segment_size=self.config.segment_size,
-                    cache_dir=self.config.cache_dir, workers=self.config.workers)
+                    self.config.n_max, segment_size=self.config.segment_size)
         return self._store
 
     @property
@@ -474,7 +471,6 @@ def cmd_sieve(ctx: Context) -> int:
         "n_prime_powers": int(len(store.pp)),
         "mertens_at_n_max": store.mertens_at_n_max,
         "psi_at_n_max": store.psi(store.n_max),
-        "cache_dir": cfg.cache_dir,
     }
     _emit(cfg, payload, "sieve.json")
     return EXIT_PASS
@@ -621,7 +617,7 @@ def cmd_report(ctx: Context) -> int:
             "grid": {"start": cfg.grid[0], "ratio": cfg.grid[1]},
             "tail_fraction": cfg.tail_fraction,
             "tol_rel": cfg.tol_rel, "tol_abs": cfg.tol_abs,
-            "cache": cfg.cache_dir,
+            "cache": None,  # kept so that report.json stays byte-identical
         },
         "checks": checks,
         "remainders": {k: s.summary() for k, s in series_map.items()},
@@ -680,7 +676,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tail-fraction", type=float, default=0.5)
     p.add_argument("--tol-rel", type=float, default=1e-9)
     p.add_argument("--tol-abs", type=float, default=1e-9)
-    p.add_argument("--cache", type=str, default=None)
     p.add_argument("--out", type=str, default=None)
     p.add_argument("--format", dest="fmt", choices=["csv", "json"],
                    default="json")
@@ -691,7 +686,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--samples-per-decade", type=int, default=32)
     p.add_argument("--timings", type=str, default=None,
                    help="optional sidecar path for wall-clock timings")
-    p.add_argument("--workers", type=int, default=1)
     return p
 
 
@@ -707,7 +701,6 @@ def config_from_args(args) -> RunConfig:
     if args.points is not None:
         raw = [s for s in args.points.split(",") if s.strip()]
         points = [float(s) for s in raw]
-    cache = args.cache or os.environ.get("MLAB_CACHE") or None
     conv_cap = args.conv_cap
     if conv_cap > args.n_max:
         if conv_cap != 10 ** 6:
@@ -718,10 +711,9 @@ def config_from_args(args) -> RunConfig:
         segment_size=args.segment_size, grid=grid, points=points,
         which=args.which, f_kind=args.f_kind, profile_kind=args.profile_kind,
         tail_fraction=args.tail_fraction, tol_rel=args.tol_rel,
-        tol_abs=args.tol_abs, cache_dir=cache, out=args.out, fmt=args.fmt,
+        tol_abs=args.tol_abs, out=args.out, fmt=args.fmt,
         lam=args.lam, steps=args.steps, alpha=args.alpha,
-        samples_per_decade=args.samples_per_decade, timings=args.timings,
-        workers=args.workers)
+        samples_per_decade=args.samples_per_decade, timings=args.timings)
     cfg.validate()
     return cfg
 

@@ -104,8 +104,8 @@ def build_arith_table(n_max: int, method: str = "both",
     mu = np.zeros(n_max + 1, dtype=np.int8)
     lam = np.zeros(n_max + 1)
     for seg in sieve.iter_segments(n_max, segment_size):
-        mu[seg.lo:seg.hi] = sieve.mobius_from_segment(seg)
-        lam[seg.lo:seg.hi] = sieve.lambda_from_segment(seg)
+        mu[seg.lo:seg.hi] = seg.mu
+        lam[seg.pp] = seg.pp_lam
 
     log_n = np.zeros(n_max + 1)
     log_n[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))

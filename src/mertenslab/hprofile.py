@@ -151,7 +151,7 @@ def stream_cumulative(ys, kind: str = "smoothed",
     for seg in sieve.iter_segments(n_top, segment_size, primes):
         lo, hi = seg.lo, seg.hi
         size = hi - lo
-        mu = sieve.mobius_from_segment(seg)
+        mu = seg.mu
         m_cum = carry_m + np.cumsum(mu, dtype=np.int64)
         n = seg.values()
         log_all = np.log(np.arange(lo, hi + 1, dtype=np.float64))
@@ -482,11 +482,6 @@ def build_synthetic_profile(h_func: Callable, x_grid,
         cum_abs_at_zeros=cum_abs_b[zpos],
         zeros_are_step_boundaries=False,
         h_continuous=h_func, h_derivative_fn=dh_func)
-
-
-def find_zeros(profile: HProfile) -> np.ndarray:
-    """Zero positions of the profile in x-coordinates (already refined)."""
-    return profile.zeros
 
 
 # ----------------------------------------------------------------------

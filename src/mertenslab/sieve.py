@@ -1,22 +1,22 @@
-"""Segmented least-prime-factor sieve.
+"""Segmented Moebius and von Mangoldt sieve.
 
-A :class:`SieveSegment` stores, for every n in a half-open block
-``[lo, hi)``, the least prime factor ``lpf(n)`` and its multiplicity in n.
-The Moebius function and the von Mangoldt function are derived exactly from
-a segment; any block decomposition of ``[1, N]`` yields identical values.
+:func:`build_segment` sieves a half-open block ``[lo, hi)`` in one pass over
+the base primes p <= isqrt(hi - 1).  For each p it flips the sign of mu at
+the multiples of p, multiplies p into a running product there, and zeroes mu
+at the multiples of p^2.  Where the product falls short of n, n has exactly
+one prime factor above isqrt(hi - 1) and mu takes one more flip.  The block
+keeps mu as int8 and, sparse, the prime powers it contains with their von
+Mangoldt values; any block decomposition of ``[1, N]`` yields identical
+values.
 
-Conventions: ``lpf(1) = 1`` with multiplicity 0 (sentinel); all integers are
-signed 64-bit and the module refuses bounds at or above 2**63.
+Conventions: mu(1) = 1 and Lambda(1) = 0; all integers are signed 64-bit and
+the module refuses bounds at or above 2**63.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import struct
-import tempfile
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterator, Sequence
 
 import numpy as np
@@ -25,10 +25,6 @@ from .errors import RangeError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 INT_LIMIT = 2 ** 63 - 1
-
-_CACHE_MAGIC = b"MLAB"
-_CACHE_VERSION = 1
-_CACHE_HEADER = struct.Struct("<4sIQQ")
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -45,22 +41,22 @@ def base_primes(limit: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class SieveSegment:
-    """Least-prime-factor data for the block ``[lo, hi)``.
+    """Moebius values and prime powers of the block ``[lo, hi)``.
 
     Attributes:
         lo: Inclusive lower bound, >= 1.
         hi: Exclusive upper bound.
-        lpf: int64 array, ``lpf[n - lo]`` = least prime factor of n (1 for n=1).
-        lpf_mult: uint8 array, multiplicity of ``lpf`` in n (0 for n=1).
-        base_primes: primes <= isqrt(hi - 1) used to sieve the block.
+        mu: int8 array, ``mu[n - lo]`` = mu(n).
+        pp: int64 array, the prime powers p^k (k >= 1) in the block, ascending.
+        pp_lam: float64 array, Lambda at ``pp``: log p, one value per prime,
+            so every power of p carries the bit-identical log.
     """
 
     lo: int
     hi: int
-    lpf: np.ndarray
-    lpf_mult: np.ndarray
-    base_primes: np.ndarray
-    _prime_log: np.ndarray = field(repr=False, default=None)
+    mu: np.ndarray
+    pp: np.ndarray
+    pp_lam: np.ndarray
 
     def __len__(self) -> int:
         return self.hi - self.lo
@@ -78,11 +74,31 @@ def _check_base_primes(hi: int, primes: np.ndarray) -> None:
     if len(primes) == 0:
         raise RangeError(f"base_primes must cover all primes <= {s}; got none")
     have = np.asarray(primes, dtype=np.int64)
-    missing = np.setdiff1d(needed, have, assume_unique=False)
+    missing = needed[~np.isin(needed, have)]
     if len(missing):
         raise RangeError(
             f"base_primes must cover all primes <= {s}; missing {int(missing[0])}"
         )
+
+
+def _base_prime_powers(small: np.ndarray, lo: int, hi: int):
+    """Powers p^k (k >= 1) in ``[lo, hi)`` of the ascending primes ``small``
+    (each < hi), in ascending order, and log p for each."""
+    logs = np.log(small.astype(np.float64))
+    found, found_log = [small[:0]], [logs[:0]]
+    pw = small.copy()
+    c = len(small)
+    while c:
+        # pw[:c] = p^k is ascending in p, so [lo, hi) is a contiguous run
+        a = int(np.searchsorted(pw[:c], lo, side="left"))
+        found.append(pw[a:c])
+        found_log.append(logs[a:c])
+        # keep the p with p^(k+1) < hi; the test avoids int64 overflow
+        c = int(np.count_nonzero(pw[:c] <= (hi - 1) // small[:c]))
+        pw = pw[:c] * small[:c]
+    pp = np.concatenate(found)
+    order = np.argsort(pp, kind="stable")
+    return pp[order], np.concatenate(found_log)[order]
 
 
 def build_segment(lo: int, hi: int, primes: Sequence[int] | np.ndarray) -> SieveSegment:
@@ -107,165 +123,51 @@ def build_segment(lo: int, hi: int, primes: Sequence[int] | np.ndarray) -> Sieve
     _check_base_primes(hi, primes)
 
     size = hi - lo
-    lpf = np.zeros(size, dtype=np.int64)
-    mult = np.zeros(size, dtype=np.uint8)
-    s = math.isqrt(hi - 1)
-    cut = int(np.searchsorted(primes, s, side="right"))
-
-    # Mark least prime factors largest-first so the smallest prime wins.
-    for j in range(cut - 1, -1, -1):
-        p = int(primes[j])
-        start = ((lo + p - 1) // p) * p
-        lpf[start - lo::p] = p
-
+    mu = np.ones(size, dtype=np.int8)
+    prod = np.ones(size, dtype=np.int64)
+    small = primes[:int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))]
+    for p in small.tolist():
+        flip = mu[-lo % p::p]
+        np.negative(flip, out=flip)
+        mult = prod[-lo % p::p]
+        mult *= p
+        mu[-lo % (p * p)::p * p] = 0
     n = np.arange(lo, hi, dtype=np.int64)
-    unmarked = lpf == 0
-    lpf[unmarked] = n[unmarked]  # primes above isqrt(hi-1), and n = 1
-    mult[:] = 1
+    # prod < n exactly when one prime factor > isqrt(hi-1) is left over; that
+    # factor flips mu once more (a multiply by +-1 beats a masked negate)
+    sign = (prod == n).view(np.int8)
+    sign *= 2
+    sign -= 1
+    mu *= sign
 
-    # Multiplicity of the least prime factor: for p^k | n with lpf(n) = p.
-    for j in range(cut):
-        p = int(primes[j])
-        q = p * p
-        k = 2
-        while q < hi:
-            start = ((lo + q - 1) // q) * q
-            idx = np.arange(start - lo, size, q)
-            hit = idx[lpf[idx] == p]
-            mult[hit] = k
-            q *= p
-            k += 1
-
+    # Lambda's support: the n > 1 with no base-prime factor (the primes
+    # above isqrt(hi-1)) and the powers of the base primes
+    big = n[prod == 1]
     if lo == 1:
-        lpf[0] = 1
-        mult[0] = 0
-
-    prime_log = np.log(primes[:cut].astype(np.float64)) if cut else np.array([])
-    return SieveSegment(lo=lo, hi=hi, lpf=lpf, lpf_mult=mult,
-                        base_primes=primes, _prime_log=prime_log)
+        big = big[1:]
+    big_lam = np.log(big.astype(np.float64))
+    pw, pw_lam = _base_prime_powers(small, lo, hi)
+    at = np.searchsorted(big, pw)
+    return SieveSegment(lo=lo, hi=hi, mu=mu, pp=np.insert(big, at, pw),
+                        pp_lam=np.insert(big_lam, at, pw_lam))
 
 
 def mobius_from_segment(seg: SieveSegment) -> np.ndarray:
-    """Moebius values mu(n) in {-1, 0, +1} for the segment, as int8.
-
-    Peels every base prime off the block: one sign flip per dividing prime,
-    zero where a square divides, and a final flip where a single prime
-    factor above isqrt(hi-1) remains.
-    """
-    lo, hi = seg.lo, seg.hi
-    size = hi - lo
-    mu = np.ones(size, dtype=np.int8)
-    prod = np.ones(size, dtype=np.int64)
-    s = math.isqrt(hi - 1)
-    cut = int(np.searchsorted(seg.base_primes, s, side="right"))
-    for j in range(cut):
-        p = int(seg.base_primes[j])
-        start = ((lo + p - 1) // p) * p
-        sl = slice(start - lo, size, p)
-        np.negative(mu[sl], out=mu[sl])
-        prod[sl] *= p
-        q = p * p
-        if q < hi:
-            start2 = ((lo + q - 1) // q) * q
-            mu[start2 - lo::q] = 0
-    # prod < n exactly when one prime factor > isqrt(hi-1) is left over.
-    leftover = prod != np.arange(lo, hi, dtype=np.int64)
-    mu[leftover] = -mu[leftover]
-    if lo == 1:
-        mu[0] = 1
-    return mu
+    """Moebius values mu(n) in {-1, 0, +1} for the segment, as int8."""
+    return seg.mu
 
 
 def lambda_from_segment(seg: SieveSegment) -> np.ndarray:
-    """von Mangoldt values: log p where n = p^k, else 0 (float64).
-
-    Logs come from one table per prime so repeated powers of p carry
-    bit-identical values.
-    """
-    lo, hi = seg.lo, seg.hi
-    lam = np.zeros(hi - lo, dtype=np.float64)
-    n = np.arange(lo, hi, dtype=np.int64)
-    is_prime = seg.lpf == n
-    if lo == 1:
-        is_prime[0] = False
-    lam[is_prime] = np.log(seg.lpf[is_prime].astype(np.float64))
-    s = math.isqrt(hi - 1)
-    cut = int(np.searchsorted(seg.base_primes, s, side="right"))
-    for j in range(cut):
-        p = int(seg.base_primes[j])
-        log_p = float(seg._prime_log[j]) if seg._prime_log is not None else math.log(p)
-        q = p * p
-        while q < lo:
-            q *= p
-        while q < hi:
-            lam[q - lo] = log_p
-            q *= p
+    """von Mangoldt values: log p where n = p^k, else 0 (dense float64)."""
+    lam = np.zeros(seg.hi - seg.lo, dtype=np.float64)
+    lam[seg.pp - seg.lo] = seg.pp_lam
     return lam
-
-
-# ----------------------------------------------------------------------
-# Binary segment cache: header (magic, version, lo, hi) + lpf u64 + mult u8
-# ----------------------------------------------------------------------
-
-def cache_path(cache_dir: str, lo: int, hi: int) -> str:
-    return os.path.join(cache_dir, f"mlab_{lo}_{hi}.seg")
-
-
-def save_segment(seg: SieveSegment, cache_dir: str) -> str:
-    """Write a segment to the cache directory (atomic replace)."""
-    os.makedirs(cache_dir, exist_ok=True)
-    path = cache_path(cache_dir, seg.lo, seg.hi)
-    header = _CACHE_HEADER.pack(_CACHE_MAGIC, _CACHE_VERSION, seg.lo, seg.hi)
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "wb") as fh:
-            fh.write(header)
-            fh.write(seg.lpf.astype("<u8").tobytes())
-            fh.write(seg.lpf_mult.astype("u1").tobytes())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def load_segment(cache_dir: str, lo: int, hi: int,
-                 primes: np.ndarray) -> SieveSegment | None:
-    """Load ``[lo, hi)`` from cache; None on miss or header mismatch."""
-    path = cache_path(cache_dir, lo, hi)
-    if not os.path.exists(path):
-        return None
-    size = hi - lo
-    expect = _CACHE_HEADER.size + 8 * size + size
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    if len(blob) != expect:
-        return None
-    magic, version, flo, fhi = _CACHE_HEADER.unpack_from(blob, 0)
-    if magic != _CACHE_MAGIC or version != _CACHE_VERSION or flo != lo or fhi != hi:
-        return None
-    off = _CACHE_HEADER.size
-    lpf = np.frombuffer(blob, dtype="<u8", count=size, offset=off).astype(np.int64)
-    mult = np.frombuffer(blob, dtype="u1", count=size, offset=off + 8 * size).copy()
-    s = math.isqrt(hi - 1)
-    cut = int(np.searchsorted(primes, s, side="right"))
-    prime_log = np.log(primes[:cut].astype(np.float64)) if cut else np.array([])
-    return SieveSegment(lo=lo, hi=hi, lpf=lpf, lpf_mult=mult,
-                        base_primes=primes, _prime_log=prime_log)
 
 
 def iter_segments(n_max: int,
                   segment_size: int = DEFAULT_SEGMENT_SIZE,
-                  primes: np.ndarray | None = None,
-                  cache_dir: str | None = None,
-                  workers: int = 1) -> Iterator[SieveSegment]:
-    """Yield segments covering [1, n_max] in ascending order.
-
-    Segments are independent work units: with ``workers > 1`` they are built
-    concurrently but always yielded in order, so consumers see a schedule-
-    independent stream.
-    """
+                  primes: np.ndarray | None = None) -> Iterator[SieveSegment]:
+    """Yield segments covering [1, n_max] in ascending order."""
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
     if n_max > INT_LIMIT:
@@ -274,24 +176,5 @@ def iter_segments(n_max: int,
         raise RangeError("segment_size must be positive")
     if primes is None:
         primes = base_primes(math.isqrt(n_max))
-
-    bounds = [(lo, min(lo + segment_size, n_max + 1))
-              for lo in range(1, n_max + 1, segment_size)]
-
-    def make(b):
-        lo, hi = b
-        if cache_dir is not None:
-            seg = load_segment(cache_dir, lo, hi, primes)
-            if seg is not None:
-                return seg
-        seg = build_segment(lo, hi, primes)
-        if cache_dir is not None:
-            save_segment(seg, cache_dir)
-        return seg
-
-    if workers <= 1:
-        for b in bounds:
-            yield make(b)
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            yield from pool.map(make, bounds)
+    for lo in range(1, n_max + 1, segment_size):
+        yield build_segment(lo, min(lo + segment_size, n_max + 1), primes)

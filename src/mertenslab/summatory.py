@@ -35,22 +35,11 @@ from .errors import CapabilityError, RangeError
 DEFAULT_STRIDE = 1 << 16
 
 
-def x_from_y(y):
-    """Map the summation variable y to the smoothed argument x = (log y)^2."""
-    return np.log(y) ** 2
-
-
-def y_from_x(x):
-    """Inverse map: y = exp(sqrt(x))."""
-    return np.exp(np.sqrt(x))
-
-
 class PrefixSums:
     """Checkpointed running sums over [1, n_max] with exact window replay."""
 
     def __init__(self, n_max: int, stride: int = DEFAULT_STRIDE,
                  segment_size: int = sieve.DEFAULT_SEGMENT_SIZE,
-                 cache_dir: str | None = None, workers: int = 1,
                  window_cache: int = 32):
         if n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {n_max}")
@@ -61,20 +50,19 @@ class PrefixSums:
         self.n_max = int(n_max)
         self.stride = int(stride)
         self.segment_size = int(segment_size)
-        self.cache_dir = cache_dir
         self.primes = sieve.base_primes(math.isqrt(self.n_max))
         self._windows: OrderedDict[int, dict] = OrderedDict()
         self._window_cap = window_cache
         self.table_cap = 0
         self._s_lambda2 = None
         self._s_theta = None
-        self._build(workers)
+        self._build()
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _build(self, workers: int) -> None:
+    def _build(self) -> None:
         stride, n_max = self.stride, self.n_max
         n_cp = n_max // stride
         self.cp_m = np.zeros(n_cp + 1, dtype=np.int64)
@@ -86,17 +74,12 @@ class PrefixSums:
         acc_f = NeumaierSum()
         pp_vals, pp_lam = [], []
 
-        for seg in sieve.iter_segments(n_max, self.segment_size, self.primes,
-                                       self.cache_dir, workers):
-            lo, hi = seg.lo, seg.hi
-            mu = sieve.mobius_from_segment(seg)
-            lam = sieve.lambda_from_segment(seg)
+        for seg in sieve.iter_segments(n_max, self.segment_size, self.primes):
+            lo, hi, mu = seg.lo, seg.hi, seg.mu
             n = seg.values()
             logn = np.log(n.astype(np.float64))
-
-            mask = lam > 0.0
-            pp_vals.append(n[mask])
-            pp_lam.append(lam[mask])
+            pp_vals.append(seg.pp)
+            pp_lam.append(seg.pp_lam)
 
             m_cum = carry_m + np.cumsum(mu, dtype=np.int64)
             a_terms = mu * logn
@@ -140,12 +123,8 @@ class PrefixSums:
             return win
         lo = k * self.stride + 1
         hi = min((k + 1) * self.stride, self.n_max) + 1
-        seg = None
-        if self.cache_dir is not None:
-            seg = sieve.load_segment(self.cache_dir, lo, hi, self.primes)
-        if seg is None:
-            seg = sieve.build_segment(lo, hi, self.primes)
-        mu = sieve.mobius_from_segment(seg)
+        seg = sieve.build_segment(lo, hi, self.primes)
+        mu = seg.mu
         n = seg.values()
         logn = np.log(n.astype(np.float64))
         m_cum = self.cp_m[k] + np.cumsum(mu, dtype=np.int64)
@@ -282,16 +261,6 @@ class PrefixSums:
             pos += take
         return out
 
-    def lambda_range(self, lo: int, hi: int) -> np.ndarray:
-        """Dense von Mangoldt values for n in [lo, hi), from the sparse table."""
-        if lo < 1 or hi <= lo or hi - 1 > self.n_max:
-            raise RangeError(f"invalid range [{lo}, {hi}) for lambda_range")
-        out = np.zeros(hi - lo)
-        i0 = np.searchsorted(self.pp, lo, side="left")
-        i1 = np.searchsorted(self.pp, hi - 1, side="right")
-        out[self.pp[i0:i1] - lo] = self.pp_lam[i0:i1]
-        return out
-
     # ------------------------------------------------------------------
     # Selberg-weight prefix sums (dense below the attached table cap,
     # prime-power hyperbola enumeration above it)
@@ -386,24 +355,6 @@ class PrefixSums:
         i = self._pp_upto(n)
         val = float(self.pp_cum_lam_over[i - 1]) if i else 0.0
         return val, val - math.log(float(x))
-
-    # ------------------------------------------------------------------
-    # export
-    # ------------------------------------------------------------------
-
-    def export_rows(self, xs) -> list[dict]:
-        """Rows for the x,M,F_sum,F_integral,psi,S_lambda2 CSV schema."""
-        rows = []
-        for x in xs:
-            rows.append({
-                "x": float(x),
-                "M": self.mertens(x),
-                "F_sum": self.big_f(x),
-                "F_integral": self.big_f_integral(x),
-                "psi": self.psi(x),
-                "S_lambda2": self.lambda2_sum(x),
-            })
-        return rows
 
 
 def log_square_sum(x) -> tuple[float, float]:

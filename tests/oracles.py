@@ -1,6 +1,6 @@
 """Independent reference implementations used only by the tests.
 
-These deliberately avoid the package's least-prime-factor machinery: the
+These deliberately avoid the package's prime peeling: the
 trial-division oracle factors each integer outright, and the dense counting
 sieve derives mu from a squarefree mask (marking k^2 for every k, no primes
 needed) plus a distinct-prime counter.  Agreement between these and the
@@ -50,18 +50,10 @@ def lambda_trial(n: int) -> float:
     return 0.0
 
 
-def lpf_trial(n: int) -> tuple[int, int]:
-    """(least prime factor, its multiplicity); (1, 0) for n = 1."""
-    if n == 1:
-        return 1, 0
-    p, k = factor_trial(n)[0]
-    return p, k
-
-
 def mobius_dense(n_max: int) -> np.ndarray:
     """mu(0..n_max) from a squarefree mask and a distinct-prime counter.
 
-    No least-prime-factor data and no peeling: squarefree numbers are the
+    No peeling of base primes: squarefree numbers are the
     complement of multiples of k^2 over all k >= 2, and for squarefree n the
     sign is (-1)^(number of primes dividing n).
     """

@@ -112,27 +112,6 @@ class TestDeterminism:
         assert run(args + ["--out", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_cache_equals_no_cache(self, tmp_path):
-        cache = tmp_path / "cache"
-        a, b = tmp_path / "a.json", tmp_path / "b.json"
-        args = ["verify", "--which", "dual-route", "--n-max", "30000",
-                "--conv-cap", "5000"]
-        assert run(args + ["--out", str(a)]) == 0
-        assert run(args + ["--cache", str(cache), "--out", str(b)]) == 0
-        assert a.read_bytes() == b.read_bytes()
-        assert any(cache.iterdir())
-        # second cached run reuses the segment files
-        c = tmp_path / "c.json"
-        assert run(args + ["--cache", str(cache), "--out", str(c)]) == 0
-        assert b.read_bytes() == c.read_bytes()
-
-    def test_env_cache_honored(self, tmp_path, monkeypatch):
-        cache = tmp_path / "envcache"
-        monkeypatch.setenv("MLAB_CACHE", str(cache))
-        out = tmp_path / "o.json"
-        assert run(["sieve", "--out", str(out)] + BASE) == 0
-        assert cache.exists() and any(cache.iterdir())
-
     def test_report_contains_all_series_kinds(self, tmp_path):
         out = tmp_path / "r.json"
         assert run(["report", "--n-max", "5000", "--conv-cap", "2000",

@@ -24,27 +24,42 @@ def segment_full(n_max, segment_size=sieve.DEFAULT_SEGMENT_SIZE):
 class TestBuildSegment:
     def test_sentinel_only(self):
         seg = sieve.build_segment(1, 2, sieve.base_primes(1))
-        assert seg.lpf.tolist() == [1]
-        assert seg.lpf_mult.tolist() == [0]
+        assert seg.mu.tolist() == [1]
+        assert seg.pp.tolist() == []
+        assert sieve.lambda_from_segment(seg).tolist() == [0.0]
 
-    def test_lpf_2_to_10(self):
+    def test_mu_and_lambda_2_to_10(self):
         seg = sieve.build_segment(2, 11, sieve.base_primes(3))
-        assert seg.lpf.tolist() == [2, 3, 2, 5, 2, 7, 2, 3, 2]
+        assert seg.mu.tolist() == [-1, -1, 0, -1, 1, -1, 0, 0, 1]
+        assert seg.pp.tolist() == [2, 3, 4, 5, 7, 8, 9]
 
     def test_million_power_of_two_and_five(self):
         lo = 10 ** 6
+        assert oracles.factor_trial(lo) == [(2, 6), (5, 6)]
         seg = sieve.build_segment(lo, lo + 8, sieve.base_primes(math.isqrt(lo + 7)))
-        assert seg.lpf[0] == 2
-        assert seg.lpf_mult[0] == 6
-        p, k = oracles.lpf_trial(lo)
-        assert (p, k) == (2, 6)
+        lam = sieve.lambda_from_segment(seg)
+        assert seg.mu[0] == 0 and lam[0] == 0.0
+        for n in range(lo, lo + 8):
+            assert seg.mu[n - lo] == oracles.mobius_trial(n), n
+            assert lam[n - lo] == pytest.approx(oracles.lambda_trial(n), rel=1e-15), n
 
     def test_invariants_against_trial_division(self):
         seg = sieve.build_segment(1, 3001, sieve.base_primes(54))
+        lam = sieve.lambda_from_segment(seg)
         for n in range(1, 3001):
-            p, k = oracles.lpf_trial(n)
-            assert seg.lpf[n - 1] == p
-            assert seg.lpf_mult[n - 1] == k
+            assert seg.mu[n - 1] == oracles.mobius_trial(n), n
+            assert lam[n - 1] == pytest.approx(oracles.lambda_trial(n), rel=1e-15), n
+
+    def test_base_primes_inside_segment(self):
+        # lo < isqrt(hi - 1) = 141: base primes, their squares and cubes
+        # lie in the block and must be peeled, not left over
+        lo, hi = 10, 20000
+        seg = sieve.build_segment(lo, hi, sieve.base_primes(math.isqrt(hi - 1)))
+        lam = sieve.lambda_from_segment(seg)
+        for n in range(lo, hi):
+            assert seg.mu[n - lo] == oracles.mobius_trial(n), n
+            assert lam[n - lo] == pytest.approx(oracles.lambda_trial(n), rel=1e-15), n
+        assert np.array_equal(seg.pp, np.flatnonzero(lam) + lo)
 
     def test_empty_range_rejected(self):
         with pytest.raises(RangeError):
@@ -83,10 +98,11 @@ class TestDerivedFunctions:
 
     def test_lambda_bit_identical_on_prime_powers(self):
         mu, lam = segment_full(10 ** 4, segment_size=1 << 12)
-        for p in (2, 3, 5, 7, 11, 13, 89):
-            q = p * p
+        for p in sieve.base_primes(10 ** 4).tolist():
+            log_p = np.log(np.float64(p))
+            q = p
             while q <= 10 ** 4:
-                assert lam[q] == lam[p], (p, q)
+                assert lam[q] == log_p, (p, q)
                 q *= p
 
     def test_oracle_equivalence_to_1e5(self):
@@ -96,6 +112,8 @@ class TestDerivedFunctions:
             assert lam[n] == pytest.approx(oracles.lambda_trial(n), abs=1e-15), n
         mu_dense = oracles.mobius_dense(10 ** 5)
         assert np.array_equal(mu[1:], mu_dense[1:])
+        for size in (997, 1 << 14, 65537):
+            assert np.array_equal(segment_full(10 ** 5, size)[0][1:], mu_dense[1:]), size
 
     def test_squarefree_density(self):
         mu, _ = segment_full(10 ** 6)
@@ -112,44 +130,3 @@ class TestSegmentation:
         mu, lam = segment_full(n_max, segment_size=size)
         assert np.array_equal(mu, mu_ref)
         assert np.array_equal(lam, lam_ref)
-
-    def test_concurrent_construction_deterministic(self):
-        serial = [seg.lpf.copy() for seg in sieve.iter_segments(10 ** 5, 1 << 14)]
-        parallel = [seg.lpf.copy()
-                    for seg in sieve.iter_segments(10 ** 5, 1 << 14, workers=4)]
-        assert len(serial) == len(parallel)
-        for a, b in zip(serial, parallel):
-            assert np.array_equal(a, b)
-
-
-class TestSegmentCache:
-    def test_roundtrip(self, tmp_path):
-        primes = sieve.base_primes(100)
-        seg = sieve.build_segment(5000, 9000, primes)
-        sieve.save_segment(seg, str(tmp_path))
-        back = sieve.load_segment(str(tmp_path), 5000, 9000, primes)
-        assert back is not None
-        assert np.array_equal(back.lpf, seg.lpf)
-        assert np.array_equal(back.lpf_mult, seg.lpf_mult)
-
-    def test_header_mismatch_rejected(self, tmp_path):
-        primes = sieve.base_primes(100)
-        seg = sieve.build_segment(5000, 9000, primes)
-        path = sieve.save_segment(seg, str(tmp_path))
-        assert sieve.load_segment(str(tmp_path), 5000, 9001, primes) is None
-        blob = bytearray(open(path, "rb").read())
-        blob[0] = ord(b"X")
-        with open(path, "wb") as fh:
-            fh.write(blob)
-        assert sieve.load_segment(str(tmp_path), 5000, 9000, primes) is None
-
-    def test_cache_matches_fresh_build(self, tmp_path):
-        n_max = 10 ** 4
-        fresh = segment_full(n_max, segment_size=1 << 12)
-        for seg in sieve.iter_segments(n_max, 1 << 12, cache_dir=str(tmp_path)):
-            pass
-        cached_mu = np.empty(n_max + 1, dtype=np.int8)
-        cached_mu[0] = 0
-        for seg in sieve.iter_segments(n_max, 1 << 12, cache_dir=str(tmp_path)):
-            cached_mu[seg.lo:seg.hi] = sieve.mobius_from_segment(seg)
-        assert np.array_equal(cached_mu, fresh[0])
