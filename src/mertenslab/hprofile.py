@@ -99,16 +99,15 @@ def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
     return 0.5 * (lo + hi)
 
 
-def stream_cumulative(ys, kind: str = "smoothed",
-                      segment_size: int = sieve.DEFAULT_SEGMENT_SIZE,
-                      primes: np.ndarray | None = None,
+def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
                       collect_decade_sup: bool = False) -> StreamResult:
-    """One sieve pass computing cumulative integrals at the query points ys.
+    """One pass over the store's mu computing cumulative integrals at ys.
 
-    ``ys`` must be >= 1; they are sorted internally and results are returned
-    in the caller's order.  ``cum_abs[i]`` is the x-domain integral of |H|
-    from 0 up to x = (log ys[i])^2, and ``cum_signed`` likewise without the
-    absolute value.
+    ``ys`` must be >= 1 with floor(y) <= ``store.n_max``; they are sorted
+    internally and results are returned in the caller's order.
+    ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
+    x = (log ys[i])^2, and ``cum_signed`` likewise without the absolute
+    value.  The pass walks mu in blocks of ``sieve.DEFAULT_SEGMENT_SIZE``.
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
@@ -123,6 +122,9 @@ def stream_cumulative(ys, kind: str = "smoothed",
     order = np.argsort(ys, kind="stable")
     ys_sorted = ys[order]
     n_top = max(int(math.floor(float(ys_sorted[-1]))), 1)
+    if n_top > store.n_max:
+        raise CapabilityError(f"query point {float(ys_sorted[-1])} beyond store cap "
+                              f"{store.n_max}", max_usable=store.n_max)
     smoothed = kind == "smoothed"
 
     cum_abs_q = np.zeros(len(ys_sorted))
@@ -139,41 +141,37 @@ def stream_cumulative(ys, kind: str = "smoothed",
     run_start_n = 0
     last_zero_n = 0
     q_pos = 0
-
-    if primes is None:
-        primes = sieve.base_primes(math.isqrt(max(n_top + 1, 4)))
+    block = sieve.DEFAULT_SEGMENT_SIZE
 
     def emit_step_zero(n_pos: int, cum_value: float) -> None:
         zeros_y.append(float(n_pos))
         zeros_cum.append(cum_value)
         zero_flags.append("step")
 
-    for seg in sieve.iter_segments(n_top, segment_size, primes):
-        lo, hi = seg.lo, seg.hi
+    for lo in range(1, n_top + 1, block):
+        hi = min(lo + block, n_top + 1)
         size = hi - lo
-        mu = seg.mu
+        mu = store.mu[lo - 1:hi - 1]
         m_cum = carry_m + np.cumsum(mu, dtype=np.int64)
-        n = seg.values()
-        log_all = np.log(np.arange(lo, hi + 1, dtype=np.float64))
+        # step i is [n, n + 1) with n = lo + i; u_all holds both ends
+        u_all = np.arange(lo, hi + 1, dtype=np.float64)
+        log_all = np.log(u_all)
         log_n, log_n1 = log_all[:-1], log_all[1:]
-        un = n.astype(np.float64)
-        u1 = (n + 1).astype(np.float64)
-        q_n = _q_anti(un, log_n)
-        q_n1 = _q_anti(u1, log_n1)
+        q_all = _q_anti(u_all, log_all)
+        q_step = q_all[1:] - q_all[:-1]
         mf = m_cum.astype(np.float64)
 
         if smoothed:
             a_terms = mu * log_n
             a_cum = acc_a.value + np.cumsum(a_terms)
-            p_n = _p_anti(un, log_n)
-            p_n1 = _p_anti(u1, log_n1)
-            d_sig = 2.0 * (mf * (p_n1 - p_n) - a_cum * (q_n1 - q_n))
+            p_all = _p_anti(u_all, log_all)
+            d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
             g_start = mf * log_n - a_cum
             g_end = mf * log_n1 - a_cum
             cross = g_start * g_end < 0.0
         else:
             a_cum = None
-            d_sig = 2.0 * mf * (q_n1 - q_n)
+            d_sig = 2.0 * mf * q_step
             cross = None
         d_abs = np.abs(d_sig)
 
@@ -184,7 +182,7 @@ def stream_cumulative(ys, kind: str = "smoothed",
             for i in np.flatnonzero(cross):
                 m_i = float(mf[i])
                 a_i = float(a_cum[i])
-                step_n = int(n[i])
+                step_n = lo + int(i)
                 u_star = _refine_crossing(m_i, a_i, step_n)
                 left = abs(_piece_smoothed(m_i, a_i, step_n, u_star))
                 right = abs(_piece_smoothed(m_i, a_i, u_star, step_n + 1))
@@ -220,7 +218,7 @@ def stream_cumulative(ys, kind: str = "smoothed",
                 starts = idx[np.concatenate(([0], gaps + 1))]
                 ends = idx[np.concatenate((gaps, [len(idx) - 1]))]
                 for s_i, e_i in zip(starts, ends):
-                    n_s, n_e = int(n[s_i]), int(n[e_i])
+                    n_s, n_e = lo + int(s_i), lo + int(e_i)
                     continued = run_open and s_i == 0
                     if not continued:
                         emit_step_zero(n_s, float(pre_abs[s_i]))
@@ -233,7 +231,7 @@ def stream_cumulative(ys, kind: str = "smoothed",
                         if n_e > run_start_n:
                             emit_step_zero(n_e, float(pre_abs[e_i]))
             if collect_decade_sup:
-                ratios = np.abs(mf) / un
+                ratios = np.abs(mf) / u_all[:-1]
                 d_lo = len(str(lo)) - 1
                 d_hi = len(str(hi - 1)) - 1
                 for dec in range(d_lo, d_hi + 1):
@@ -250,7 +248,7 @@ def stream_cumulative(ys, kind: str = "smoothed",
             i = int(math.floor(yq)) - lo
             m_i = float(mf[i])
             a_i = float(a_cum[i]) if smoothed else 0.0
-            step_n = int(n[i])
+            step_n = lo + i
             if yq > step_n:
                 if smoothed:
                     part_sig = _piece_smoothed(m_i, a_i, step_n, yq)
@@ -403,7 +401,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     ys[-1] = float(y_max)
     ys = np.unique(ys)
 
-    res = stream_cumulative(ys, kind=kind, primes=store.primes,
+    res = stream_cumulative(store, ys, kind=kind,
                             collect_decade_sup=collect_decade_sup)
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys

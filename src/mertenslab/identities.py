@@ -257,7 +257,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
                 f"{x_cap:.6g}", max_usable=x_cap)
         pk = "smoothed" if kind == "h_mean_gap" else "mertens"
         ys = np.exp(np.sqrt(xs))
-        res = hprofile.stream_cumulative(ys, kind=pk, primes=store.primes)
+        res = hprofile.stream_cumulative(store, ys, kind=pk)
         xg = np.maximum(xs, hprofile.X_MIN_GUARD)
         raw = np.abs(res.f_at) / ys - res.cum_abs / xg
         normalized = raw * np.sqrt(xg) if kind == "h_mean_gap" else raw.copy()
@@ -294,7 +294,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         normalized = raw.copy()
         label = "1"
     else:  # f_self_bound
-        res = hprofile.stream_cumulative(xs, kind="smoothed", primes=store.primes)
+        res = hprofile.stream_cumulative(store, xs, kind="smoothed")
         raw = np.abs(res.f_at) * log_xs ** 2 - xs * res.cum_abs
         normalized = raw / (xs * log_xs)
         label = "x log x"
@@ -318,12 +318,13 @@ def mertens_tail_sups(store: PrefixSums, k_lo: int = 2,
     """sup_{y >= 10^k} |M(y)|/y for each decade threshold k.
 
     The supremum over real y reduces to integer step starts |M(n)|/n; one
-    sieve pass collects per-decade maxima and suffix maxima finish the job.
+    pass over the store's mu collects per-decade maxima and suffix maxima
+    finish the job.
     """
     if k_hi is None:
         k_hi = int(math.log10(store.n_max))
     ys = np.array([float(store.n_max)])
-    res = hprofile.stream_cumulative(ys, kind="mertens", primes=store.primes,
+    res = hprofile.stream_cumulative(store, ys, kind="mertens",
                                      collect_decade_sup=True)
     sups = {}
     running = 0.0

@@ -4,10 +4,11 @@ The store keeps three running sums checkpointed every ``stride`` integers
 (the Mertens function M as exact int64, A(x) = sum mu(n) log n, and the
 piecewise-exact integral I(x) = sum M(n) log((n+1)/n)), plus a sparse table
 of prime powers carrying the von Mangoldt values, from which psi and its
-relatives are answered directly.  Values between checkpoints are recovered
-by re-sieving one window, so memory stays O(n_max / stride) while arbitrary
-real-argument queries remain cheap; recently used windows are kept in an
-LRU cache.
+relatives are answered directly.  The build pass is the only sieve pass: it
+keeps mu as one int8 array (1 byte per integer), and values between
+checkpoints are recovered by replaying one window of that mu from the
+nearest checkpoint, so arbitrary real-argument queries remain cheap;
+recently used windows are kept in an LRU cache.
 
 Key evaluators built on top of the store:
 
@@ -33,14 +34,14 @@ from .accum import NeumaierSum, chunked_cumsum
 from .errors import CapabilityError, RangeError
 
 DEFAULT_STRIDE = 1 << 16
+WINDOW_CACHE = 32               # replayed windows kept by the LRU
 
 
 class PrefixSums:
     """Checkpointed running sums over [1, n_max] with exact window replay."""
 
     def __init__(self, n_max: int, stride: int = DEFAULT_STRIDE,
-                 segment_size: int = sieve.DEFAULT_SEGMENT_SIZE,
-                 window_cache: int = 32):
+                 segment_size: int = sieve.DEFAULT_SEGMENT_SIZE):
         if n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {n_max}")
         if n_max > sieve.INT_LIMIT:
@@ -52,7 +53,6 @@ class PrefixSums:
         self.segment_size = int(segment_size)
         self.primes = sieve.base_primes(math.isqrt(self.n_max))
         self._windows: OrderedDict[int, dict] = OrderedDict()
-        self._window_cap = window_cache
         self.table_cap = 0
         self._s_lambda2 = None
         self._s_theta = None
@@ -68,6 +68,7 @@ class PrefixSums:
         self.cp_m = np.zeros(n_cp + 1, dtype=np.int64)
         self.cp_a = np.zeros(n_cp + 1, dtype=np.float64)
         self.cp_fint = np.zeros(n_cp + 1, dtype=np.float64)
+        self.mu = np.empty(n_max, dtype=np.int8)
 
         carry_m = 0
         acc_a = NeumaierSum()
@@ -76,6 +77,7 @@ class PrefixSums:
 
         for seg in sieve.iter_segments(n_max, self.segment_size, self.primes):
             lo, hi, mu = seg.lo, seg.hi, seg.mu
+            self.mu[lo - 1:hi - 1] = mu
             n = seg.values()
             logn = np.log(n.astype(np.float64))
             pp_vals.append(seg.pp)
@@ -101,6 +103,7 @@ class PrefixSums:
         self.mertens_at_n_max = carry_m
         self.pp = np.concatenate(pp_vals) if pp_vals else np.zeros(0, np.int64)
         self.pp_lam = np.concatenate(pp_lam) if pp_lam else np.zeros(0)
+        del pp_vals, pp_lam
         self.pp_log = np.log(self.pp.astype(np.float64)) if len(self.pp) else np.zeros(0)
         self.pp_cum_lam = chunked_cumsum(self.pp_lam)
         self.pp_cum_lam_over = chunked_cumsum(self.pp_lam / self.pp)
@@ -123,16 +126,14 @@ class PrefixSums:
             return win
         lo = k * self.stride + 1
         hi = min((k + 1) * self.stride, self.n_max) + 1
-        seg = sieve.build_segment(lo, hi, self.primes)
-        mu = seg.mu
-        n = seg.values()
-        logn = np.log(n.astype(np.float64))
+        mu = self.mu[lo - 1:hi - 1]
+        n = np.arange(lo, hi, dtype=np.float64)
         m_cum = self.cp_m[k] + np.cumsum(mu, dtype=np.int64)
-        a_cum = self.cp_a[k] + np.cumsum(mu * logn)
+        a_cum = self.cp_a[k] + np.cumsum(mu * np.log(n))
         f_cum = self.cp_fint[k] + np.cumsum(m_cum * np.log1p(1.0 / n))
-        win = {"mu": mu, "m": m_cum, "a": a_cum, "fint": f_cum, "lo": lo, "hi": hi}
+        win = {"m": m_cum, "a": a_cum, "fint": f_cum}
         self._windows[k] = win
-        if len(self._windows) > self._window_cap:
+        if len(self._windows) > WINDOW_CACHE:
             self._windows.popitem(last=False)
         return win
 
@@ -239,7 +240,12 @@ class PrefixSums:
         return m * np.log(ys) - a
 
     def psi_many(self, xs) -> np.ndarray:
-        ns = np.floor(np.asarray(xs, dtype=np.float64)).astype(np.int64)
+        """Vectorized psi(x); every x must lie in [1, n_max], as for psi."""
+        xs = np.asarray(xs, dtype=np.float64)
+        if len(xs):
+            self._floor_checked(xs.min())
+            self._floor_checked(xs.max())
+        ns = np.floor(xs).astype(np.int64)
         idx = np.searchsorted(self.pp, ns, side="right")
         out = np.zeros(len(ns))
         nz = idx > 0
@@ -247,19 +253,10 @@ class PrefixSums:
         return out
 
     def mobius_range(self, lo: int, hi: int) -> np.ndarray:
-        """Dense mu values for n in [lo, hi), recovered from cached windows."""
+        """Dense mu values for n in [lo, hi), copied from the stored mu."""
         if lo < 1 or hi <= lo or hi - 1 > self.n_max:
             raise RangeError(f"invalid range [{lo}, {hi}) for mobius_range")
-        out = np.empty(hi - lo, dtype=np.int8)
-        pos = lo
-        while pos < hi:
-            k = (pos - 1) // self.stride
-            win = self._window(k)
-            take = min(hi, win["hi"]) - pos
-            off = pos - win["lo"]
-            out[pos - lo:pos - lo + take] = win["mu"][off:off + take]
-            pos += take
-        return out
+        return self.mu[lo - 1:hi - 1].copy()
 
     # ------------------------------------------------------------------
     # Selberg-weight prefix sums (dense below the attached table cap,

@@ -18,7 +18,7 @@ class TestStreamCumulative:
             return abs(store_1e4.big_f(y)) / y
 
         ys = np.array([2.0, 3.7, 10.0, 157.0])
-        res = hprofile.stream_cumulative(ys, kind="smoothed")
+        res = hprofile.stream_cumulative(store_1e4, ys, kind="smoothed")
         for i, y in enumerate(ys):
             x_top = math.log(y) ** 2
             cuts = sorted({math.log(k) ** 2 for k in range(1, int(y) + 1)} | {x_top})
@@ -28,27 +28,32 @@ class TestStreamCumulative:
 
     def test_query_order_independent(self, store_1e4):
         ys = np.array([50.0, 2.0, 700.0, 7.7])
-        res = hprofile.stream_cumulative(ys, kind="mertens")
-        res_sorted = hprofile.stream_cumulative(np.sort(ys), kind="mertens")
+        res = hprofile.stream_cumulative(store_1e4, ys, kind="mertens")
+        res_sorted = hprofile.stream_cumulative(store_1e4, np.sort(ys), kind="mertens")
         for i, y in enumerate(ys):
             j = int(np.searchsorted(np.sort(ys), y))
             assert res.cum_abs[i] == res_sorted.cum_abs[j]
 
-    def test_first_smoothed_zero_is_sqrt30(self):
-        res = hprofile.stream_cumulative(np.array([100.0]), kind="smoothed")
+    def test_first_smoothed_zero_is_sqrt30(self, store_1e4):
+        res = hprofile.stream_cumulative(store_1e4, np.array([100.0]), kind="smoothed")
         assert len(res.zeros_y) >= 1
         assert res.zeros_y[0] == pytest.approx(math.sqrt(30.0), rel=1e-10)
 
-    def test_mertens_zero_runs(self):
+    def test_mertens_zero_runs(self, store_1e4):
         # M touches zero at 2, then on the run 39..40
-        res = hprofile.stream_cumulative(np.array([50.0]), kind="mertens")
+        res = hprofile.stream_cumulative(store_1e4, np.array([50.0]), kind="mertens")
         zs = list(res.zeros_y)
         assert 2.0 in zs
         assert 39.0 in zs and 40.0 in zs
 
-    def test_empty_queries(self):
-        res = hprofile.stream_cumulative(np.array([]), kind="smoothed")
+    def test_empty_queries(self, store_1e4):
+        res = hprofile.stream_cumulative(store_1e4, np.array([]), kind="smoothed")
         assert len(res.cum_abs) == 0
+
+    def test_query_beyond_store_cap(self, store_1e4):
+        with pytest.raises(CapabilityError) as err:
+            hprofile.stream_cumulative(store_1e4, [2e4])
+        assert err.value.max_usable == 10 ** 4
 
 
 class TestBuildProfile:
@@ -296,9 +301,10 @@ class TestProfileInvariants:
                 assert np.all(vals > 0) or np.all(vals < 0), (lo, hi)
 
     def test_stream_f_matches_store_route(self, store_1e5):
-        # the streaming evaluator recomputes F independently of the
-        # checkpoint-replay route; they must agree to rounding
+        # both routes read the store's mu, but the stream sums it by its own
+        # route, independent of the checkpoint replay; they must agree to
+        # rounding
         ys = np.geomspace(2.0, 10 ** 5, 40)
-        res = hprofile.stream_cumulative(ys, kind="smoothed")
+        res = hprofile.stream_cumulative(store_1e5, ys, kind="smoothed")
         want = store_1e5.big_f_many(ys)
         assert np.abs(res.f_at - want).max() <= 1e-9 * (1 + np.abs(want).max())

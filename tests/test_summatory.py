@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mertenslab import summatory
+from mertenslab import hprofile, identities, sieve, summatory
 from mertenslab.errors import CapabilityError, RangeError
 
 import oracles
@@ -38,12 +38,19 @@ class TestMertens:
         mu = store_1e5.mobius_range(a, b + 1)
         assert int(mu.sum()) == store_1e5.mertens(b) - store_1e5.mertens(a) + int(mu[0])
 
-    def test_bounds(self, store_1e5):
+    def test_bounds(self, store_1e5, store_1e4):
         with pytest.raises(RangeError):
             store_1e5.mertens(0.5)
         with pytest.raises(CapabilityError) as err:
             store_1e5.mertens(10 ** 6)
         assert err.value.max_usable == 10 ** 5
+        for xs in ([2e4], [1e6]):
+            with pytest.raises(CapabilityError) as err:
+                store_1e4.psi_many(xs)
+            assert err.value.max_usable == 10 ** 4
+        for xs in ([0.5], [-3], [float("nan")]):
+            with pytest.raises(RangeError):
+                store_1e4.psi_many(xs)
 
 
 class TestSmoothedSum:
@@ -155,6 +162,28 @@ class TestExport:
     def test_stride_mismatch_rejected(self):
         with pytest.raises(RangeError):
             summatory.PrefixSums(1000, stride=100, segment_size=256)
+
+
+class TestOneSievePass:
+    def test_queries_read_the_stored_mu(self, monkeypatch):
+        # a fresh store, so every window below is replayed, not an LRU hit
+        store = summatory.PrefixSums(10 ** 5)
+
+        def no_sieve(*args, **kwargs):
+            raise AssertionError("sieved after the store build")
+
+        monkeypatch.setattr(sieve, "build_segment", no_sieve)
+        monkeypatch.setattr(sieve, "iter_segments", no_sieve)
+        assert store.mertens(10 ** 5) == -48
+        assert store.big_f(12345.6) == pytest.approx(store.big_f_integral(12345.6),
+                                                     abs=1e-9)
+        assert list(store.mertens_many([10.0, 100.0, 70001.5])) == [
+            -1, 1, store.mertens(70001)]
+        assert list(store.mobius_range(1, 11)) == [1, -1, -1, 0, -1, 1, -1, 0, 0, 1]
+        for kind in ("smoothed", "mertens"):
+            hprofile.estimate_constants(hprofile.build_profile(store, kind))
+        assert identities.mertens_tail_sups(store)
+        identities.remainder_series(store, "h_mean_gap", [1.0, 10.0, 100.0])
 
 
 class TestConstructionDeterminism:
