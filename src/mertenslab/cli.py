@@ -272,10 +272,10 @@ def check_dual_route(ctx: Context, n_random: int = 10 ** 4, seed: int = 20260808
     rng = np.random.default_rng(seed)
     xs = np.sort(rng.uniform(1.0, float(cfg.n_max), n_random))
     ns = np.floor(xs).astype(np.int64)
-    m = ctx.store._cum_many("m", ns).astype(np.float64)
-    a = ctx.store._cum_many("a", ns)
+    m, a = ctx.store._cum_many(("m", "a"), ns)
+    m = m.astype(np.float64)
     f_sum = m * np.log(xs) - a
-    fint_base = ctx.store._cum_many("fint", np.maximum(ns - 1, 0))
+    fint_base, = ctx.store._cum_many(("fint",), np.maximum(ns - 1, 0))
     frac = xs / ns
     f_int = fint_base + np.where(frac > 1.0, m * np.log(np.maximum(frac, 1.0)), 0.0)
     gap = np.abs(f_sum - f_int)

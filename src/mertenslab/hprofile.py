@@ -502,8 +502,9 @@ def h_derivative(store: PrefixSums, y: float) -> float:
 def h_derivative_many(store: PrefixSums, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.maximum(np.log(ys) ** 2, X_MIN_GUARD)
-    m = store.mertens_many(ys).astype(np.float64)
-    f = store.big_f_many(ys)
+    m, a = store._cum_many(("m", "a"), store._floor_many(ys))
+    m = m.astype(np.float64)
+    f = m * np.log(ys) - a
     return (m - f) / (2.0 * np.sqrt(xs) * ys)
 
 

@@ -100,8 +100,11 @@ def tatuzawa_iseki_residual(store: PrefixSums, x: float, f, *,
 
     Both sides are summed outright: the left side over the prime powers
     carrying Lambda, the right side over all divisor pairs (d, m) with
-    d m <= x, enumerated flat in chunks.  The result is pure rounding noise
-    for any F; tolerances scale with x (log x)^2.
+    d m <= x, enumerated flat in chunks.  F is evaluated once per
+    k = d m <= x, x arguments rather than one per pair (about x log x); the
+    pairs only gather from that array and from the per-d weights
+    mu(d) (log x - log d).  The result is pure rounding noise for any F;
+    tolerances scale with x (log x)^2.
     """
     if not 2.0 <= x <= store.n_max:
         raise RangeError(f"identity check needs 2 <= x <= {store.n_max}, got {x}")
@@ -115,7 +118,12 @@ def tatuzawa_iseki_residual(store: PrefixSums, x: float, f, *,
         pp = store.pp[:i]
         lhs.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
 
-    mu = store.mobius_range(1, xf + 1)
+    ks = np.arange(1, xf + 1, dtype=np.int64)
+    # F is evaluated in flat_chunk slices, so its temporaries stay bounded
+    f_at_k = np.concatenate([np.asarray(f(x / ks[i:i + flat_chunk]))
+                             for i in range(0, xf, flat_chunk)])
+    w_at_d = (store.mobius_range(1, xf + 1).astype(np.float64)
+              * (log_x - np.log(ks.astype(np.float64))))
     rhs = NeumaierSum()
     d0 = 1
     while d0 <= xf:
@@ -133,9 +141,8 @@ def tatuzawa_iseki_residual(store: PrefixSums, x: float, f, *,
         starts = np.cumsum(counts) - counts
         flat_d = np.repeat(ds, counts)
         flat_m = np.arange(1, pairs + 1, dtype=np.int64) - np.repeat(starts, counts)
-        weights = (mu[flat_d - 1].astype(np.float64)
-                   * (log_x - np.log(flat_d.astype(np.float64))))
-        vals = np.asarray(f(x / (flat_d * flat_m)))
+        weights = np.repeat(w_at_d[d0 - 1:d1 - 1], counts)
+        vals = f_at_k[flat_d * flat_m - 1]
         rhs.add(float(np.sum(weights * vals)))
         d0 = d1
     return lhs.value - rhs.value

@@ -8,7 +8,9 @@ relatives are answered directly.  The build pass is the only sieve pass: it
 keeps mu as one int8 array (1 byte per integer), and values between
 checkpoints are recovered by replaying one window of that mu from the
 nearest checkpoint, so arbitrary real-argument queries remain cheap;
-recently used windows are kept in an LRU cache.
+recently used windows are kept in an LRU cache.  Batched lookups group
+their arguments by window and read every running sum asked for (M, A, the
+integral) from one visit per window.
 
 Key evaluators built on top of the store:
 
@@ -199,53 +201,56 @@ class PrefixSums:
         return self.mertens(y) / float(y)
 
     # ------------------------------------------------------------------
-    # batched queries (grouped by window so each window is replayed once)
+    # batched queries: one visit per window answers every kind asked for
     # ------------------------------------------------------------------
 
-    def _cum_many(self, kind: str, ns: np.ndarray) -> np.ndarray:
+    def _cum_many(self, kinds: tuple[str, ...], ns) -> list[np.ndarray]:
+        """Running sums at integers ns, one array per kind in ``kinds``.
+
+        Checkpoint entries are read from cp_m / cp_a / cp_fint; the others
+        are grouped by window, and each window is visited once for all the
+        kinds asked for, in ascending window order.
+        """
         ns = np.asarray(ns, dtype=np.int64)
         if len(ns) and (ns.min() < 0 or ns.max() > self.n_max):
             bad = ns.min() if ns.min() < 0 else ns.max()
             raise CapabilityError(f"index {bad} outside [0, {self.n_max}]",
                                   max_usable=self.n_max)
-        dtype = np.int64 if kind == "m" else np.float64
-        out = np.zeros(len(ns), dtype=dtype)
         ks, rs = np.divmod(ns, self.stride)
-        at_cp = rs == 0
-        if at_cp.any():
-            cp = self.cp_m if kind == "m" else (self.cp_a if kind == "a" else self.cp_fint)
-            out[at_cp] = cp[ks[at_cp]]
-        rest = ~at_cp
-        for k in np.unique(ks[rest]):
-            win = self._window(int(k))
-            sel = rest & (ks == k)
-            out[sel] = win[kind][rs[sel] - 1]
-        return out
+        cps = {"m": self.cp_m, "a": self.cp_a, "fint": self.cp_fint}
+        outs = [cps[kind][ks] for kind in kinds]
+        off = np.flatnonzero(rs)
+        order = off[np.argsort(ks[off], kind="stable")]
+        groups = np.split(order, np.flatnonzero(np.diff(ks[order])) + 1) if len(order) else []
+        for sel in groups:
+            win = self._window(int(ks[sel[0]]))
+            r = rs[sel] - 1
+            for out, kind in zip(outs, kinds):
+                out[sel] = win[kind][r]
+        return outs
+
+    def _floor_many(self, xs: np.ndarray) -> np.ndarray:
+        """floor(xs) as int64; every x must lie in [1, n_max], as for mertens."""
+        if len(xs):
+            self._floor_checked(xs.min())
+            self._floor_checked(xs.max())
+        return np.floor(xs).astype(np.int64)
 
     def mertens_many(self, xs) -> np.ndarray:
-        """Vectorized M(floor(x)) for an array of arguments."""
-        ns = np.floor(np.asarray(xs, dtype=np.float64)).astype(np.int64)
-        if len(ns) and ns.min() < 1:
-            raise RangeError("arguments below 1 in mertens_many")
-        return self._cum_many("m", ns)
+        """Vectorized M(floor(x)) for an array of arguments in [1, n_max]."""
+        ns = self._floor_many(np.asarray(xs, dtype=np.float64))
+        return self._cum_many(("m",), ns)[0]
 
     def big_f_many(self, ys) -> np.ndarray:
-        """Vectorized F(y) for an array of real arguments >= 1."""
+        """Vectorized F(y) for an array of real arguments in [1, n_max]."""
         ys = np.asarray(ys, dtype=np.float64)
-        ns = np.floor(ys).astype(np.int64)
-        if len(ns) and ns.min() < 1:
-            raise RangeError("arguments below 1 in big_f_many")
-        m = self._cum_many("m", ns).astype(np.float64)
-        a = self._cum_many("a", ns)
-        return m * np.log(ys) - a
+        m, a = self._cum_many(("m", "a"), self._floor_many(ys))
+        return m.astype(np.float64) * np.log(ys) - a
 
     def psi_many(self, xs) -> np.ndarray:
         """Vectorized psi(x); every x must lie in [1, n_max], as for psi."""
         xs = np.asarray(xs, dtype=np.float64)
-        if len(xs):
-            self._floor_checked(xs.min())
-            self._floor_checked(xs.max())
-        ns = np.floor(xs).astype(np.int64)
+        ns = self._floor_many(xs)
         idx = np.searchsorted(self.pp, ns, side="right")
         out = np.zeros(len(ns))
         nz = idx > 0
@@ -339,8 +344,8 @@ class PrefixSums:
         starts = np.array(starts, dtype=np.int64)
         stops = np.array(stops, dtype=np.int64)
         vs = np.array(vs, dtype=np.int64)
-        m = self._cum_many("m", vs).astype(np.float64)
-        a = self._cum_many("a", vs)
+        m, a = self._cum_many(("m", "a"), vs)
+        m = m.astype(np.float64)
         counts = (stops - starts + 1).astype(np.float64)
         log_sum = counts * math.log(xv) - (gammaln(stops + 1.0) - gammaln(starts.astype(np.float64)))
         total = float(np.sum(m * log_sum) - np.sum(a * counts))

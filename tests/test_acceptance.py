@@ -85,10 +85,10 @@ def test_03_dual_route_random(store):
     rng = np.random.default_rng(20260808)
     xs = np.sort(rng.uniform(1.0, float(N_MAX), 10 ** 4))
     ns = np.floor(xs).astype(np.int64)
-    m = store._cum_many("m", ns).astype(np.float64)
-    a = store._cum_many("a", ns)
+    m, a = store._cum_many(("m", "a"), ns)
+    m = m.astype(np.float64)
     f_sum = m * np.log(xs) - a
-    f_int = store._cum_many("fint", np.maximum(ns - 1, 0))
+    f_int, = store._cum_many(("fint",), np.maximum(ns - 1, 0))
     frac = xs / ns
     f_int = f_int + np.where(frac > 1.0, m * np.log(np.maximum(frac, 1.0)), 0.0)
     gap = np.abs(f_sum - f_int)

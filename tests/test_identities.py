@@ -6,6 +6,8 @@ import pytest
 from mertenslab import identities
 from mertenslab.errors import CapabilityError, RangeError
 
+import oracles
+
 LOG2 = math.log(2)
 
 
@@ -44,6 +46,32 @@ class TestTatuzawaIseki:
     def test_range_error(self, store_1e5):
         with pytest.raises(RangeError):
             identities.tatuzawa_iseki_residual(store_1e5, 1.5, identities.f_one)
+
+    @pytest.mark.parametrize("fname", ["one", "log", "smoothed"])
+    def test_bytes_match_pairwise(self, store_1e5, fname):
+        fs = {"one": identities.f_one, "log": identities.f_log,
+              "smoothed": identities.f_smoothed(store_1e5)}
+        for x in np.geomspace(2, 2e4, 30):
+            got = identities.tatuzawa_iseki_residual(store_1e5, float(x), fs[fname])
+            want = oracles.tatuzawa_iseki_pairwise(store_1e5, float(x), fs[fname])
+            assert got == want, (fname, x)
+        f = fs[fname]
+        got = identities.tatuzawa_iseki_residual(store_1e5, 3000.5, f, flat_chunk=1 << 8)
+        want = oracles.tatuzawa_iseki_pairwise(store_1e5, 3000.5, f, flat_chunk=1 << 8)
+        assert got == want, fname
+
+    def test_f_evaluated_once_per_k(self, store_1e5):
+        sizes = []
+        smoothed = identities.f_smoothed(store_1e5)
+
+        def counted(ys):
+            sizes.append(np.size(ys))
+            return smoothed(ys)
+
+        x = 1e4
+        identities.tatuzawa_iseki_residual(store_1e5, x, counted)
+        assert len(sizes) == 3
+        assert sum(sizes) <= 2 * math.floor(x) + 1
 
 
 class TestDilatedSumReadings:

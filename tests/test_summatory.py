@@ -51,6 +51,14 @@ class TestMertens:
         for xs in ([0.5], [-3], [float("nan")]):
             with pytest.raises(RangeError):
                 store_1e4.psi_many(xs)
+        for many in (store_1e4.mertens_many, store_1e4.big_f_many):
+            for xs in ([1e30], [float("inf")], [2.0, 1e30]):
+                with pytest.raises(CapabilityError) as err:
+                    many(xs)
+                assert err.value.max_usable == 10 ** 4
+            for xs in ([float("nan")], [0.5], [0.5, 1e30]):
+                with pytest.raises(RangeError):
+                    many(xs)
 
 
 class TestSmoothedSum:
@@ -184,6 +192,50 @@ class TestOneSievePass:
             hprofile.estimate_constants(hprofile.build_profile(store, kind))
         assert identities.mertens_tail_sups(store)
         identities.remainder_series(store, "h_mean_gap", [1.0, 10.0, 100.0])
+
+
+class TestBatchedLookups:
+    STRIDE = 1 << 10
+
+    @pytest.fixture(scope="class")
+    def store(self):
+        # about 98 windows, so a batch spans far more than the LRU holds
+        return summatory.PrefixSums(10 ** 5, stride=self.STRIDE,
+                                    segment_size=1 << 14)
+
+    def _ns(self, store):
+        rng = np.random.default_rng(5)
+        ns = rng.integers(0, store.n_max + 1, 400)
+        fixed = [0, 1, store.n_max, self.STRIDE, 7 * self.STRIDE,
+                 97 * self.STRIDE, 97 * self.STRIDE + 1]
+        return np.concatenate((ns, fixed, ns[:50], fixed))
+
+    def test_matches_scalar_lookup(self, store):
+        ns = self._ns(store)
+        kinds = ("m", "a", "fint")
+        outs = store._cum_many(kinds, ns)
+        assert len(outs) == 3 and outs[0].dtype == np.int64
+        for kind, out in zip(kinds, outs):
+            assert len(out) == len(ns)
+            for n, got in zip(ns, out):
+                assert got == store._cum_lookup(kind, int(n)), (kind, n)
+        for out in store._cum_many(kinds, np.zeros(0, dtype=np.int64)):
+            assert len(out) == 0
+
+    @pytest.mark.parametrize("kinds", [("m",), ("a",), ("m", "a"), ("m", "a", "fint")])
+    def test_one_visit_per_window(self, store, monkeypatch, kinds):
+        visits = []
+        window = summatory.PrefixSums._window
+
+        def counted(self, k):
+            visits.append(k)
+            return window(self, k)
+
+        monkeypatch.setattr(summatory.PrefixSums, "_window", counted)
+        ns = self._ns(store)
+        store._cum_many(kinds, ns)
+        off = ns[ns % self.STRIDE != 0]
+        assert visits == list(np.unique(off // self.STRIDE))
 
 
 class TestConstructionDeterminism:
