@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import __version__, dirichlet, hprofile, identities, summatory
+from . import __version__, dirichlet, hprofile, identities, sieve, summatory
 from .errors import CapabilityError, CrossCheckError, RangeError
 from .reporting import write_csv_atomic, write_json_atomic, to_json
 
@@ -52,7 +52,6 @@ CHECK_NAMES = (
 class RunConfig:
     n_max: int = 10 ** 7
     conv_cap: int = 10 ** 6
-    segment_size: int = 1 << 20
     grid: tuple = (1e2, 1.25, None)      # start, ratio, count (None: up to cap)
     points: list | None = None
     which: str | None = None
@@ -137,18 +136,17 @@ class Context:
     def store(self) -> summatory.PrefixSums:
         if self._store is None:
             with self.timings.measure("build-prefix-sums"):
-                self._store = summatory.PrefixSums(
-                    self.config.n_max, segment_size=self.config.segment_size)
+                self._store = summatory.PrefixSums(self.config.n_max)
         return self._store
 
     @property
     def table(self) -> dirichlet.ArithTable:
         if self._table is None:
+            store = self.store
             with self.timings.measure("build-arith-table"):
                 self._table = dirichlet.build_arith_table(
-                    self.config.conv_cap, method="both",
-                    tol_rel=self.config.tol_rel)
-            self.store.attach_table(self._table)
+                    store, self.config.conv_cap, tol_rel=self.config.tol_rel)
+            store.attach_table(self._table)
         return self._table
 
     def profile(self, kind: str) -> hprofile.HProfile:
@@ -465,7 +463,7 @@ def cmd_sieve(ctx: Context) -> int:
     cfg = ctx.config
     store = ctx.store
     payload = {
-        "n_max": store.n_max, "segment_size": store.segment_size,
+        "n_max": store.n_max, "segment_size": sieve.DEFAULT_SEGMENT_SIZE,
         "checkpoint_stride": store.stride,
         "n_base_primes": int(len(store.primes)),
         "n_prime_powers": int(len(store.pp)),
@@ -613,7 +611,7 @@ def cmd_report(ctx: Context) -> int:
         "tool": {"name": "mertenslab", "version": __version__},
         "config": {
             "n_max": cfg.n_max, "conv_cap": cfg.conv_cap,
-            "segment_size": cfg.segment_size,
+            "segment_size": sieve.DEFAULT_SEGMENT_SIZE,
             "grid": {"start": cfg.grid[0], "ratio": cfg.grid[1]},
             "tail_fraction": cfg.tail_fraction,
             "tol_rel": cfg.tol_rel, "tol_abs": cfg.tol_abs,
@@ -661,7 +659,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--n-max", type=int, default=10 ** 7)
     p.add_argument("--conv-cap", type=int, default=10 ** 6)
-    p.add_argument("--segment-size", type=int, default=1 << 20)
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--grid", type=str, default=None,
                       help="geometric grid start:ratio[:count]")
@@ -707,8 +704,7 @@ def config_from_args(args) -> RunConfig:
             raise RangeError("conv_cap must not exceed n_max")
         conv_cap = args.n_max    # untouched default follows a smaller n_max
     cfg = RunConfig(
-        n_max=args.n_max, conv_cap=conv_cap,
-        segment_size=args.segment_size, grid=grid, points=points,
+        n_max=args.n_max, conv_cap=conv_cap, grid=grid, points=points,
         which=args.which, f_kind=args.f_kind, profile_kind=args.profile_kind,
         tail_fraction=args.tail_fraction, tol_rel=args.tol_rel,
         tol_abs=args.tol_abs, out=args.out, fmt=args.fmt,

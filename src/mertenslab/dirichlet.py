@@ -5,8 +5,9 @@ The Selberg weight admits two independent formulas,
     mobius form:   L2(n) = sum_{d|n} mu(d) log(n/d)^2
     direct form:   L2(n) = (Lambda*Lambda)(n) + Lambda(n) log n
 
-and the table can compute either or both, recording the worst disagreement.
-The companion weights are
+and the table computes both, recording the worst disagreement.  It reads
+mu and the prime powers carrying Lambda from a :class:`PrefixSums` store,
+so it sieves nothing itself.  The companion weights are
 
     L2minus(n) = (Lambda*Lambda)(n) - Lambda(n) log n
     Theta(n)   = (Lambda*Lambda)(n) / log n      (Theta(1) := 0)
@@ -24,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import sieve
 from .accum import kahan_slice_add
-from .errors import CrossCheckError, RangeError
+from .errors import CapabilityError, CrossCheckError, RangeError
+from .summatory import PrefixSums
 
 TOL_REL = 1e-9
 TOL_ABS = 1e-9
@@ -65,9 +66,8 @@ def convolve_prefix(f: np.ndarray, g: np.ndarray, n_max: int) -> np.ndarray:
 class ArithTable:
     """Dense arithmetic-function columns over [1, n_max] (index 0 unused).
 
-    ``lambda2`` always holds the direct-form values; when built with
-    ``method="both"`` the worst relative gap to the mobius form is recorded
-    in ``form_discrepancy`` at index ``form_discrepancy_n``.
+    ``lambda2`` holds the direct-form values; the worst gap to the mobius
+    form is recorded in ``form_discrepancy`` at index ``form_discrepancy_n``.
     """
 
     n_max: int
@@ -82,60 +82,55 @@ class ArithTable:
     lambda_conv: np.ndarray = field(default=None, repr=False)
 
 
-def build_arith_table(n_max: int, method: str = "both",
-                      segment_size: int = sieve.DEFAULT_SEGMENT_SIZE,
+def build_arith_table(store: PrefixSums, n_max: int,
                       tol_rel: float = TOL_REL) -> ArithTable:
-    """Sieve mu and Lambda up to n_max and build the Selberg-weight columns.
+    """Selberg-weight columns up to n_max, from the store's mu and Lambda.
 
     Args:
+        store: prefix sums whose cap covers n_max; mu and the prime powers
+            are read from it.
         n_max: table cap (the convolution cost is n_max log n_max).
-        method: "selberg-form", "mobius-form", or "both".  With "both" the
-            two formulas are cross-checked and the worst gap recorded.
-        tol_rel: relative budget for the cross-check, scaled by log(n_max)^2.
+        tol_rel: relative budget for the cross-check of the two formulas,
+            scaled by log(n_max)^2.
 
     Raises:
+        CapabilityError: n_max exceeds the store's cap.
         CrossCheckError: the two formulas disagree beyond tolerance.
     """
     if n_max < 1:
         raise RangeError(f"n_max must be >= 1, got {n_max}")
-    if method not in ("selberg-form", "mobius-form", "both"):
-        raise RangeError(f"unknown method {method!r}")
+    if n_max > store.n_max:
+        raise CapabilityError(f"table cap {n_max} beyond store cap {store.n_max}",
+                              max_usable=store.n_max)
 
     mu = np.zeros(n_max + 1, dtype=np.int8)
+    mu[1:] = store.mu[:n_max]
     lam = np.zeros(n_max + 1)
-    for seg in sieve.iter_segments(n_max, segment_size):
-        mu[seg.lo:seg.hi] = seg.mu
-        lam[seg.pp] = seg.pp_lam
+    i = int(np.searchsorted(store.pp, n_max, side="right"))
+    lam[store.pp[:i]] = store.pp_lam[:i]
 
     log_n = np.zeros(n_max + 1)
     log_n[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
 
     lam_conv = convolve_prefix(lam, lam, n_max)
     lam_log = lam * log_n
-    lambda2_direct = lam_conv + lam_log
+    lambda2 = lam_conv + lam_log
     lambda2_minus = lam_conv - lam_log
 
     theta = np.zeros(n_max + 1)
     if n_max >= 2:
         theta[2:] = lam_conv[2:] / log_n[2:]
 
-    disc = 0.0
-    disc_n = 0
-    if method == "mobius-form":
-        lambda2 = convolve_prefix(mu.astype(np.float64), log_n ** 2, n_max)
-    else:
-        lambda2 = lambda2_direct
-        if method == "both":
-            lambda2_mob = convolve_prefix(mu.astype(np.float64), log_n ** 2, n_max)
-            gaps = np.abs(lambda2_mob - lambda2_direct)
-            disc_n = int(np.argmax(gaps))
-            disc = float(gaps[disc_n])
-            budget = tol_rel * max(math.log(n_max), 1.0) ** 2
-            if disc > budget:
-                raise CrossCheckError(
-                    f"Selberg-weight forms disagree by {disc:.3e} at n={disc_n} "
-                    f"(budget {budget:.3e})",
-                    worst_n=disc_n, discrepancy=disc)
+    lambda2_mob = convolve_prefix(mu.astype(np.float64), log_n ** 2, n_max)
+    gaps = np.abs(lambda2_mob - lambda2)
+    disc_n = int(np.argmax(gaps))
+    disc = float(gaps[disc_n])
+    budget = tol_rel * max(math.log(n_max), 1.0) ** 2
+    if disc > budget:
+        raise CrossCheckError(
+            f"Selberg-weight forms disagree by {disc:.3e} at n={disc_n} "
+            f"(budget {budget:.3e})",
+            worst_n=disc_n, discrepancy=disc)
 
     return ArithTable(n_max=n_max, mu=mu, lam=lam, lambda2=lambda2,
                       lambda2_minus=lambda2_minus, theta=theta, log_n=log_n,

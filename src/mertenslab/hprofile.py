@@ -67,7 +67,6 @@ def _piece_mertens(m, u0, u1):
 class StreamResult:
     """Exact cumulative integrals and zero events up to each query point."""
 
-    ys: np.ndarray
     cum_abs: np.ndarray
     cum_signed: np.ndarray
     f_at: np.ndarray            # F(y) (smoothed) or M(floor(y)) (mertens)
@@ -75,8 +74,6 @@ class StreamResult:
     zeros_cum_abs: np.ndarray
     zero_flags: list
     decade_sup: dict            # mertens only: decade -> sup |M(n)|/n
-    total_abs: float
-    total_signed: float
 
 
 def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
@@ -113,10 +110,10 @@ def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
         raise RangeError(f"unknown profile kind {kind!r}")
     ys = np.asarray(ys, dtype=np.float64)
     if ys.size == 0:
-        return StreamResult(ys=ys, cum_abs=np.zeros(0), cum_signed=np.zeros(0),
+        return StreamResult(cum_abs=np.zeros(0), cum_signed=np.zeros(0),
                             f_at=np.zeros(0), zeros_y=np.zeros(0),
                             zeros_cum_abs=np.zeros(0), zero_flags=[],
-                            decade_sup={}, total_abs=0.0, total_signed=0.0)
+                            decade_sup={})
     if ys.min() < 1.0:
         raise RangeError("query points must satisfy y >= 1")
     order = np.argsort(ys, kind="stable")
@@ -278,11 +275,10 @@ def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
         emit_step_zero(last_zero_n, acc_abs.value)
 
     return StreamResult(
-        ys=ys, cum_abs=cum_abs_q, cum_signed=cum_sig_q, f_at=f_at_q,
+        cum_abs=cum_abs_q, cum_signed=cum_sig_q, f_at=f_at_q,
         zeros_y=np.array(zeros_y, dtype=np.float64),
         zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
-        zero_flags=zero_flags, decade_sup=decade_sup,
-        total_abs=acc_abs.value, total_signed=acc_sig.value)
+        zero_flags=zero_flags, decade_sup=decade_sup)
 
 
 # ----------------------------------------------------------------------

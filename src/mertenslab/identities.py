@@ -124,18 +124,15 @@ def tatuzawa_iseki_residual(store: PrefixSums, x: float, f, *,
                              for i in range(0, xf, flat_chunk)])
     w_at_d = (store.mobius_range(1, xf + 1).astype(np.float64)
               * (log_x - np.log(ks.astype(np.float64))))
+    # cum[d - 1] = pairs with first factor <= d; a d-block [d0, d1) takes the
+    # most d whose pairs fit in flat_chunk, and at least one d
+    cum = np.cumsum(xf // ks)
     rhs = NeumaierSum()
     d0 = 1
     while d0 <= xf:
-        # grow the d-block until the flattened pair count reaches the chunk
-        d1 = d0
-        pairs = 0
-        while d1 <= xf and pairs + xf // d1 <= flat_chunk:
-            pairs += xf // d1
-            d1 += 1
-        if d1 == d0:
-            d1 = d0 + 1
-            pairs = xf // d0
+        base = int(cum[d0 - 2]) if d0 > 1 else 0
+        d1 = max(int(np.searchsorted(cum, base + flat_chunk, "right")) + 1, d0 + 1)
+        pairs = int(cum[d1 - 2]) - base
         ds = np.arange(d0, d1, dtype=np.int64)
         counts = xf // ds
         starts = np.cumsum(counts) - counts
@@ -203,7 +200,7 @@ def floor_weighted_mu_sum(store: PrefixSums, x: float) -> FloorWeightedSum:
 
 
 # ----------------------------------------------------------------------
-# smoothed self-bound and mean-gap checks
+# smoothed self-bound check
 # ----------------------------------------------------------------------
 
 def f_self_bound_constant(store: PrefixSums, x: float) -> float:
@@ -213,15 +210,6 @@ def f_self_bound_constant(store: PrefixSums, x: float) -> float:
     closed form per unit step (splitting at the zeros of F inside a step).
     """
     series = remainder_series(store, "f_self_bound", [x])
-    return float(series.normalized[0])
-
-
-def h_mean_gap_residual(store: PrefixSums, x: float,
-                        profile_kind: str = "smoothed") -> float:
-    """Gap |H(x)| - (1/x) int_0^x |H|, normalized sqrt(x) for the smoothed
-    profile and unnormalized for the step profile."""
-    kind = "h_mean_gap" if profile_kind == "smoothed" else "mertens_h_mean_gap"
-    series = remainder_series(store, kind, [x])
     return float(series.normalized[0])
 
 

@@ -61,10 +61,6 @@ class SieveSegment:
     def __len__(self) -> int:
         return self.hi - self.lo
 
-    def values(self) -> np.ndarray:
-        """The integers n covered by this segment."""
-        return np.arange(self.lo, self.hi, dtype=np.int64)
-
 
 def _check_base_primes(hi: int, primes: np.ndarray) -> None:
     s = math.isqrt(hi - 1)

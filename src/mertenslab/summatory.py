@@ -5,12 +5,14 @@ The store keeps three running sums checkpointed every ``stride`` integers
 piecewise-exact integral I(x) = sum M(n) log((n+1)/n)), plus a sparse table
 of prime powers carrying the von Mangoldt values, from which psi and its
 relatives are answered directly.  The build pass is the only sieve pass: it
-keeps mu as one int8 array (1 byte per integer), and values between
-checkpoints are recovered by replaying one window of that mu from the
-nearest checkpoint, so arbitrary real-argument queries remain cheap;
-recently used windows are kept in an LRU cache.  Batched lookups group
-their arguments by window and read every running sum asked for (M, A, the
-integral) from one visit per window.
+keeps mu as one int8 array (1 byte per integer) and the prime powers, and
+the checkpoints are then derived from the stored mu one stride window at a
+time.  Values between checkpoints are recovered by replaying one window of
+that mu from the nearest checkpoint with the same per-window terms, so
+arbitrary real-argument queries remain cheap; recently used windows are
+kept in an LRU cache.  Batched lookups group their arguments by window and
+read every running sum asked for (M, A, the integral) from one visit per
+window.
 
 Key evaluators built on top of the store:
 
@@ -42,17 +44,15 @@ WINDOW_CACHE = 32               # replayed windows kept by the LRU
 class PrefixSums:
     """Checkpointed running sums over [1, n_max] with exact window replay."""
 
-    def __init__(self, n_max: int, stride: int = DEFAULT_STRIDE,
-                 segment_size: int = sieve.DEFAULT_SEGMENT_SIZE):
+    def __init__(self, n_max: int, stride: int = DEFAULT_STRIDE):
         if n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {n_max}")
         if n_max > sieve.INT_LIMIT:
             raise RangeError(f"n_max {n_max} exceeds the 64-bit limit")
-        if segment_size % stride != 0:
-            raise RangeError("segment_size must be a multiple of the checkpoint stride")
+        if stride < 1:
+            raise RangeError(f"stride must be >= 1, got {stride}")
         self.n_max = int(n_max)
         self.stride = int(stride)
-        self.segment_size = int(segment_size)
         self.primes = sieve.base_primes(math.isqrt(self.n_max))
         self._windows: OrderedDict[int, dict] = OrderedDict()
         self.table_cap = 0
@@ -65,51 +65,37 @@ class PrefixSums:
     # ------------------------------------------------------------------
 
     def _build(self) -> None:
-        stride, n_max = self.stride, self.n_max
-        n_cp = n_max // stride
-        self.cp_m = np.zeros(n_cp + 1, dtype=np.int64)
-        self.cp_a = np.zeros(n_cp + 1, dtype=np.float64)
-        self.cp_fint = np.zeros(n_cp + 1, dtype=np.float64)
-        self.mu = np.empty(n_max, dtype=np.int8)
-
-        carry_m = 0
-        acc_a = NeumaierSum()
-        acc_f = NeumaierSum()
-        pp_vals, pp_lam = [], []
-
-        for seg in sieve.iter_segments(n_max, self.segment_size, self.primes):
-            lo, hi, mu = seg.lo, seg.hi, seg.mu
-            self.mu[lo - 1:hi - 1] = mu
-            n = seg.values()
-            logn = np.log(n.astype(np.float64))
-            pp_vals.append(seg.pp)
+        self.mu = np.empty(self.n_max, dtype=np.int8)
+        pp, pp_lam = [], []
+        for seg in sieve.iter_segments(self.n_max, primes=self.primes):
+            self.mu[seg.lo - 1:seg.hi - 1] = seg.mu
+            pp.append(seg.pp)
             pp_lam.append(seg.pp_lam)
-
-            m_cum = carry_m + np.cumsum(mu, dtype=np.int64)
-            a_terms = mu * logn
-            f_terms = m_cum * np.log1p(1.0 / n)
-
-            # checkpoints land on the segment grid (segment_size % stride == 0)
-            first_k = (lo - 1) // stride + 1
-            last_k = (hi - 1) // stride
-            for k in range(first_k, last_k + 1):
-                off_lo = (k - 1) * stride + 1 - lo
-                off_hi = k * stride - lo + 1
-                acc_a.add(float(np.sum(a_terms[off_lo:off_hi])))
-                acc_f.add(float(np.sum(f_terms[off_lo:off_hi])))
-                self.cp_m[k] = m_cum[off_hi - 1]
-                self.cp_a[k] = acc_a.value
-                self.cp_fint[k] = acc_f.value
-            carry_m = int(m_cum[-1])
-
-        self.mertens_at_n_max = carry_m
-        self.pp = np.concatenate(pp_vals) if pp_vals else np.zeros(0, np.int64)
-        self.pp_lam = np.concatenate(pp_lam) if pp_lam else np.zeros(0)
-        del pp_vals, pp_lam
-        self.pp_log = np.log(self.pp.astype(np.float64)) if len(self.pp) else np.zeros(0)
+        self.pp = np.concatenate(pp)
+        self.pp_lam = np.concatenate(pp_lam)
+        del pp, pp_lam
+        self.pp_log = np.log(self.pp.astype(np.float64))
         self.pp_cum_lam = chunked_cumsum(self.pp_lam)
         self.pp_cum_lam_over = chunked_cumsum(self.pp_lam / self.pp)
         self.pp_cum_lamlog = chunked_cumsum(self.pp_lam * self.pp_log)
+
+        # checkpoint k holds the running sums at n = k * stride; each stride
+        # window's terms are summed once and carried in compensated sums
+        n_cp = self.n_max // self.stride
+        self.cp_m = np.zeros(n_cp + 1, dtype=np.int64)
+        self.cp_a = np.zeros(n_cp + 1, dtype=np.float64)
+        self.cp_fint = np.zeros(n_cp + 1, dtype=np.float64)
+        acc_a = NeumaierSum()
+        acc_f = NeumaierSum()
+        for k in range(n_cp):
+            m_cum, a_terms, f_terms = self._window_terms(k)
+            acc_a.add(float(np.sum(a_terms)))
+            acc_f.add(float(np.sum(f_terms)))
+            self.cp_m[k + 1] = m_cum[-1]
+            self.cp_a[k + 1] = acc_a.value
+            self.cp_fint[k + 1] = acc_f.value
+        self.mertens_at_n_max = int(self.cp_m[n_cp]) + int(
+            np.sum(self.mu[n_cp * self.stride:], dtype=np.int64))
 
     def attach_table(self, table) -> None:
         """Adopt dense Selberg-weight prefix sums from an arithmetic table."""
@@ -121,18 +107,33 @@ class PrefixSums:
     # window replay
     # ------------------------------------------------------------------
 
+    def _window_terms(self, k: int):
+        """Per-integer terms of window k, the n in (k stride, (k+1) stride]
+        up to n_max: M(n), mu(n) log n and M(n) log((n+1)/n), as fresh
+        arrays built in place (the replay is the scalar-query hot path)."""
+        lo = k * self.stride + 1
+        hi = min((k + 1) * self.stride, self.n_max) + 1
+        mu = self.mu[lo - 1:hi - 1]
+        n = np.arange(lo, hi, dtype=np.float64)
+        m_cum = np.cumsum(mu, dtype=np.int64)
+        m_cum += self.cp_m[k]
+        f_terms = np.divide(1.0, n)
+        np.log1p(f_terms, out=f_terms)
+        f_terms *= m_cum
+        a_terms = np.log(n, out=n)
+        a_terms *= mu
+        return m_cum, a_terms, f_terms
+
     def _window(self, k: int) -> dict:
         win = self._windows.get(k)
         if win is not None:
             self._windows.move_to_end(k)
             return win
-        lo = k * self.stride + 1
-        hi = min((k + 1) * self.stride, self.n_max) + 1
-        mu = self.mu[lo - 1:hi - 1]
-        n = np.arange(lo, hi, dtype=np.float64)
-        m_cum = self.cp_m[k] + np.cumsum(mu, dtype=np.int64)
-        a_cum = self.cp_a[k] + np.cumsum(mu * np.log(n))
-        f_cum = self.cp_fint[k] + np.cumsum(m_cum * np.log1p(1.0 / n))
+        m_cum, a_cum, f_cum = self._window_terms(k)
+        np.cumsum(a_cum, out=a_cum)
+        a_cum += self.cp_a[k]
+        np.cumsum(f_cum, out=f_cum)
+        f_cum += self.cp_fint[k]
         win = {"m": m_cum, "a": a_cum, "fint": f_cum}
         self._windows[k] = win
         if len(self._windows) > WINDOW_CACHE:
@@ -167,10 +168,6 @@ class PrefixSums:
     def mertens(self, x) -> int:
         """M(floor(x)) as an exact integer, 1 <= x <= n_max."""
         return int(self._cum_lookup("m", self._floor_checked(x)))
-
-    def mu_log_sum(self, x) -> float:
-        """A(floor(x)) = sum_{n<=x} mu(n) log n."""
-        return float(self._cum_lookup("a", self._floor_checked(x)))
 
     def psi(self, x) -> float:
         """Chebyshev psi(x) = sum of von Mangoldt values up to x."""

@@ -19,5 +19,5 @@ def store_1e4():
 
 
 @pytest.fixture(scope="session")
-def table_2e4():
-    return dirichlet.build_arith_table(2 * 10 ** 4, method="both")
+def table_2e4(store_1e5):
+    return dirichlet.build_arith_table(store_1e5, 2 * 10 ** 4)

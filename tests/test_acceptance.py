@@ -32,8 +32,8 @@ def store():
 
 
 @pytest.fixture(scope="module")
-def table():
-    return dirichlet.build_arith_table(CONV_CAP, method="both")
+def table(store):
+    return dirichlet.build_arith_table(store, CONV_CAP)
 
 
 @pytest.fixture(scope="module")

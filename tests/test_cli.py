@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from mertenslab import cli
+from mertenslab import cli, sieve
 
 
 def run(argv):
@@ -123,6 +123,21 @@ class TestDeterminism:
         assert "mertens-tail-ratio" in names
         statuses = {c["status"] for c in payload["checks"]}
         assert statuses <= {"pass", "fail", "not-applicable"}
+
+    def test_report_sieves_n_max_once(self, tmp_path, monkeypatch):
+        # work ratchet: integers sieved <= K * n_max with K = 1.0; a change
+        # that cuts the work lowers K, none raises it
+        sieved = []
+        build_segment = sieve.build_segment
+
+        def counted(lo, hi, *args, **kwargs):
+            sieved.append(hi - lo)
+            return build_segment(lo, hi, *args, **kwargs)
+
+        monkeypatch.setattr(sieve, "build_segment", counted)
+        assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
+                    "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
+        assert sum(sieved) == 5000
 
     def test_timings_sidecar_optional(self, tmp_path):
         out = tmp_path / "o.json"

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from mertenslab import dirichlet
-from mertenslab.errors import CrossCheckError, RangeError
+from mertenslab.errors import CapabilityError, CrossCheckError, RangeError
 
 import oracles
 
@@ -59,15 +59,19 @@ class TestArithTable:
         budget = 1e-9 * math.log(table_2e4.n_max) ** 2
         assert table_2e4.form_discrepancy <= budget
 
-    def test_mobius_form_only(self):
-        t = dirichlet.build_arith_table(200, method="mobius-form")
-        t2 = dirichlet.build_arith_table(200, method="selberg-form")
-        assert np.abs(t.lambda2 - t2.lambda2).max() < 1e-12
+    def test_mobius_form_only(self, store_1e4):
+        t = dirichlet.build_arith_table(store_1e4, 200)
+        assert t.form_discrepancy < 1e-12
 
-    def test_cross_check_failure_reports_worst_n(self, monkeypatch):
+    def test_cross_check_failure_reports_worst_n(self, store_1e4):
         with pytest.raises(CrossCheckError) as err:
-            dirichlet.build_arith_table(500, method="both", tol_rel=1e-30)
+            dirichlet.build_arith_table(store_1e4, 500, tol_rel=1e-30)
         assert err.value.worst_n is not None
+
+    def test_cap_beyond_store(self, store_1e4):
+        with pytest.raises(CapabilityError) as err:
+            dirichlet.build_arith_table(store_1e4, 10 ** 4 + 1)
+        assert err.value.max_usable == 10 ** 4
 
     def test_lambda2_minus_definition(self, table_2e4):
         t = table_2e4

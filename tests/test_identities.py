@@ -56,9 +56,10 @@ class TestTatuzawaIseki:
             want = oracles.tatuzawa_iseki_pairwise(store_1e5, float(x), fs[fname])
             assert got == want, (fname, x)
         f = fs[fname]
-        got = identities.tatuzawa_iseki_residual(store_1e5, 3000.5, f, flat_chunk=1 << 8)
-        want = oracles.tatuzawa_iseki_pairwise(store_1e5, 3000.5, f, flat_chunk=1 << 8)
-        assert got == want, fname
+        for chunk in (1 << 8, 1):
+            got = identities.tatuzawa_iseki_residual(store_1e5, 3000.5, f, flat_chunk=chunk)
+            want = oracles.tatuzawa_iseki_pairwise(store_1e5, 3000.5, f, flat_chunk=chunk)
+            assert got == want, (fname, chunk)
 
     def test_f_evaluated_once_per_k(self, store_1e5):
         sizes = []

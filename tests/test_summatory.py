@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from mertenslab import hprofile, identities, sieve, summatory
+from mertenslab import dirichlet, hprofile, identities, sieve, summatory
 from mertenslab.errors import CapabilityError, RangeError
 
 import oracles
@@ -166,12 +166,6 @@ class TestPsiAndWeights:
             store_1e5._s_theta = None
 
 
-class TestExport:
-    def test_stride_mismatch_rejected(self):
-        with pytest.raises(RangeError):
-            summatory.PrefixSums(1000, stride=100, segment_size=256)
-
-
 class TestOneSievePass:
     def test_queries_read_the_stored_mu(self, monkeypatch):
         # a fresh store, so every window below is replayed, not an LRU hit
@@ -192,6 +186,8 @@ class TestOneSievePass:
             hprofile.estimate_constants(hprofile.build_profile(store, kind))
         assert identities.mertens_tail_sups(store)
         identities.remainder_series(store, "h_mean_gap", [1.0, 10.0, 100.0])
+        table = dirichlet.build_arith_table(store, 10 ** 4)
+        assert table.lambda2[4] == pytest.approx(3 * LOG2 ** 2, rel=1e-13)
 
 
 class TestBatchedLookups:
@@ -200,8 +196,7 @@ class TestBatchedLookups:
     @pytest.fixture(scope="class")
     def store(self):
         # about 98 windows, so a batch spans far more than the LRU holds
-        return summatory.PrefixSums(10 ** 5, stride=self.STRIDE,
-                                    segment_size=1 << 14)
+        return summatory.PrefixSums(10 ** 5, stride=self.STRIDE)
 
     def _ns(self, store):
         rng = np.random.default_rng(5)
@@ -239,6 +234,18 @@ class TestBatchedLookups:
 
 
 class TestConstructionDeterminism:
+    def test_stride_off_the_sieve_block(self, store_1e5):
+        # the checkpoint grid is independent of the sieve block: 1000 does not
+        # divide sieve.DEFAULT_SEGMENT_SIZE
+        store = summatory.PrefixSums(10 ** 5, stride=1000)
+        xs = np.concatenate(([1.0, 999.0, 1000.0, 1001.0, 10 ** 5],
+                             np.random.default_rng(3).uniform(1, 10 ** 5, 295)))
+        assert np.array_equal(store.mertens_many(xs), store_1e5.mertens_many(xs))
+        assert np.abs(store.big_f_many(xs) - store_1e5.big_f_many(xs)).max() <= 1e-9
+        assert store.mertens_at_n_max == store_1e5.mertens_at_n_max == -48
+        with pytest.raises(RangeError):
+            summatory.PrefixSums(1000, stride=0)
+
     def test_mertens_bounded_by_index(self, store_1e5):
         ks = np.geomspace(1, 10 ** 5, 200)
         ms = store_1e5.mertens_many(ks)
