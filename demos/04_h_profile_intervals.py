@@ -31,7 +31,6 @@ print(" 2. Constants estimated on the tail window (labels say: estimates)")
 print("=" * 70)
 c = hprofile.estimate_constants(prof)
 print(f"  alpha_hat   = {c.alpha_hat:.6e}   (tail sup |H|)")
-print(f"  ell_hat     = {c.ell_hat:.6e}   (limsup surrogate)")
 print(f"  mean |H|    = {c.mean_abs_hat:.6e}   (running average at x_max)")
 print(f"  sup |H'|    = {c.deriv_sup_hat:.6e}")
 print(f"  signed span = {c.signed_span_hat:.6e}   (sup over pairs of |int H|)")

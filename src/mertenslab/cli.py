@@ -77,6 +77,8 @@ class RunConfig:
             raise RangeError("tail_fraction must lie in (0, 1)")
         if self.points is not None and len(self.points) == 0:
             raise RangeError("empty sample grid")
+        if self.points is not None and not np.all(np.isfinite(self.points)):
+            raise RangeError("sample points must be finite")
         if self.fmt not in ("csv", "json"):
             raise RangeError(f"unknown format {self.fmt!r}")
 
@@ -378,7 +380,7 @@ def constants_payload(prof: hprofile.HProfile) -> dict:
     if c is None:
         return {}
     return {
-        "alpha_hat": c.alpha_hat, "ell_hat": c.ell_hat,
+        "alpha_hat": c.alpha_hat,
         "mean_abs_hat": c.mean_abs_hat, "mean_abs_tail_hat": c.mean_abs_tail_hat,
         "deriv_sup_hat": c.deriv_sup_hat, "signed_span_hat": c.signed_span_hat,
         "iota_hat": c.iota_hat, "kappa": c.kappa, "epsilon": c.epsilon,
@@ -615,7 +617,6 @@ def cmd_report(ctx: Context) -> int:
             "grid": {"start": cfg.grid[0], "ratio": cfg.grid[1]},
             "tail_fraction": cfg.tail_fraction,
             "tol_rel": cfg.tol_rel, "tol_abs": cfg.tol_abs,
-            "cache": None,  # kept so that report.json stays byte-identical
         },
         "checks": checks,
         "remainders": {k: s.summary() for k, s in series_map.items()},

@@ -17,6 +17,9 @@ Absolute-value integrals split a step only where the linear-in-log factor
 changes sign; that root is also a zero of the continuous F, which is how
 zero crossings are located and then refined by bisection.
 
+The pass walks the store's stride windows and takes M(n) and A(n) from its
+checkpoints and mu as the window replay does, so its F(y) is the store's.
+
 For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
 first and last step boundaries are recorded as zeros (left endpoints, in
@@ -33,7 +36,6 @@ import numpy as np
 from scipy.integrate import quad
 from scipy.optimize import brentq
 
-from . import sieve
 from .accum import NeumaierSum
 from .errors import CapabilityError, RangeError
 from .summatory import PrefixSums
@@ -96,60 +98,57 @@ def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
     return 0.5 * (lo + hi)
 
 
-def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
-                      collect_decade_sup: bool = False) -> StreamResult:
-    """One pass over the store's mu computing cumulative integrals at ys.
+def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult:
+    """One pass over the store's stride windows computing cumulative integrals.
 
     ``ys`` must be >= 1 with floor(y) <= ``store.n_max``; they are sorted
     internally and results are returned in the caller's order.
     ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
     x = (log ys[i])^2, and ``cum_signed`` likewise without the absolute
-    value.  The pass walks mu in blocks of ``sieve.DEFAULT_SEGMENT_SIZE``.
+    value.  Window k holds the n in (k stride, (k+1) stride]; M and A start
+    from the checkpoints ``store.cp_m[k]`` and ``store.cp_a[k]`` and take
+    the same cumulative sums as the window replay, so off the stride grid
+    ``f_at`` equals ``store.big_f_many(ys)`` bitwise.  A mertens pass also
+    collects the per-decade sups of |M(n)|/n.
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
     ys = np.asarray(ys, dtype=np.float64)
-    if ys.size == 0:
-        return StreamResult(cum_abs=np.zeros(0), cum_signed=np.zeros(0),
-                            f_at=np.zeros(0), zeros_y=np.zeros(0),
-                            zeros_cum_abs=np.zeros(0), zero_flags=[],
-                            decade_sup={})
-    if ys.min() < 1.0:
+    if not ys.min(initial=1.0) >= 1.0:
         raise RangeError("query points must satisfy y >= 1")
+    y_top = float(ys.max(initial=0.0))
+    if y_top >= store.n_max + 1:
+        raise CapabilityError(f"query point {y_top} beyond store cap {store.n_max}",
+                              max_usable=store.n_max)
+    n_top = int(y_top)
     order = np.argsort(ys, kind="stable")
     ys_sorted = ys[order]
-    n_top = max(int(math.floor(float(ys_sorted[-1]))), 1)
-    if n_top > store.n_max:
-        raise CapabilityError(f"query point {float(ys_sorted[-1])} beyond store cap "
-                              f"{store.n_max}", max_usable=store.n_max)
     smoothed = kind == "smoothed"
+    stride = store.stride
 
-    cum_abs_q = np.zeros(len(ys_sorted))
-    cum_sig_q = np.zeros(len(ys_sorted))
-    f_at_q = np.zeros(len(ys_sorted))
+    cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
     zeros_y, zeros_cum, zero_flags = [], [], []
     decade_sup: dict = {}
 
     acc_abs = NeumaierSum()
     acc_sig = NeumaierSum()
-    acc_a = NeumaierSum()
-    carry_m = 0
-    run_open = False            # an M == 0 run reaches the segment seam
+    run_open = False            # an M == 0 run reaches the window seam
     run_start_n = 0
     last_zero_n = 0
     q_pos = 0
-    block = sieve.DEFAULT_SEGMENT_SIZE
 
     def emit_step_zero(n_pos: int, cum_value: float) -> None:
         zeros_y.append(float(n_pos))
         zeros_cum.append(cum_value)
         zero_flags.append("step")
 
-    for lo in range(1, n_top + 1, block):
-        hi = min(lo + block, n_top + 1)
+    for k in range((n_top - 1) // stride + 1):
+        lo = k * stride + 1
+        hi = min(lo + stride, n_top + 1)
         size = hi - lo
         mu = store.mu[lo - 1:hi - 1]
-        m_cum = carry_m + np.cumsum(mu, dtype=np.int64)
+        m_cum = np.cumsum(mu, dtype=np.int64)
+        m_cum += store.cp_m[k]
         # step i is [n, n + 1) with n = lo + i; u_all holds both ends
         u_all = np.arange(lo, hi + 1, dtype=np.float64)
         log_all = np.log(u_all)
@@ -159,8 +158,9 @@ def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
         mf = m_cum.astype(np.float64)
 
         if smoothed:
-            a_terms = mu * log_n
-            a_cum = acc_a.value + np.cumsum(a_terms)
+            a_cum = mu * log_n
+            np.cumsum(a_cum, out=a_cum)
+            a_cum += store.cp_a[k]
             p_all = _p_anti(u_all, log_all)
             d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
             g_start = mf * log_n - a_cum
@@ -205,7 +205,7 @@ def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
         else:
             # maximal runs of M == 0: zeros at the run's first and last step
             z = m_cum == 0
-            if run_open and (size == 0 or not z[0]):
+            if run_open and not z[0]:
                 if last_zero_n > run_start_n:
                     emit_step_zero(last_zero_n, acc_abs.value)
                 run_open = False
@@ -227,22 +227,17 @@ def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
                         run_open = False
                         if n_e > run_start_n:
                             emit_step_zero(n_e, float(pre_abs[e_i]))
-            if collect_decade_sup:
-                ratios = np.abs(mf) / u_all[:-1]
-                d_lo = len(str(lo)) - 1
-                d_hi = len(str(hi - 1)) - 1
-                for dec in range(d_lo, d_hi + 1):
-                    a_edge = max(lo, 10 ** dec)
-                    b_edge = min(hi - 1, 10 ** (dec + 1) - 1)
-                    if a_edge > b_edge:
-                        continue
-                    sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
-                    decade_sup[dec] = max(decade_sup.get(dec, 0.0), sup)
+            ratios = np.abs(mf) / u_all[:-1]
+            for dec in range(len(str(lo)) - 1, len(str(hi - 1))):
+                a_edge = max(lo, 10 ** dec)
+                b_edge = min(hi - 1, 10 ** (dec + 1) - 1)
+                sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
+                decade_sup[dec] = max(decade_sup.get(dec, 0.0), sup)
 
-        # answer query points landing in this segment
+        # answer query points landing in this window
         while q_pos < len(ys_sorted) and ys_sorted[q_pos] < hi:
             yq = float(ys_sorted[q_pos])
-            i = int(math.floor(yq)) - lo
+            i = int(yq) - lo
             m_i = float(mf[i])
             a_i = float(a_cum[i]) if smoothed else 0.0
             step_n = lo + i
@@ -262,20 +257,19 @@ def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed",
             q_idx = order[q_pos]
             cum_abs_q[q_idx] = float(pre_abs[i]) + part_abs
             cum_sig_q[q_idx] = float(pre_sig[i]) + part_sig
-            f_at_q[q_idx] = (m_i * math.log(yq) - a_i) if smoothed else m_i
+            m_q[q_idx] = m_i
+            a_q[q_idx] = a_i
             q_pos += 1
 
         acc_abs.add(float(np.sum(d_abs)))
         acc_sig.add(float(np.sum(d_sig)))
-        carry_m = int(m_cum[-1])
-        if smoothed:
-            acc_a.add(float(np.sum(a_terms)))
 
     if run_open and last_zero_n > run_start_n:
         emit_step_zero(last_zero_n, acc_abs.value)
 
     return StreamResult(
-        cum_abs=cum_abs_q, cum_signed=cum_sig_q, f_at=f_at_q,
+        cum_abs=cum_abs_q, cum_signed=cum_sig_q,
+        f_at=m_q * np.log(ys) - a_q if smoothed else m_q,
         zeros_y=np.array(zeros_y, dtype=np.float64),
         zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
         zero_flags=zero_flags, decade_sup=decade_sup)
@@ -314,7 +308,6 @@ class ConstantEstimates:
     """
 
     alpha_hat: float            # sup |H| over the tail window
-    ell_hat: float              # tail-sup surrogate for limsup |H|
     mean_abs_hat: float         # (1/x_max) * integral_0^{x_max} |H|
     mean_abs_tail_hat: float    # same average restricted to the tail window
     deriv_sup_hat: float        # sup |H'| over a dense grid
@@ -362,8 +355,7 @@ class HProfile:
 
 def build_profile(store: PrefixSums, kind: str = "smoothed",
                   y_max: int | None = None,
-                  samples_per_decade: int = 32,
-                  collect_decade_sup: bool = None) -> HProfile:
+                  samples_per_decade: int = 32) -> HProfile:
     """Sample H on a geometric y-grid and attach exact cumulative integrals.
 
     ``y_max`` defaults to the store cap.  A ``y_max`` below the grid start
@@ -379,8 +371,6 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     if y_max > store.n_max:
         raise CapabilityError(f"y_max {y_max} beyond store cap {store.n_max}",
                               max_usable=store.n_max)
-    if collect_decade_sup is None:
-        collect_decade_sup = kind == "mertens"
 
     if y_max < Y_GRID_START:
         empty = np.zeros(0)
@@ -397,8 +387,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     ys[-1] = float(y_max)
     ys = np.unique(ys)
 
-    res = stream_cumulative(store, ys, kind=kind,
-                            collect_decade_sup=collect_decade_sup)
+    res = stream_cumulative(store, ys, kind=kind)
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys
 
@@ -618,7 +607,6 @@ def estimate_constants(profile: HProfile, tail_fraction: float = 0.5,
 
     abs_h = np.abs(profile.h_values)
     alpha_hat = float(abs_h[in_win].max())
-    ell_hat = alpha_hat
     total_abs = float(profile.cumulative_abs_integral[-1])
     mean_abs_hat = total_abs / x_max if x_max > 0 else 0.0
     idx_lo = int(np.searchsorted(profile.x_samples, w_lo))
@@ -653,7 +641,7 @@ def estimate_constants(profile: HProfile, tail_fraction: float = 0.5,
         else float("nan")
 
     constants = ConstantEstimates(
-        alpha_hat=alpha_hat, ell_hat=ell_hat, mean_abs_hat=mean_abs_hat,
+        alpha_hat=alpha_hat, mean_abs_hat=mean_abs_hat,
         mean_abs_tail_hat=mean_abs_tail_hat, deriv_sup_hat=m_hat,
         signed_span_hat=signed_span, iota_hat=iota_hat, kappa=kappa,
         epsilon=epsilon, h_param=h_param, lambda_est=lambda_est,

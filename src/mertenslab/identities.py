@@ -244,7 +244,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
 
     if kind in ("h_mean_gap", "mertens_h_mean_gap"):
         x_cap = math.log(store.n_max) ** 2
-        if xs.min() <= 0:
+        if not xs.min() > 0:
             raise RangeError("mean-gap samples need x > 0")
         if xs.max() > x_cap:
             raise CapabilityError(
@@ -259,7 +259,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         label = "sqrt(x)" if kind == "h_mean_gap" else "1"
         return _finalize_series(kind, xs, raw, normalized, label, caps)
 
-    if xs.min() < 2.0 and kind != "log_square_sum":
+    if not xs.min() >= 2.0 and kind != "log_square_sum":
         raise RangeError(f"{kind} samples need x >= 2")
     if xs.max() > store.n_max:
         raise CapabilityError(f"x = {xs.max():g} beyond cap {store.n_max}",
@@ -319,8 +319,7 @@ def mertens_tail_sups(store: PrefixSums, k_lo: int = 2,
     if k_hi is None:
         k_hi = int(math.log10(store.n_max))
     ys = np.array([float(store.n_max)])
-    res = hprofile.stream_cumulative(store, ys, kind="mertens",
-                                     collect_decade_sup=True)
+    res = hprofile.stream_cumulative(store, ys, kind="mertens")
     sups = {}
     running = 0.0
     for k in sorted(res.decade_sup, reverse=True):

@@ -28,6 +28,7 @@ Key evaluators built on top of the store:
 from __future__ import annotations
 
 import math
+import os
 from collections import OrderedDict
 
 import numpy as np
@@ -39,6 +40,10 @@ from .errors import CapabilityError, RangeError
 
 DEFAULT_STRIDE = 1 << 16
 WINDOW_CACHE = 32               # replayed windows kept by the LRU
+# Peak bytes of a store per integer: ru_maxrss around PrefixSums(1e7) rose
+# 56.5 MiB and around PrefixSums(1e8) 430.9 MiB (numpy 2.4, x86-64), so the
+# slope is (430.9 - 56.5) MiB / 9e7 = 4.36 bytes per integer, rounded up.
+STORE_BYTES_PER_INT = 5
 
 
 class PrefixSums:
@@ -51,6 +56,10 @@ class PrefixSums:
             raise RangeError(f"n_max {n_max} exceeds the 64-bit limit")
         if stride < 1:
             raise RangeError(f"stride must be >= 1, got {stride}")
+        usable = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // STORE_BYTES_PER_INT
+        if n_max > usable:
+            raise CapabilityError(f"n_max {n_max} needs more than physical memory; "
+                                  f"max usable n_max is {usable}", max_usable=usable)
         self.n_max = int(n_max)
         self.stride = int(stride)
         self.primes = sieve.base_primes(math.isqrt(self.n_max))
@@ -359,8 +368,8 @@ class PrefixSums:
 def log_square_sum(x) -> tuple[float, float]:
     """(sum_{n<=x} log(x/n)^2, that sum minus 2x); defined for x >= 1."""
     xv = float(x)
-    if xv < 1.0:
-        raise RangeError(f"log_square_sum needs x >= 1, got {xv}")
+    if not 1.0 <= xv < math.inf:
+        raise RangeError(f"log_square_sum needs finite x >= 1, got {xv}")
     top = int(math.floor(xv))
     log_x = math.log(xv)
     acc = NeumaierSum()

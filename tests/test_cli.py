@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from mertenslab import cli, sieve
+from mertenslab import cli, hprofile, sieve, summatory
+from mertenslab.errors import CapabilityError
 
 
 def run(argv):
@@ -48,6 +49,27 @@ class TestCommands:
         status = run(["remainders", "--which", "h_mean_gap",
                       "--points", "10000"] + BASE)
         assert status == 3
+
+    @pytest.mark.parametrize("argv", [
+        ["remainders", "--which", kind, "--points", "nan"]
+        for kind in ("f_self_bound", "h_mean_gap", "mertens_h_mean_gap",
+                     "log_square_sum", "f_dilated_sum")
+    ] + [["verify", "--which", "f-sum-collapse", "--points", "nan"],
+         ["mertens", "--points", "10,inf"]])
+    def test_non_finite_points_usage_error(self, argv):
+        assert run(argv + BASE) == 2
+
+    def test_oversized_n_max_capability_exit(self, monkeypatch):
+        # the memory check runs before the store allocates anything; should
+        # it ever be skipped, the first step of the build stops the test
+        def no_build(*args, **kwargs):
+            raise AssertionError("the store began to build")
+
+        monkeypatch.setattr(sieve, "base_primes", no_build)
+        assert run(["sieve", "--n-max", str(10 ** 12)]) == 3
+        with pytest.raises(CapabilityError) as err:
+            summatory.PrefixSums(10 ** 12)
+        assert err.value.max_usable < 10 ** 12
 
     def test_unknown_check_usage_error(self):
         status = run(["verify", "--which", "bogus"] + BASE)
@@ -118,6 +140,14 @@ class TestDeterminism:
                     "--grid", "100:2.0", "--out", str(out)]) == 0
         payload = json.loads(out.read_text())
         assert len(payload["remainders"]) == 8
+        assert sorted(payload["config"]) == [
+            "conv_cap", "grid", "n_max", "segment_size", "tail_fraction",
+            "tol_abs", "tol_rel"]
+        for kind in ("smoothed", "mertens"):
+            assert sorted(payload["profiles"][kind]["constants"]) == [
+                "alpha_hat", "deriv_sup_hat", "epsilon", "h_param", "iota_hat",
+                "kappa", "lambda_est", "mean_abs_hat", "mean_abs_tail_hat",
+                "provenance", "signed_span_hat"]
         names = [c["name"] for c in payload["checks"]]
         assert "mertens-values" in names
         assert "mertens-tail-ratio" in names
@@ -138,6 +168,23 @@ class TestDeterminism:
         assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
                     "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
         assert sum(sieved) == 5000
+
+    def test_report_stream_passes(self, tmp_path, monkeypatch):
+        # work ratchet: profile stream passes per report, 6 today (two
+        # profiles, three stream-based remainder kinds, the tail sups); a
+        # change that cuts passes (one pass with checkpoints) lowers the
+        # count, none raises it
+        passes = []
+        stream_cumulative = hprofile.stream_cumulative
+
+        def counted(*args, **kwargs):
+            passes.append(1)
+            return stream_cumulative(*args, **kwargs)
+
+        monkeypatch.setattr(hprofile, "stream_cumulative", counted)
+        assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
+                    "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(passes) == 6
 
     def test_timings_sidecar_optional(self, tmp_path):
         out = tmp_path / "o.json"

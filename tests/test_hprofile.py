@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mertenslab import hprofile
+from mertenslab import hprofile, summatory
 from mertenslab.errors import CapabilityError, RangeError
 
 LOG2 = math.log(2)
@@ -54,6 +54,45 @@ class TestStreamCumulative:
         with pytest.raises(CapabilityError) as err:
             hprofile.stream_cumulative(store_1e4, [2e4])
         assert err.value.max_usable == 10 ** 4
+
+    def test_non_finite_query_rejected(self, store_1e4):
+        for bad in ([float("nan")], [5.0, float("nan")]):
+            with pytest.raises(RangeError):
+                hprofile.stream_cumulative(store_1e4, bad)
+        with pytest.raises(CapabilityError):
+            hprofile.stream_cumulative(store_1e4, [float("inf")])
+
+    def test_stride_does_not_change_the_stream(self):
+        # window seams fall on the stride grid; at stride 39 the mertens
+        # zero run 39..40 straddles the first seam, and at stride 211 the
+        # run 422..425 continues for three steps past one
+        n_max = 10 ** 5 + 7
+        ys = np.array([2.5, 39.5, 40.0, 1000.3, 65536.5, float(n_max)])
+        ref = {kind: hprofile.stream_cumulative(
+            summatory.PrefixSums(n_max, stride=1 << 16), ys, kind)
+            for kind in ("smoothed", "mertens")}
+        for stride in (39, 211, 1000):
+            store = summatory.PrefixSums(n_max, stride=stride)
+            for kind in ("smoothed", "mertens"):
+                res = hprofile.stream_cumulative(store, ys, kind)
+                want = ref[kind]
+                assert np.allclose(res.cum_abs, want.cum_abs, rtol=1e-12, atol=0)
+                if kind == "mertens":
+                    assert res.zeros_y.tolist() == want.zeros_y.tolist()
+                    assert res.zero_flags == want.zero_flags
+                    assert res.decade_sup == want.decade_sup
+                else:
+                    assert np.allclose(res.zeros_y, want.zeros_y, rtol=1e-12, atol=0)
+
+    def test_stream_does_not_replay_windows(self, store_1e4, monkeypatch):
+        def no_replay(self, k):
+            raise AssertionError("the stream replayed a window")
+
+        monkeypatch.setattr(summatory.PrefixSums, "_window", no_replay)
+        ys = np.geomspace(2.0, 10 ** 4, 30)
+        for kind in ("smoothed", "mertens"):
+            res = hprofile.stream_cumulative(store_1e4, ys, kind)
+            assert np.all(np.isfinite(res.cum_abs))
 
 
 class TestBuildProfile:
@@ -188,7 +227,6 @@ class TestConstants:
     def test_window_invariants(self, store_1e5):
         prof = hprofile.build_profile(store_1e5, "smoothed", samples_per_decade=16)
         c = hprofile.estimate_constants(prof)
-        assert c.ell_hat <= c.alpha_hat + 1e-9
         assert c.mean_abs_tail_hat <= c.alpha_hat + 1e-9
         assert c.alpha_hat <= 1.0 + 1e-9
 
@@ -301,10 +339,12 @@ class TestProfileInvariants:
                 assert np.all(vals > 0) or np.all(vals < 0), (lo, hi)
 
     def test_stream_f_matches_store_route(self, store_1e5):
-        # both routes read the store's mu, but the stream sums it by its own
-        # route, independent of the checkpoint replay; they must agree to
-        # rounding
+        # the stream sums M and A from the checkpoints by the window
+        # replay's operations, so off the stride grid it is bitwise the
+        # store's F; the integral of M(y)/y is the independent route
         ys = np.geomspace(2.0, 10 ** 5, 40)
+        ys = ys[np.floor(ys) % store_1e5.stride != 0]
         res = hprofile.stream_cumulative(store_1e5, ys, kind="smoothed")
-        want = store_1e5.big_f_many(ys)
-        assert np.abs(res.f_at - want).max() <= 1e-9 * (1 + np.abs(want).max())
+        assert res.f_at.tolist() == store_1e5.big_f_many(ys).tolist()
+        want = np.array([store_1e5.big_f_integral(y) for y in ys])
+        assert np.abs(res.f_at - want).max() <= 1e-9

@@ -114,8 +114,9 @@ class TestWeightedSums:
         v, r = summatory.log_square_sum(2.0)
         assert v == pytest.approx(LOG2 ** 2, abs=1e-15)
         assert r == pytest.approx(LOG2 ** 2 - 4.0, abs=1e-15)
-        with pytest.raises(RangeError):
-            summatory.log_square_sum(0.5)
+        for bad in (0.5, float("nan"), float("inf")):
+            with pytest.raises(RangeError):
+                summatory.log_square_sum(bad)
 
     def test_lambda_over_n(self, store_1e5):
         v, r = store_1e5.lambda_over_n_sum(2.0)
