@@ -272,10 +272,11 @@ def check_dual_route(ctx: Context, n_random: int = 10 ** 4, seed: int = 20260808
     rng = np.random.default_rng(seed)
     xs = np.sort(rng.uniform(1.0, float(cfg.n_max), n_random))
     ns = np.floor(xs).astype(np.int64)
-    m, a = ctx.store._cum_many(("m", "a"), ns)
-    m = m.astype(np.float64)
-    f_sum = m * np.log(xs) - a
-    fint_base, = ctx.store._cum_many(("fint",), np.maximum(ns - 1, 0))
+    # one visit per window: m and a at n, fint at n - 1 (xs >= 1, so n >= 1)
+    m, a, fint = ctx.store._cum_many(("m", "a", "fint"), np.concatenate((ns, ns - 1)))
+    m = m[:n_random].astype(np.float64)
+    f_sum = m * np.log(xs) - a[:n_random]
+    fint_base = fint[n_random:]
     frac = xs / ns
     f_int = fint_base + np.where(frac > 1.0, m * np.log(np.maximum(frac, 1.0)), 0.0)
     gap = np.abs(f_sum - f_int)
@@ -587,7 +588,8 @@ def cmd_report(ctx: Context) -> int:
     series_map = run_remainders(ctx)
     checks.append(remainder_growth_report(series_map, cfg.n_max))
 
-    tail = identities.mertens_tail_sups(ctx.store)
+    with ctx.timings.measure("check-mertens-tail-ratio"):
+        tail = identities.mertens_tail_sups(ctx.store)
     ks = sorted(tail)
     non_increasing = all(tail[a] >= tail[b] for a, b in zip(ks, ks[1:]))
     checks.append({"name": "mertens-tail-ratio", "status": "pass",
@@ -725,7 +727,8 @@ def main(argv=None) -> int:
         return EXIT_USAGE
     ctx = Context(config=cfg)
     try:
-        status = COMMANDS[args.command](ctx)
+        with ctx.timings.measure("total"):
+            status = COMMANDS[args.command](ctx)
     except CapabilityError as exc:
         print(f"capability exceeded: {exc}", file=sys.stderr)
         return EXIT_CAPABILITY

@@ -17,8 +17,17 @@ Absolute-value integrals split a step only where the linear-in-log factor
 changes sign; that root is also a zero of the continuous F, which is how
 zero crossings are located and then refined by bisection.
 
-The pass walks the store's stride windows and takes M(n) and A(n) from its
-checkpoints and mu as the window replay does, so its F(y) is the store's.
+Each kind is walked once per store (:func:`profile_walk`): one pass over the
+store's stride windows, taking M(n) and A(n) from its checkpoints and mu as
+the window replay does, so its F(y) is the store's.  At every window seam
+the walk checkpoints its state: the Neumaier carries of both integrals and,
+for mertens, the open zero run and the decade sups so far.  It records the
+crossings or zero runs, with the integral of |H| up to each, over the whole
+range.  A query set (:func:`cumulative_at`) then replays only the windows
+that hold its points, each from its seam and by the walk's own per-window
+code, so every value equals that of a single pass up to the largest point.
+The two kinds are separate walks: a caller that needs only the mertens
+profile does not pay for the smoothed terms.
 
 For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
@@ -29,6 +38,7 @@ x-coordinates) and flagged as step boundaries.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass, field
 from typing import Callable
 
@@ -98,18 +108,268 @@ def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
     return 0.5 * (lo + hi)
 
 
-def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult:
-    """One pass over the store's stride windows computing cumulative integrals.
+class _Window:
+    """The unit steps [n, n + 1) of window k, n = k stride + 1 .. hi - 1.
 
-    ``ys`` must be >= 1 with floor(y) <= ``store.n_max``; they are sorted
-    internally and results are returned in the caller's order.
-    ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
-    x = (log ys[i])^2, and ``cum_signed`` likewise without the absolute
-    value.  Window k holds the n in (k stride, (k+1) stride]; M and A start
-    from the checkpoints ``store.cp_m[k]`` and ``store.cp_a[k]`` and take
-    the same cumulative sums as the window replay, so off the stride grid
-    ``f_at`` equals ``store.big_f_many(ys)`` bitwise.  A mertens pass also
-    collects the per-decade sups of |M(n)|/n.
+    These are the stream's operations, in the stream's order.  The walk and
+    the replay of a query window both build their steps here, from the same
+    carried values, so their sums agree bit for bit.
+    """
+
+    def __init__(self, store: PrefixSums, k: int, hi: int, smoothed: bool,
+                 start_abs: float, start_sig: float):
+        lo = k * store.stride + 1
+        self.lo, self.hi = lo, hi
+        self.smoothed = smoothed
+        self.start_abs, self.start_sig = start_abs, start_sig
+        self._pre = None
+        mu = store.mu[lo - 1:hi - 1]
+        self.m_cum = np.cumsum(mu, dtype=np.int64)
+        self.m_cum += store.cp_m[k]
+        # step i is [n, n + 1) with n = lo + i; u_all holds both ends
+        self.u_all = u_all = np.arange(lo, hi + 1, dtype=np.float64)
+        log_all = np.log(u_all)
+        log_n, log_n1 = log_all[:-1], log_all[1:]
+        q_all = _q_anti(u_all, log_all)
+        q_step = q_all[1:] - q_all[:-1]
+        self.mf = mf = self.m_cum.astype(np.float64)
+
+        if smoothed:
+            self.a_cum = a_cum = mu * log_n
+            np.cumsum(a_cum, out=a_cum)
+            a_cum += store.cp_a[k]
+            p_all = _p_anti(u_all, log_all)
+            self.d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
+            g_start = mf * log_n - a_cum
+            g_end = mf * log_n1 - a_cum
+            cross = g_start * g_end < 0.0
+        else:
+            self.a_cum = None
+            self.d_sig = 2.0 * mf * q_step
+        self.d_abs = np.abs(self.d_sig)
+
+        # crossings of the continuous smoothed sum (rare); fix the step's
+        # absolute increment before prefix sums are taken
+        self.cross_fix = {}
+        if smoothed:
+            for i in np.flatnonzero(cross):
+                m_i = float(mf[i])
+                a_i = float(a_cum[i])
+                step_n = lo + int(i)
+                u_star = _refine_crossing(m_i, a_i, step_n)
+                left = abs(_piece_smoothed(m_i, a_i, step_n, u_star))
+                right = abs(_piece_smoothed(m_i, a_i, u_star, step_n + 1))
+                self.d_abs[i] = left + right
+                self.cross_fix[i] = (u_star, left)
+
+    def pre(self) -> tuple[np.ndarray, np.ndarray]:
+        """Exclusive local prefix: the cumulative values just before each
+        step, built on first use (the walk needs them only for events)."""
+        if self._pre is None:
+            size = self.hi - self.lo
+            pre_abs = np.empty(size)
+            pre_sig = np.empty(size)
+            pre_abs[0] = self.start_abs
+            pre_sig[0] = self.start_sig
+            if size > 1:
+                np.cumsum(self.d_abs[:-1], out=pre_abs[1:])
+                pre_abs[1:] += self.start_abs
+                np.cumsum(self.d_sig[:-1], out=pre_sig[1:])
+                pre_sig[1:] += self.start_sig
+            self._pre = pre_abs, pre_sig
+        return self._pre
+
+    def at(self, yq: float) -> tuple[float, float, float, float]:
+        """(cum_abs, cum_signed, M, A) at a query point yq in this window."""
+        pre_abs, pre_sig = self.pre()
+        i = int(yq) - self.lo
+        m_i = float(self.mf[i])
+        a_i = float(self.a_cum[i]) if self.smoothed else 0.0
+        step_n = self.lo + i
+        if yq > step_n:
+            if self.smoothed:
+                part_sig = _piece_smoothed(m_i, a_i, step_n, yq)
+                if i in self.cross_fix and self.cross_fix[i][0] < yq:
+                    u_star, left_abs = self.cross_fix[i]
+                    part_abs = left_abs + abs(_piece_smoothed(m_i, a_i, u_star, yq))
+                else:
+                    part_abs = abs(part_sig)
+            else:
+                part_sig = _piece_mertens(m_i, step_n, yq)
+                part_abs = abs(part_sig)
+        else:
+            part_sig = part_abs = 0.0
+        return (float(pre_abs[i]) + part_abs, float(pre_sig[i]) + part_sig,
+                m_i, a_i)
+
+
+@dataclass
+class _Seam:
+    """The walk's state where window k starts."""
+
+    acc_abs: NeumaierSum        # the carry of the |H| integral
+    acc_sig: NeumaierSum        # the carry of the signed integral
+    run_open: bool              # an M == 0 run reaches the seam
+    run_start_n: int
+    last_zero_n: int
+    n_zeros: int                # zeros emitted before window k
+    decade_sup: dict            # mertens: decade sups over the n before the seam
+
+
+@dataclass
+class ProfileWalk:
+    """One walk of a profile kind over all of [1, n_max].
+
+    ``seams[k]`` is the walk's state where window k starts; the zeros, their
+    flags and the decade sups are those of the whole range.
+    """
+
+    seams: list
+    zeros_y: list
+    zeros_cum_abs: list
+    zero_flags: list
+    decade_sup: dict
+
+
+class _Walker:
+    """Carries the stream across windows and records its zero events.
+
+    A fresh walker starts at n = 1; given a finished ``walk``, it resumes
+    from that walk's seam before window k.
+    """
+
+    def __init__(self, store: PrefixSums, kind: str,
+                 walk: ProfileWalk | None = None, k: int = 0):
+        self.store = store
+        self.smoothed = kind == "smoothed"
+        if walk is None:
+            walk = ProfileWalk([_Seam(NeumaierSum(), NeumaierSum(), False, 0, 0, 0, {})],
+                               [], [], [], {})
+        seam = walk.seams[k]
+        self.acc_abs = NeumaierSum(seam.acc_abs.total, seam.acc_abs.comp)
+        self.acc_sig = NeumaierSum(seam.acc_sig.total, seam.acc_sig.comp)
+        self.run_open = seam.run_open
+        self.run_start_n = seam.run_start_n
+        self.last_zero_n = seam.last_zero_n
+        self.decade_sup = dict(seam.decade_sup)
+        self.zeros_y = walk.zeros_y[:seam.n_zeros]
+        self.zeros_cum = walk.zeros_cum_abs[:seam.n_zeros]
+        self.zero_flags = walk.zero_flags[:seam.n_zeros]
+
+    def seam(self) -> _Seam:
+        return _Seam(NeumaierSum(self.acc_abs.total, self.acc_abs.comp),
+                     NeumaierSum(self.acc_sig.total, self.acc_sig.comp),
+                     self.run_open, self.run_start_n, self.last_zero_n,
+                     len(self.zeros_y), dict(self.decade_sup))
+
+    def _emit_step_zero(self, n_pos: int, cum_value: float) -> None:
+        self.zeros_y.append(float(n_pos))
+        self.zeros_cum.append(cum_value)
+        self.zero_flags.append("step")
+
+    def step(self, k: int, hi: int) -> _Window:
+        """Walk window k up to n = hi - 1: its zeros, sups and sums."""
+        win = _Window(self.store, k, hi, self.smoothed,
+                      self.acc_abs.value, self.acc_sig.value)
+        lo = win.lo
+        if self.smoothed:
+            if win.cross_fix:
+                pre_abs = win.pre()[0]
+                for i in sorted(win.cross_fix):
+                    self.zeros_y.append(win.cross_fix[i][0])
+                    self.zeros_cum.append(float(pre_abs[i]) + win.cross_fix[i][1])
+                    self.zero_flags.append("crossing")
+        else:
+            # maximal runs of M == 0: zeros at the run's first and last step
+            z = win.m_cum == 0
+            if self.run_open and not z[0]:
+                if self.last_zero_n > self.run_start_n:
+                    self._emit_step_zero(self.last_zero_n, self.acc_abs.value)
+                self.run_open = False
+            if z.any():
+                pre_abs = win.pre()[0]
+                idx = np.flatnonzero(z)
+                gaps = np.flatnonzero(np.diff(idx) > 1)
+                starts = idx[np.concatenate(([0], gaps + 1))]
+                ends = idx[np.concatenate((gaps, [len(idx) - 1]))]
+                for s_i, e_i in zip(starts, ends):
+                    n_s, n_e = lo + int(s_i), lo + int(e_i)
+                    continued = self.run_open and s_i == 0
+                    if not continued:
+                        self._emit_step_zero(n_s, float(pre_abs[s_i]))
+                        self.run_start_n = n_s
+                    if e_i == len(z) - 1:
+                        self.run_open = True
+                        self.last_zero_n = n_e
+                    else:
+                        self.run_open = False
+                        if n_e > self.run_start_n:
+                            self._emit_step_zero(n_e, float(pre_abs[e_i]))
+            ratios = np.abs(win.mf) / win.u_all[:-1]
+            for dec in range(len(str(lo)) - 1, len(str(hi - 1))):
+                a_edge = max(lo, 10 ** dec)
+                b_edge = min(hi - 1, 10 ** (dec + 1) - 1)
+                sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
+                self.decade_sup[dec] = max(self.decade_sup.get(dec, 0.0), sup)
+
+        self.acc_abs.add(float(np.sum(win.d_abs)))
+        self.acc_sig.add(float(np.sum(win.d_sig)))
+        return win
+
+    def finish(self) -> None:
+        """Close a zero run that reaches the end of the walk."""
+        if self.run_open and self.last_zero_n > self.run_start_n:
+            self._emit_step_zero(self.last_zero_n, self.acc_abs.value)
+
+
+def stream_cumulative(store: PrefixSums, kind: str = "smoothed") -> ProfileWalk:
+    """Walk the store's stride windows once over [1, n_max] for one kind.
+
+    Window k holds the n in (k stride, (k+1) stride]; M and A start from the
+    checkpoints ``store.cp_m[k]`` and ``store.cp_a[k]`` and take the same
+    cumulative sums as the window replay.  The walk records its state at
+    every seam, the crossings (smoothed) or zero-run boundaries (mertens)
+    with the integral of |H| up to each, and, for mertens, the per-decade
+    sups of |M(n)|/n.  Use :func:`profile_walk`, which walks once per store.
+    """
+    if kind not in ("smoothed", "mertens"):
+        raise RangeError(f"unknown profile kind {kind!r}")
+    walker = _Walker(store, kind)
+    seams = []
+    for k in range((store.n_max - 1) // store.stride + 1):
+        seams.append(walker.seam())
+        walker.step(k, min((k + 1) * store.stride, store.n_max) + 1)
+    walker.finish()
+    return ProfileWalk(seams=seams, zeros_y=walker.zeros_y,
+                       zeros_cum_abs=walker.zeros_cum,
+                       zero_flags=walker.zero_flags,
+                       decade_sup=walker.decade_sup)
+
+
+_WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+def profile_walk(store: PrefixSums, kind: str = "smoothed") -> ProfileWalk:
+    """The store's walk of ``kind``, walked on first use and then kept for
+    as long as the store lives."""
+    walks = _WALKS.setdefault(store, {})
+    if kind not in walks:
+        walks[kind] = stream_cumulative(store, kind)
+    return walks[kind]
+
+
+def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult:
+    """Exact cumulative integrals of the profile at the query points ``ys``.
+
+    ``ys`` must be >= 1 with floor(y) <= ``store.n_max``; results come back
+    in the caller's order.  ``cum_abs[i]`` is the x-domain integral of |H|
+    from 0 up to x = (log ys[i])^2, and ``cum_signed`` likewise without the
+    absolute value.  The zeros, flags and decade sups are those of
+    [1, floor(max ys)].  Each window holding a query is replayed from the
+    walk's seam up to its largest floor(y), and the top window with the
+    walk's zero events, so every value is the one a single pass up to
+    max ys gives; off the stride grid ``f_at`` equals
+    ``store.big_f_many(ys)`` bitwise.
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
@@ -120,159 +380,35 @@ def stream_cumulative(store: PrefixSums, ys, kind: str = "smoothed") -> StreamRe
     if y_top >= store.n_max + 1:
         raise CapabilityError(f"query point {y_top} beyond store cap {store.n_max}",
                               max_usable=store.n_max)
-    n_top = int(y_top)
-    order = np.argsort(ys, kind="stable")
-    ys_sorted = ys[order]
-    smoothed = kind == "smoothed"
-    stride = store.stride
-
     cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
-    zeros_y, zeros_cum, zero_flags = [], [], []
-    decade_sup: dict = {}
-
-    acc_abs = NeumaierSum()
-    acc_sig = NeumaierSum()
-    run_open = False            # an M == 0 run reaches the window seam
-    run_start_n = 0
-    last_zero_n = 0
-    q_pos = 0
-
-    def emit_step_zero(n_pos: int, cum_value: float) -> None:
-        zeros_y.append(float(n_pos))
-        zeros_cum.append(cum_value)
-        zero_flags.append("step")
-
-    for k in range((n_top - 1) // stride + 1):
-        lo = k * stride + 1
-        hi = min(lo + stride, n_top + 1)
-        size = hi - lo
-        mu = store.mu[lo - 1:hi - 1]
-        m_cum = np.cumsum(mu, dtype=np.int64)
-        m_cum += store.cp_m[k]
-        # step i is [n, n + 1) with n = lo + i; u_all holds both ends
-        u_all = np.arange(lo, hi + 1, dtype=np.float64)
-        log_all = np.log(u_all)
-        log_n, log_n1 = log_all[:-1], log_all[1:]
-        q_all = _q_anti(u_all, log_all)
-        q_step = q_all[1:] - q_all[:-1]
-        mf = m_cum.astype(np.float64)
-
-        if smoothed:
-            a_cum = mu * log_n
-            np.cumsum(a_cum, out=a_cum)
-            a_cum += store.cp_a[k]
-            p_all = _p_anti(u_all, log_all)
-            d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
-            g_start = mf * log_n - a_cum
-            g_end = mf * log_n1 - a_cum
-            cross = g_start * g_end < 0.0
-        else:
-            a_cum = None
-            d_sig = 2.0 * mf * q_step
-            cross = None
-        d_abs = np.abs(d_sig)
-
-        # crossings of the continuous smoothed sum (rare); fix the step's
-        # absolute increment before prefix sums are taken
-        cross_fix = {}
-        if smoothed:
-            for i in np.flatnonzero(cross):
-                m_i = float(mf[i])
-                a_i = float(a_cum[i])
-                step_n = lo + int(i)
-                u_star = _refine_crossing(m_i, a_i, step_n)
-                left = abs(_piece_smoothed(m_i, a_i, step_n, u_star))
-                right = abs(_piece_smoothed(m_i, a_i, u_star, step_n + 1))
-                d_abs[i] = left + right
-                cross_fix[i] = (u_star, left)
-
-        # exclusive local prefix: cumulative value just before each step
-        pre_abs = np.empty(size)
-        pre_sig = np.empty(size)
-        pre_abs[0] = acc_abs.value
-        pre_sig[0] = acc_sig.value
-        if size > 1:
-            np.cumsum(d_abs[:-1], out=pre_abs[1:])
-            pre_abs[1:] += acc_abs.value
-            np.cumsum(d_sig[:-1], out=pre_sig[1:])
-            pre_sig[1:] += acc_sig.value
-
-        if smoothed:
-            for i in sorted(cross_fix):
-                zeros_y.append(cross_fix[i][0])
-                zeros_cum.append(float(pre_abs[i]) + cross_fix[i][1])
-                zero_flags.append("crossing")
-        else:
-            # maximal runs of M == 0: zeros at the run's first and last step
-            z = m_cum == 0
-            if run_open and not z[0]:
-                if last_zero_n > run_start_n:
-                    emit_step_zero(last_zero_n, acc_abs.value)
-                run_open = False
-            if z.any():
-                idx = np.flatnonzero(z)
-                gaps = np.flatnonzero(np.diff(idx) > 1)
-                starts = idx[np.concatenate(([0], gaps + 1))]
-                ends = idx[np.concatenate((gaps, [len(idx) - 1]))]
-                for s_i, e_i in zip(starts, ends):
-                    n_s, n_e = lo + int(s_i), lo + int(e_i)
-                    continued = run_open and s_i == 0
-                    if not continued:
-                        emit_step_zero(n_s, float(pre_abs[s_i]))
-                        run_start_n = n_s
-                    if e_i == size - 1:
-                        run_open = True
-                        last_zero_n = n_e
-                    else:
-                        run_open = False
-                        if n_e > run_start_n:
-                            emit_step_zero(n_e, float(pre_abs[e_i]))
-            ratios = np.abs(mf) / u_all[:-1]
-            for dec in range(len(str(lo)) - 1, len(str(hi - 1))):
-                a_edge = max(lo, 10 ** dec)
-                b_edge = min(hi - 1, 10 ** (dec + 1) - 1)
-                sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
-                decade_sup[dec] = max(decade_sup.get(dec, 0.0), sup)
-
-        # answer query points landing in this window
-        while q_pos < len(ys_sorted) and ys_sorted[q_pos] < hi:
-            yq = float(ys_sorted[q_pos])
-            i = int(yq) - lo
-            m_i = float(mf[i])
-            a_i = float(a_cum[i]) if smoothed else 0.0
-            step_n = lo + i
-            if yq > step_n:
-                if smoothed:
-                    part_sig = _piece_smoothed(m_i, a_i, step_n, yq)
-                    if i in cross_fix and cross_fix[i][0] < yq:
-                        u_star, left_abs = cross_fix[i]
-                        part_abs = left_abs + abs(_piece_smoothed(m_i, a_i, u_star, yq))
-                    else:
-                        part_abs = abs(part_sig)
-                else:
-                    part_sig = _piece_mertens(m_i, step_n, yq)
-                    part_abs = abs(part_sig)
+    top = _Walker(store, kind)          # no query points: no zeros, no sups
+    if len(ys):
+        walk = profile_walk(store, kind)
+        order = np.argsort(ys, kind="stable")
+        ys_sorted = ys[order]
+        ns = np.floor(ys_sorted).astype(np.int64)
+        ks = (ns - 1) // store.stride
+        k_top = int(ks[-1])
+        top = _Walker(store, kind, walk, k_top)
+        for grp in np.split(np.arange(len(ys)), np.flatnonzero(np.diff(ks)) + 1):
+            k = int(ks[grp[0]])
+            if k == k_top:
+                win = top.step(k, int(ns[-1]) + 1)
             else:
-                part_sig = part_abs = 0.0
-            q_idx = order[q_pos]
-            cum_abs_q[q_idx] = float(pre_abs[i]) + part_abs
-            cum_sig_q[q_idx] = float(pre_sig[i]) + part_sig
-            m_q[q_idx] = m_i
-            a_q[q_idx] = a_i
-            q_pos += 1
-
-        acc_abs.add(float(np.sum(d_abs)))
-        acc_sig.add(float(np.sum(d_sig)))
-
-    if run_open and last_zero_n > run_start_n:
-        emit_step_zero(last_zero_n, acc_abs.value)
+                seam = walk.seams[k]
+                win = _Window(store, k, int(ns[grp[-1]]) + 1, kind == "smoothed",
+                              seam.acc_abs.value, seam.acc_sig.value)
+            for j in grp:
+                q = order[j]
+                cum_abs_q[q], cum_sig_q[q], m_q[q], a_q[q] = win.at(float(ys_sorted[j]))
+    top.finish()
 
     return StreamResult(
         cum_abs=cum_abs_q, cum_signed=cum_sig_q,
-        f_at=m_q * np.log(ys) - a_q if smoothed else m_q,
-        zeros_y=np.array(zeros_y, dtype=np.float64),
-        zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
-        zero_flags=zero_flags, decade_sup=decade_sup)
+        f_at=m_q * np.log(ys) - a_q if kind == "smoothed" else m_q,
+        zeros_y=np.array(top.zeros_y, dtype=np.float64),
+        zeros_cum_abs=np.array(top.zeros_cum, dtype=np.float64),
+        zero_flags=top.zero_flags, decade_sup=top.decade_sup)
 
 
 # ----------------------------------------------------------------------
@@ -387,7 +523,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     ys[-1] = float(y_max)
     ys = np.unique(ys)
 
-    res = stream_cumulative(store, ys, kind=kind)
+    res = cumulative_at(store, ys, kind=kind)
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys
 

@@ -26,7 +26,7 @@ import numpy as np
 from . import hprofile
 from .accum import NeumaierSum
 from .errors import CapabilityError, RangeError
-from .summatory import PrefixSums
+from .summatory import PrefixSums, log_square_sums
 
 #: remainder-series kinds -> (main-term description, normalizer description)
 SERIES_KINDS = (
@@ -164,8 +164,10 @@ def check_f_sum_identity(store: PrefixSums, x: float) -> tuple[float, float]:
     acc = NeumaierSum()
     for lo in range(1, xf + 1, _CHUNK):
         hi = min(lo + _CHUNK, xf + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        acc.add(float(np.sum(store.big_f_many(x / ns))))
+        # float n give the same x / n as int64 n, and they are freed before
+        # the lookup, so they add nothing to its peak memory
+        ys = x / np.arange(lo, hi, dtype=np.float64)
+        acc.add(float(np.sum(store.big_f_many(ys))))
     total = acc.value
     return total, total - math.log(x)
 
@@ -252,7 +254,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
                 f"{x_cap:.6g}", max_usable=x_cap)
         pk = "smoothed" if kind == "h_mean_gap" else "mertens"
         ys = np.exp(np.sqrt(xs))
-        res = hprofile.stream_cumulative(store, ys, kind=pk)
+        res = hprofile.cumulative_at(store, ys, kind=pk)
         xg = np.maximum(xs, hprofile.X_MIN_GUARD)
         raw = np.abs(res.f_at) / ys - res.cum_abs / xg
         normalized = raw * np.sqrt(xg) if kind == "h_mean_gap" else raw.copy()
@@ -279,8 +281,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         normalized = np.where(log_xs > 0, raw / np.where(log_xs > 0, log_xs, 1.0), 0.0)
         label = "log x"
     elif kind == "log_square_sum":
-        from .summatory import log_square_sum
-        raw = np.array([log_square_sum(x)[1] for x in xs])
+        raw = log_square_sums(xs) - 2.0 * xs
         norm_div = np.where(log_xs > 0, log_xs ** 2, 1.0)
         normalized = raw / norm_div
         label = "(log x)^2"
@@ -289,7 +290,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         normalized = raw.copy()
         label = "1"
     else:  # f_self_bound
-        res = hprofile.stream_cumulative(store, xs, kind="smoothed")
+        res = hprofile.cumulative_at(store, xs, kind="smoothed")
         raw = np.abs(res.f_at) * log_xs ** 2 - xs * res.cum_abs
         normalized = raw / (xs * log_xs)
         label = "x log x"
@@ -312,17 +313,16 @@ def mertens_tail_sups(store: PrefixSums, k_lo: int = 2,
                       k_hi: int | None = None) -> dict[int, float]:
     """sup_{y >= 10^k} |M(y)|/y for each decade threshold k.
 
-    The supremum over real y reduces to integer step starts |M(n)|/n; one
-    pass over the store's mu collects per-decade maxima and suffix maxima
+    The supremum over real y reduces to integer step starts |M(n)|/n; the
+    store's mertens walk collects per-decade maxima and suffix maxima
     finish the job.
     """
     if k_hi is None:
         k_hi = int(math.log10(store.n_max))
-    ys = np.array([float(store.n_max)])
-    res = hprofile.stream_cumulative(store, ys, kind="mertens")
+    decade_sup = hprofile.profile_walk(store, "mertens").decade_sup
     sups = {}
     running = 0.0
-    for k in sorted(res.decade_sup, reverse=True):
-        running = max(running, res.decade_sup[k])
+    for k in sorted(decade_sup, reverse=True):
+        running = max(running, decade_sup[k])
         sups[k] = running
     return {k: sups[k] for k in range(k_lo, k_hi + 1) if k in sups}

@@ -365,18 +365,41 @@ class PrefixSums:
         return val, val - math.log(float(x))
 
 
-def log_square_sum(x) -> tuple[float, float]:
-    """(sum_{n<=x} log(x/n)^2, that sum minus 2x); defined for x >= 1."""
-    xv = float(x)
-    if not 1.0 <= xv < math.inf:
-        raise RangeError(f"log_square_sum needs finite x >= 1, got {xv}")
-    top = int(math.floor(xv))
-    log_x = math.log(xv)
-    acc = NeumaierSum()
+def log_square_sums(xs) -> np.ndarray:
+    """sum_{n<=x} log(x/n)^2 at every x of ``xs`` (each finite and >= 1).
+
+    One ascending pass over the sorted points carries the non-negative
+    shifted sums T1(N) = sum_{n<=N} log(N/n) and T2(N) = sum log^2(N/n).
+    From N to N' > N, with d = log(N'/N): every old term gains d, so
+    T1 += N d + sum_{N<n<=N'} log(N'/n) and T2 += 2 d T1 + N d^2 +
+    sum_{N<n<=N'} log^2(N'/n).  At x with N = floor(x) and e = log(x/N) the
+    sum is T2 + 2 e T1 + N e^2.  Every term is non-negative, so nothing
+    cancels (the expansion in log x, sum log n and sum log^2 n does).
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.all((xs >= 1.0) & (xs < math.inf)):
+        raise RangeError("log_square_sums needs finite x >= 1")
+    out = np.empty(len(xs))
+    t1, t2 = NeumaierSum(), NeumaierSum()
+    n_cur = 1
     chunk = 1 << 20
-    for lo in range(1, top + 1, chunk):
-        hi = min(lo + chunk, top + 1)
-        t = log_x - np.log(np.arange(lo, hi, dtype=np.float64))
-        acc.add(float(np.sum(t * t)))
-    value = acc.value
-    return value, value - 2.0 * xv
+    for i in np.argsort(xs, kind="stable"):
+        xv = float(xs[i])
+        n_new = int(math.floor(xv))
+        if n_new > n_cur:
+            d = math.log1p((n_new - n_cur) / n_cur)
+            t1_old = t1.value
+            t1.add(n_cur * d)
+            t2.add(2.0 * d * t1_old)
+            t2.add(n_cur * d * d)
+            for lo in range(n_cur + 1, n_new + 1, chunk):
+                t = np.arange(lo, min(lo + chunk, n_new + 1), dtype=np.float64)
+                np.divide(float(n_new), t, out=t)
+                np.log(t, out=t)
+                t1.add(float(np.sum(t)))
+                np.square(t, out=t)
+                t2.add(float(np.sum(t)))
+            n_cur = n_new
+        e = math.log(xv / n_cur)
+        out[i] = t2.value + 2.0 * e * t1.value + n_cur * e * e
+    return out

@@ -141,3 +141,196 @@ def tatuzawa_iseki_pairwise(store, x: float, f, flat_chunk: int = 1 << 21) -> fl
         rhs.add(float(np.sum(weights * vals)))
         d0 = d1
     return lhs.value - rhs.value
+
+
+def log_square_sum(x) -> tuple[float, float]:
+    """(sum_{n<=x} log(x/n)^2, that sum minus 2x), summed term by term.
+
+    The direct route: ``np.log`` over all of [1, x] for each x, in chunks
+    carried by a compensated sum.
+    """
+    from mertenslab.accum import NeumaierSum
+
+    xv = float(x)
+    top = int(math.floor(xv))
+    log_x = math.log(xv)
+    acc = NeumaierSum()
+    chunk = 1 << 20
+    for lo in range(1, top + 1, chunk):
+        hi = min(lo + chunk, top + 1)
+        t = log_x - np.log(np.arange(lo, hi, dtype=np.float64))
+        acc.add(float(np.sum(t * t)))
+    value = acc.value
+    return value, value - 2.0 * xv
+
+
+def stream_single_pass(store, ys, kind: str = "smoothed"):
+    """The profile stream as one pass over [1, floor(max ys)] per query set.
+
+    The form ``hprofile.cumulative_at`` replaces: it walks every window up
+    to the largest query and answers the queries on the way, with the same
+    operations in the same order, so the two agree bit for bit.
+
+    ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
+    x = (log ys[i])^2; a mertens pass also collects the per-decade sups of
+    |M(n)|/n up to floor(max ys).
+    """
+    from mertenslab.accum import NeumaierSum
+    from mertenslab.hprofile import (StreamResult, _p_anti, _piece_mertens,
+                                     _piece_smoothed, _q_anti, _refine_crossing)
+
+    ys = np.asarray(ys, dtype=np.float64)
+    y_top = float(ys.max(initial=0.0))
+    n_top = int(y_top)
+    order = np.argsort(ys, kind="stable")
+    ys_sorted = ys[order]
+    smoothed = kind == "smoothed"
+    stride = store.stride
+
+    cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
+    zeros_y, zeros_cum, zero_flags = [], [], []
+    decade_sup: dict = {}
+
+    acc_abs = NeumaierSum()
+    acc_sig = NeumaierSum()
+    run_open = False            # an M == 0 run reaches the window seam
+    run_start_n = 0
+    last_zero_n = 0
+    q_pos = 0
+
+    def emit_step_zero(n_pos: int, cum_value: float) -> None:
+        zeros_y.append(float(n_pos))
+        zeros_cum.append(cum_value)
+        zero_flags.append("step")
+
+    for k in range((n_top - 1) // stride + 1):
+        lo = k * stride + 1
+        hi = min(lo + stride, n_top + 1)
+        size = hi - lo
+        mu = store.mu[lo - 1:hi - 1]
+        m_cum = np.cumsum(mu, dtype=np.int64)
+        m_cum += store.cp_m[k]
+        # step i is [n, n + 1) with n = lo + i; u_all holds both ends
+        u_all = np.arange(lo, hi + 1, dtype=np.float64)
+        log_all = np.log(u_all)
+        log_n, log_n1 = log_all[:-1], log_all[1:]
+        q_all = _q_anti(u_all, log_all)
+        q_step = q_all[1:] - q_all[:-1]
+        mf = m_cum.astype(np.float64)
+
+        if smoothed:
+            a_cum = mu * log_n
+            np.cumsum(a_cum, out=a_cum)
+            a_cum += store.cp_a[k]
+            p_all = _p_anti(u_all, log_all)
+            d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
+            g_start = mf * log_n - a_cum
+            g_end = mf * log_n1 - a_cum
+            cross = g_start * g_end < 0.0
+        else:
+            a_cum = None
+            d_sig = 2.0 * mf * q_step
+            cross = None
+        d_abs = np.abs(d_sig)
+
+        # crossings of the continuous smoothed sum (rare); fix the step's
+        # absolute increment before prefix sums are taken
+        cross_fix = {}
+        if smoothed:
+            for i in np.flatnonzero(cross):
+                m_i = float(mf[i])
+                a_i = float(a_cum[i])
+                step_n = lo + int(i)
+                u_star = _refine_crossing(m_i, a_i, step_n)
+                left = abs(_piece_smoothed(m_i, a_i, step_n, u_star))
+                right = abs(_piece_smoothed(m_i, a_i, u_star, step_n + 1))
+                d_abs[i] = left + right
+                cross_fix[i] = (u_star, left)
+
+        # exclusive local prefix: cumulative value just before each step
+        pre_abs = np.empty(size)
+        pre_sig = np.empty(size)
+        pre_abs[0] = acc_abs.value
+        pre_sig[0] = acc_sig.value
+        if size > 1:
+            np.cumsum(d_abs[:-1], out=pre_abs[1:])
+            pre_abs[1:] += acc_abs.value
+            np.cumsum(d_sig[:-1], out=pre_sig[1:])
+            pre_sig[1:] += acc_sig.value
+
+        if smoothed:
+            for i in sorted(cross_fix):
+                zeros_y.append(cross_fix[i][0])
+                zeros_cum.append(float(pre_abs[i]) + cross_fix[i][1])
+                zero_flags.append("crossing")
+        else:
+            # maximal runs of M == 0: zeros at the run's first and last step
+            z = m_cum == 0
+            if run_open and not z[0]:
+                if last_zero_n > run_start_n:
+                    emit_step_zero(last_zero_n, acc_abs.value)
+                run_open = False
+            if z.any():
+                idx = np.flatnonzero(z)
+                gaps = np.flatnonzero(np.diff(idx) > 1)
+                starts = idx[np.concatenate(([0], gaps + 1))]
+                ends = idx[np.concatenate((gaps, [len(idx) - 1]))]
+                for s_i, e_i in zip(starts, ends):
+                    n_s, n_e = lo + int(s_i), lo + int(e_i)
+                    continued = run_open and s_i == 0
+                    if not continued:
+                        emit_step_zero(n_s, float(pre_abs[s_i]))
+                        run_start_n = n_s
+                    if e_i == size - 1:
+                        run_open = True
+                        last_zero_n = n_e
+                    else:
+                        run_open = False
+                        if n_e > run_start_n:
+                            emit_step_zero(n_e, float(pre_abs[e_i]))
+            ratios = np.abs(mf) / u_all[:-1]
+            for dec in range(len(str(lo)) - 1, len(str(hi - 1))):
+                a_edge = max(lo, 10 ** dec)
+                b_edge = min(hi - 1, 10 ** (dec + 1) - 1)
+                sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
+                decade_sup[dec] = max(decade_sup.get(dec, 0.0), sup)
+
+        # answer query points landing in this window
+        while q_pos < len(ys_sorted) and ys_sorted[q_pos] < hi:
+            yq = float(ys_sorted[q_pos])
+            i = int(yq) - lo
+            m_i = float(mf[i])
+            a_i = float(a_cum[i]) if smoothed else 0.0
+            step_n = lo + i
+            if yq > step_n:
+                if smoothed:
+                    part_sig = _piece_smoothed(m_i, a_i, step_n, yq)
+                    if i in cross_fix and cross_fix[i][0] < yq:
+                        u_star, left_abs = cross_fix[i]
+                        part_abs = left_abs + abs(_piece_smoothed(m_i, a_i, u_star, yq))
+                    else:
+                        part_abs = abs(part_sig)
+                else:
+                    part_sig = _piece_mertens(m_i, step_n, yq)
+                    part_abs = abs(part_sig)
+            else:
+                part_sig = part_abs = 0.0
+            q_idx = order[q_pos]
+            cum_abs_q[q_idx] = float(pre_abs[i]) + part_abs
+            cum_sig_q[q_idx] = float(pre_sig[i]) + part_sig
+            m_q[q_idx] = m_i
+            a_q[q_idx] = a_i
+            q_pos += 1
+
+        acc_abs.add(float(np.sum(d_abs)))
+        acc_sig.add(float(np.sum(d_sig)))
+
+    if run_open and last_zero_n > run_start_n:
+        emit_step_zero(last_zero_n, acc_abs.value)
+
+    return StreamResult(
+        cum_abs=cum_abs_q, cum_signed=cum_sig_q,
+        f_at=m_q * np.log(ys) - a_q if smoothed else m_q,
+        zeros_y=np.array(zeros_y, dtype=np.float64),
+        zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
+        zero_flags=zero_flags, decade_sup=decade_sup)

@@ -170,10 +170,10 @@ class TestDeterminism:
         assert sum(sieved) == 5000
 
     def test_report_stream_passes(self, tmp_path, monkeypatch):
-        # work ratchet: profile stream passes per report, 6 today (two
-        # profiles, three stream-based remainder kinds, the tail sups); a
-        # change that cuts passes (one pass with checkpoints) lowers the
-        # count, none raises it
+        # work ratchet: profile stream passes per report, 2 today (one walk
+        # per profile kind; the profiles, the three stream-based remainder
+        # kinds and the tail sups read the walks); a change that cuts passes
+        # lowers the count, none raises it
         passes = []
         stream_cumulative = hprofile.stream_cumulative
 
@@ -184,7 +184,7 @@ class TestDeterminism:
         monkeypatch.setattr(hprofile, "stream_cumulative", counted)
         assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
                     "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
-        assert len(passes) == 6
+        assert len(passes) == 2
 
     def test_timings_sidecar_optional(self, tmp_path):
         out = tmp_path / "o.json"
@@ -192,6 +192,16 @@ class TestDeterminism:
         assert run(["sieve", "--out", str(out), "--timings", str(side)] + BASE) == 0
         assert side.exists()
         assert "build-prefix-sums" in json.loads(side.read_text())
+
+
+def test_report_timings_label_tail_sups_and_total(tmp_path):
+    side = tmp_path / "t.json"
+    assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
+                "--grid", "100:2.0", "--out", str(tmp_path / "r.json"),
+                "--timings", str(side)]) == 0
+    labels = json.loads(side.read_text())
+    assert "check-mertens-tail-ratio" in labels
+    assert labels["total"] >= max(v for k, v in labels.items() if k != "total")
 
 
 def test_grid_with_count(tmp_path):

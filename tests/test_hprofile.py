@@ -5,10 +5,30 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
-from mertenslab import hprofile, summatory
+import oracles
+from mertenslab import hprofile, identities, summatory
 from mertenslab.errors import CapabilityError, RangeError
 
 LOG2 = math.log(2)
+N_STRIDED = 10 ** 5 + 7
+
+
+@pytest.fixture(scope="module")
+def strided_stores():
+    # at stride 39 the mertens zero run 39..40 straddles the first seam, and
+    # at stride 211 the run 422..425 continues for three steps past one
+    return {stride: summatory.PrefixSums(N_STRIDED, stride=stride)
+            for stride in (39, 211, 1000, 1 << 16)}
+
+
+def assert_same_stream(res, want):
+    assert res.cum_abs.tolist() == want.cum_abs.tolist()
+    assert res.cum_signed.tolist() == want.cum_signed.tolist()
+    assert res.f_at.tolist() == want.f_at.tolist()
+    assert res.zeros_y.tolist() == want.zeros_y.tolist()
+    assert res.zeros_cum_abs.tolist() == want.zeros_cum_abs.tolist()
+    assert res.zero_flags == want.zero_flags
+    assert list(res.decade_sup.items()) == list(want.decade_sup.items())
 
 
 class TestStreamCumulative:
@@ -18,7 +38,7 @@ class TestStreamCumulative:
             return abs(store_1e4.big_f(y)) / y
 
         ys = np.array([2.0, 3.7, 10.0, 157.0])
-        res = hprofile.stream_cumulative(store_1e4, ys, kind="smoothed")
+        res = hprofile.cumulative_at(store_1e4, ys, kind="smoothed")
         for i, y in enumerate(ys):
             x_top = math.log(y) ** 2
             cuts = sorted({math.log(k) ** 2 for k in range(1, int(y) + 1)} | {x_top})
@@ -28,53 +48,49 @@ class TestStreamCumulative:
 
     def test_query_order_independent(self, store_1e4):
         ys = np.array([50.0, 2.0, 700.0, 7.7])
-        res = hprofile.stream_cumulative(store_1e4, ys, kind="mertens")
-        res_sorted = hprofile.stream_cumulative(store_1e4, np.sort(ys), kind="mertens")
+        res = hprofile.cumulative_at(store_1e4, ys, kind="mertens")
+        res_sorted = hprofile.cumulative_at(store_1e4, np.sort(ys), kind="mertens")
         for i, y in enumerate(ys):
             j = int(np.searchsorted(np.sort(ys), y))
             assert res.cum_abs[i] == res_sorted.cum_abs[j]
 
     def test_first_smoothed_zero_is_sqrt30(self, store_1e4):
-        res = hprofile.stream_cumulative(store_1e4, np.array([100.0]), kind="smoothed")
+        res = hprofile.cumulative_at(store_1e4, np.array([100.0]), kind="smoothed")
         assert len(res.zeros_y) >= 1
         assert res.zeros_y[0] == pytest.approx(math.sqrt(30.0), rel=1e-10)
 
     def test_mertens_zero_runs(self, store_1e4):
         # M touches zero at 2, then on the run 39..40
-        res = hprofile.stream_cumulative(store_1e4, np.array([50.0]), kind="mertens")
+        res = hprofile.cumulative_at(store_1e4, np.array([50.0]), kind="mertens")
         zs = list(res.zeros_y)
         assert 2.0 in zs
         assert 39.0 in zs and 40.0 in zs
 
     def test_empty_queries(self, store_1e4):
-        res = hprofile.stream_cumulative(store_1e4, np.array([]), kind="smoothed")
+        res = hprofile.cumulative_at(store_1e4, np.array([]), kind="smoothed")
         assert len(res.cum_abs) == 0
 
     def test_query_beyond_store_cap(self, store_1e4):
         with pytest.raises(CapabilityError) as err:
-            hprofile.stream_cumulative(store_1e4, [2e4])
+            hprofile.cumulative_at(store_1e4, [2e4])
         assert err.value.max_usable == 10 ** 4
 
     def test_non_finite_query_rejected(self, store_1e4):
         for bad in ([float("nan")], [5.0, float("nan")]):
             with pytest.raises(RangeError):
-                hprofile.stream_cumulative(store_1e4, bad)
+                hprofile.cumulative_at(store_1e4, bad)
         with pytest.raises(CapabilityError):
-            hprofile.stream_cumulative(store_1e4, [float("inf")])
+            hprofile.cumulative_at(store_1e4, [float("inf")])
 
-    def test_stride_does_not_change_the_stream(self):
-        # window seams fall on the stride grid; at stride 39 the mertens
-        # zero run 39..40 straddles the first seam, and at stride 211 the
-        # run 422..425 continues for three steps past one
-        n_max = 10 ** 5 + 7
-        ys = np.array([2.5, 39.5, 40.0, 1000.3, 65536.5, float(n_max)])
-        ref = {kind: hprofile.stream_cumulative(
-            summatory.PrefixSums(n_max, stride=1 << 16), ys, kind)
-            for kind in ("smoothed", "mertens")}
+    def test_stride_does_not_change_the_stream(self, strided_stores):
+        # window seams fall on the stride grid
+        ys = np.array([2.5, 39.5, 40.0, 1000.3, 65536.5, float(N_STRIDED)])
+        ref = {kind: hprofile.cumulative_at(strided_stores[1 << 16], ys, kind)
+               for kind in ("smoothed", "mertens")}
         for stride in (39, 211, 1000):
-            store = summatory.PrefixSums(n_max, stride=stride)
+            store = strided_stores[stride]
             for kind in ("smoothed", "mertens"):
-                res = hprofile.stream_cumulative(store, ys, kind)
+                res = hprofile.cumulative_at(store, ys, kind)
                 want = ref[kind]
                 assert np.allclose(res.cum_abs, want.cum_abs, rtol=1e-12, atol=0)
                 if kind == "mertens":
@@ -91,11 +107,71 @@ class TestStreamCumulative:
         monkeypatch.setattr(summatory.PrefixSums, "_window", no_replay)
         ys = np.geomspace(2.0, 10 ** 4, 30)
         for kind in ("smoothed", "mertens"):
-            res = hprofile.stream_cumulative(store_1e4, ys, kind)
+            res = hprofile.cumulative_at(store_1e4, ys, kind)
             assert np.all(np.isfinite(res.cum_abs))
+
+    @pytest.mark.parametrize("stride", [39, 211, 1000, 1 << 16])
+    def test_matches_single_pass(self, strided_stores, stride):
+        # replaying one window from the walk's seam gives the single pass's
+        # values bit for bit: query points at seams, inside the zero runs
+        # 39..40 and 422..425, in unsorted order, and with
+        # floor(max y) < n_max, where the top run and decades are cut short
+        store = strided_stores[stride]
+        query_sets = (
+            [2.5, 39.0, 39.5, 40.0, 423.0, 1000.3, 65536.5, float(N_STRIDED)],
+            [40.0, 2.0, 424.7],
+            [78.0, 211.0, 422.0, 5000.0, 12345.6],
+            [float(N_STRIDED) + 0.5, 17.0, 65536.0],
+            [1.0],
+        )
+        for ys in query_sets:
+            for kind in ("smoothed", "mertens"):
+                assert_same_stream(hprofile.cumulative_at(store, ys, kind),
+                                   oracles.stream_single_pass(store, ys, kind))
+
+    def test_walks_once_per_store(self, monkeypatch):
+        store = summatory.PrefixSums(3000, stride=97)
+        ys = [2.0, 100.5, 2999.0]
+        first = {kind: hprofile.cumulative_at(store, ys, kind)
+                 for kind in ("smoothed", "mertens")}
+
+        def no_walk(*args, **kwargs):
+            raise AssertionError("the store was walked again")
+
+        monkeypatch.setattr(hprofile, "stream_cumulative", no_walk)
+        for kind in ("smoothed", "mertens"):
+            assert_same_stream(hprofile.cumulative_at(store, ys, kind), first[kind])
+            assert_same_stream(hprofile.cumulative_at(store, [50.5], kind),
+                               oracles.stream_single_pass(store, [50.5], kind))
+
+    def test_tail_sups_match_single_pass(self, strided_stores):
+        for store in strided_stores.values():
+            res = oracles.stream_single_pass(store, [float(N_STRIDED)], "mertens")
+            want, running = {}, 0.0
+            for k in sorted(res.decade_sup, reverse=True):
+                running = max(running, res.decade_sup[k])
+                want[k] = running
+            got = identities.mertens_tail_sups(store, k_lo=0)
+            assert got == {k: want[k] for k in range(0, 6)}
 
 
 class TestBuildProfile:
+    @pytest.mark.parametrize("y_max", [10, 40, 1000, N_STRIDED])
+    def test_matches_single_pass(self, strided_stores, y_max):
+        for stride in (39, 1 << 16):
+            store = strided_stores[stride]
+            for kind in ("smoothed", "mertens"):
+                prof = hprofile.build_profile(store, kind, y_max=y_max)
+                res = oracles.stream_single_pass(store, prof.y_samples, kind)
+                assert prof.y_samples[-1] == y_max
+                assert prof.h_values.tolist() == (res.f_at / prof.y_samples).tolist()
+                assert prof.cumulative_abs_integral.tolist() == res.cum_abs.tolist()
+                assert prof.cumulative_signed_integral.tolist() == res.cum_signed.tolist()
+                assert prof.zeros.tolist() == (np.log(res.zeros_y) ** 2).tolist()
+                assert prof.cum_abs_at_zeros.tolist() == res.zeros_cum_abs.tolist()
+                assert prof.zero_flags == res.zero_flags
+                assert prof.decade_sups == (res.decade_sup or None)
+
     def test_single_sample_profile(self, store_1e4):
         prof = hprofile.build_profile(store_1e4, "smoothed", y_max=2)
         assert len(prof.x_samples) == 1
@@ -344,7 +420,7 @@ class TestProfileInvariants:
         # store's F; the integral of M(y)/y is the independent route
         ys = np.geomspace(2.0, 10 ** 5, 40)
         ys = ys[np.floor(ys) % store_1e5.stride != 0]
-        res = hprofile.stream_cumulative(store_1e5, ys, kind="smoothed")
+        res = hprofile.cumulative_at(store_1e5, ys, kind="smoothed")
         assert res.f_at.tolist() == store_1e5.big_f_many(ys).tolist()
         want = np.array([store_1e5.big_f_integral(y) for y in ys])
         assert np.abs(res.f_at - want).max() <= 1e-9

@@ -109,14 +109,21 @@ class TestWeightedSums:
             assert store_1e5.g_weighted(x) == pytest.approx(direct, rel=1e-11)
 
     def test_log_square_sum(self):
-        v, r = summatory.log_square_sum(1.0)
-        assert v == 0.0 and r == -2.0
-        v, r = summatory.log_square_sum(2.0)
-        assert v == pytest.approx(LOG2 ** 2, abs=1e-15)
-        assert r == pytest.approx(LOG2 ** 2 - 4.0, abs=1e-15)
+        v1, v2 = summatory.log_square_sums([1.0, 2.0])
+        assert v1 == 0.0
+        assert v2 == pytest.approx(LOG2 ** 2, abs=1e-15)
         for bad in (0.5, float("nan"), float("inf")):
             with pytest.raises(RangeError):
-                summatory.log_square_sum(bad)
+                summatory.log_square_sums([3.0, bad])
+
+    def test_log_square_pass_matches_direct_route(self):
+        # the ascending pass against the term-by-term sum, in any order
+        rng = np.random.default_rng(12)
+        xs = np.concatenate((rng.uniform(1.0, 1e6, 60),
+                             [1.5, 2.0, 2.0, 7.0, 7.25, 1e6]))
+        want = np.array([oracles.log_square_sum(x)[0] for x in xs])
+        got = summatory.log_square_sums(xs)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(want, 1.0))
 
     def test_lambda_over_n(self, store_1e5):
         v, r = store_1e5.lambda_over_n_sum(2.0)
@@ -254,5 +261,5 @@ class TestConstructionDeterminism:
 
 
 def test_log_square_remainder_at_1e6():
-    v, r = summatory.log_square_sum(10 ** 6)
+    r = summatory.log_square_sums([10 ** 6])[0] - 2e6
     assert abs(r) <= 5 * math.log(10 ** 6) ** 2
