@@ -43,8 +43,6 @@ from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
-from scipy.integrate import quad
-from scipy.optimize import brentq
 
 from .accum import NeumaierSum
 from .errors import CapabilityError, RangeError
@@ -560,8 +558,12 @@ def build_synthetic_profile(h_func: Callable, x_grid,
     Zeros are bracketed on the sample grid and refined with Brent's method;
     cumulative integrals come from adaptive quadrature on the sign-constant
     subintervals, so closed-form test cases reproduce to near machine
-    precision.
+    precision.  This is the package's only use of scipy, so scipy is
+    imported here and no command path loads it.
     """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
     xs = np.asarray(x_grid, dtype=np.float64)
     if len(xs) < 2 or np.any(np.diff(xs) <= 0):
         raise RangeError("x_grid must be strictly increasing with >= 2 points")

@@ -10,6 +10,11 @@ Exact identities (true for every argument; only rounding survives):
 The two right-hand closed forms differ (log x vs log x + psi x): the module
 computes both sums independently and never equates them.
 
+The Tatuzawa-Iseki residual takes a sequence of F and enumerates the
+divisor pairs of x once for all of them.  The dilated sum is summed once
+per (store, x) and kept, so a check and a remainder series over the same
+points share it.
+
 Asymptotic claims are materialized as :class:`RemainderSeries`: sampled
 values of (computed sum - main term), with the claim's own normalizer, so
 boundedness of the normalized column is the finite-range surrogate for the
@@ -19,6 +24,7 @@ big-O statement.  Nothing here asserts a limit.
 from __future__ import annotations
 
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -94,16 +100,18 @@ def f_smoothed(store: PrefixSums):
     return store.big_f_many
 
 
-def tatuzawa_iseki_residual(store: PrefixSums, x: float, f, *,
-                            flat_chunk: int = _FLAT_CHUNK) -> float:
-    """Residual of the exact weighted identity at x, for any F.
+def tatuzawa_iseki_residual(store: PrefixSums, x: float, fs, *,
+                            flat_chunk: int = _FLAT_CHUNK) -> list[float]:
+    """Residuals of the exact weighted identity at x, one per F in ``fs``.
 
     Both sides are summed outright: the left side over the prime powers
     carrying Lambda, the right side over all divisor pairs (d, m) with
-    d m <= x, enumerated flat in chunks.  F is evaluated once per
+    d m <= x, enumerated flat in chunks.  Each F is evaluated once per
     k = d m <= x, x arguments rather than one per pair (about x log x); the
-    pairs only gather from that array and from the per-d weights
-    mu(d) (log x - log d).  The result is pure rounding noise for any F;
+    pairs only gather from those arrays and from the per-d weights
+    mu(d) (log x - log d).  The pairs of a chunk are enumerated once and
+    applied to every F in turn, so each residual is the one a call with
+    that F alone would give.  The result is pure rounding noise for any F;
     tolerances scale with x (log x)^2.
     """
     if not 2.0 <= x <= store.n_max:
@@ -111,23 +119,25 @@ def tatuzawa_iseki_residual(store: PrefixSums, x: float, f, *,
     xf = int(math.floor(x))
     log_x = math.log(x)
 
-    f_at_x = float(np.asarray(f(np.array([x])))[0])
-    lhs = NeumaierSum(f_at_x * log_x)
     i = int(np.searchsorted(store.pp, xf, side="right"))
-    if i:
-        pp = store.pp[:i]
-        lhs.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
-
+    pp = store.pp[:i]
     ks = np.arange(1, xf + 1, dtype=np.int64)
-    # F is evaluated in flat_chunk slices, so its temporaries stay bounded
-    f_at_k = np.concatenate([np.asarray(f(x / ks[i:i + flat_chunk]))
-                             for i in range(0, xf, flat_chunk)])
+    lhs, f_at_k = [], []
+    for f in fs:
+        f_at_x = float(np.asarray(f(np.array([x])))[0])
+        acc = NeumaierSum(f_at_x * log_x)
+        if i:
+            acc.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
+        lhs.append(acc)
+        # F is evaluated in flat_chunk slices, so its temporaries stay bounded
+        f_at_k.append(np.concatenate([np.asarray(f(x / ks[j:j + flat_chunk]))
+                                      for j in range(0, xf, flat_chunk)]))
     w_at_d = (store.mobius_range(1, xf + 1).astype(np.float64)
               * (log_x - np.log(ks.astype(np.float64))))
     # cum[d - 1] = pairs with first factor <= d; a d-block [d0, d1) takes the
     # most d whose pairs fit in flat_chunk, and at least one d
     cum = np.cumsum(xf // ks)
-    rhs = NeumaierSum()
+    rhs = [NeumaierSum() for _ in f_at_k]
     d0 = 1
     while d0 <= xf:
         base = int(cum[d0 - 2]) if d0 > 1 else 0
@@ -139,27 +149,37 @@ def tatuzawa_iseki_residual(store: PrefixSums, x: float, f, *,
         flat_d = np.repeat(ds, counts)
         flat_m = np.arange(1, pairs + 1, dtype=np.int64) - np.repeat(starts, counts)
         weights = np.repeat(w_at_d[d0 - 1:d1 - 1], counts)
-        vals = f_at_k[flat_d * flat_m - 1]
-        rhs.add(float(np.sum(weights * vals)))
+        idx = flat_d * flat_m - 1
+        for acc, vals in zip(rhs, f_at_k):
+            acc.add(float(np.sum(weights * vals[idx])))
         d0 = d1
-    return lhs.value - rhs.value
+    return [left.value - right.value for left, right in zip(lhs, rhs)]
 
 
 # ----------------------------------------------------------------------
 # the two readings of the dilated-sum identity
 # ----------------------------------------------------------------------
 
+_F_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
 def check_f_sum_identity(store: PrefixSums, x: float) -> tuple[float, float]:
     """(sum_{n<=x} F(x/n), that sum minus log x).
 
     The sum collapses to log x exactly by Moebius inversion; the residual is
-    rounding only.
+    rounding only.  Each x is summed once per store and then kept for as
+    long as the store lives: the f-sum-collapse check and the
+    ``f_dilated_sum`` remainder kind ask for the same points.
     """
     if x < 1.0:
         raise RangeError(f"need x >= 1, got {x}")
     if x > store.n_max:
         raise CapabilityError(f"x = {x} beyond cap {store.n_max}",
                               max_usable=store.n_max)
+    sums = _F_SUMS.setdefault(store, {})
+    key = float(x)
+    if key in sums:
+        return sums[key]
     xf = int(math.floor(x))
     acc = NeumaierSum()
     for lo in range(1, xf + 1, _CHUNK):
@@ -169,7 +189,8 @@ def check_f_sum_identity(store: PrefixSums, x: float) -> tuple[float, float]:
         ys = x / np.arange(lo, hi, dtype=np.float64)
         acc.add(float(np.sum(store.big_f_many(ys))))
     total = acc.value
-    return total, total - math.log(x)
+    sums[key] = (total, total - math.log(x))
+    return sums[key]
 
 
 @dataclass(frozen=True)

@@ -21,8 +21,6 @@ Key evaluators built on top of the store:
                       closed form over the unit steps of M
     h_smoothed(y)     F(y)/y       (normalized smoothed Mertens function)
     h_mertens(y)      M(y)/y
-    g_weighted(x)     log x * sum_{n<=x} F(x/n), sharing one (M, A) pair per
-                      block of constant floor(x/n)
 """
 
 from __future__ import annotations
@@ -32,7 +30,6 @@ import os
 from collections import OrderedDict
 
 import numpy as np
-from scipy.special import gammaln
 
 from . import sieve
 from .accum import NeumaierSum, chunked_cumsum
@@ -329,33 +326,8 @@ class PrefixSums:
         return total.value - corner
 
     # ------------------------------------------------------------------
-    # weighted and remainder-style sums
+    # remainder-style sums
     # ------------------------------------------------------------------
-
-    def g_weighted(self, x) -> float:
-        """log x * sum_{n<=x} F(x/n), one (M, A) lookup per divisor block."""
-        n_top = self._floor_checked(x)
-        xv = float(x)
-        if n_top < 1:
-            return 0.0
-        starts, stops, vs = [], [], []
-        n = 1
-        while n <= n_top:
-            v = n_top // n
-            n2 = n_top // v
-            starts.append(n)
-            stops.append(n2)
-            vs.append(v)
-            n = n2 + 1
-        starts = np.array(starts, dtype=np.int64)
-        stops = np.array(stops, dtype=np.int64)
-        vs = np.array(vs, dtype=np.int64)
-        m, a = self._cum_many(("m", "a"), vs)
-        m = m.astype(np.float64)
-        counts = (stops - starts + 1).astype(np.float64)
-        log_sum = counts * math.log(xv) - (gammaln(stops + 1.0) - gammaln(starts.astype(np.float64)))
-        total = float(np.sum(m * log_sum) - np.sum(a * counts))
-        return math.log(xv) * total
 
     def lambda_over_n_sum(self, x) -> tuple[float, float]:
         """(sum_{n<=x} Lambda(n)/n, its gap to log x); 2 <= x <= n_max."""

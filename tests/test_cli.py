@@ -1,4 +1,10 @@
+import importlib.util
 import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -202,6 +208,48 @@ def test_report_timings_label_tail_sups_and_total(tmp_path):
     labels = json.loads(side.read_text())
     assert "check-mertens-tail-ratio" in labels
     assert labels["total"] >= max(v for k, v in labels.items() if k != "total")
+
+
+def test_timings_label_import(tmp_path):
+    side = tmp_path / "t.json"
+    assert run(["sieve", "--out", str(tmp_path / "o.json"),
+                "--timings", str(side)] + BASE) == 0
+    labels = json.loads(side.read_text())
+    assert labels["import"] == cli.IMPORT_S >= 0.0
+
+
+def test_report_never_imports_scipy(tmp_path):
+    # ratchet: scipy serves only build_synthetic_profile, which no command
+    # calls, so a fresh process that runs the report must not load it
+    code = (
+        "import sys\n"
+        "from mertenslab import cli\n"
+        f"status = cli.main(['report', '--n-max', '10000', '--out', {str(tmp_path)!r}])\n"
+        "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "assert status == 0, status\n"
+        "assert not loaded, loaded[:5]\n")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        [src] + [p for p in env.get("PYTHONPATH", "").split(os.pathsep) if p])
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert (tmp_path / "report.json").exists()
+
+
+def test_pinned_mertens_above_1e7_match_recursion():
+    # M(10^8) and M(10^9) come from the sieve; the benchmark's recursion
+    # sum_{d<=x} M(x/d) = 1 over a dense table to 10^7 is the second route
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "reference.py"
+    spec = importlib.util.spec_from_file_location("perfbench_reference", path)
+    reference = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(reference)
+    m_small = reference.DenseReference(10 ** 7).m
+    for k in (8, 9):
+        assert math.isqrt(10 ** k) < len(m_small)
+        got = reference.mertens_recursive(10 ** k, m_small)
+        assert got == cli.MERTENS_POWERS_OF_TEN[k], k
 
 
 def test_grid_with_count(tmp_path):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from mertenslab import identities
+from mertenslab import cli, identities, summatory
 from mertenslab.errors import CapabilityError, RangeError
 
 import oracles
@@ -11,68 +11,81 @@ import oracles
 LOG2 = math.log(2)
 
 
+def _ti_functions(store):
+    return {"one": identities.f_one, "log": identities.f_log,
+            "smoothed": identities.f_smoothed(store)}
+
+
 class TestTatuzawaIseki:
     def test_zero_function(self, store_1e5):
         f0 = lambda ys: np.zeros_like(np.asarray(ys, dtype=float))
-        assert identities.tatuzawa_iseki_residual(store_1e5, 10.0, f0) == 0.0
+        assert identities.tatuzawa_iseki_residual(store_1e5, 10.0, [f0]) == [0.0]
 
     def test_constant_one_at_4_hand_value(self, store_1e5):
         lhs = math.log(4) + store_1e5.psi(4)
         rhs = 4 * math.log(4) - 2 * LOG2 - math.log(4 / 3)
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        r = identities.tatuzawa_iseki_residual(store_1e5, 4.0, identities.f_one)
+        r, = identities.tatuzawa_iseki_residual(store_1e5, 4.0, [identities.f_one])
         assert abs(r) < 1e-12
 
     def test_smoothed_at_2(self, store_1e5):
         f = identities.f_smoothed(store_1e5)
-        r = identities.tatuzawa_iseki_residual(store_1e5, 2.0, f)
+        r, = identities.tatuzawa_iseki_residual(store_1e5, 2.0, [f])
         assert abs(r) < 1e-12
 
     @pytest.mark.parametrize("fname", ["one", "log", "smoothed"])
     def test_residual_sweep(self, store_1e5, fname):
-        fs = {"one": identities.f_one, "log": identities.f_log,
-              "smoothed": identities.f_smoothed(store_1e5)}
+        f = _ti_functions(store_1e5)[fname]
         for x in np.geomspace(2, 10 ** 4, 25):
-            r = identities.tatuzawa_iseki_residual(store_1e5, float(x), fs[fname])
+            r, = identities.tatuzawa_iseki_residual(store_1e5, float(x), [f])
             assert abs(r) <= 1e-9 * x * math.log(x) ** 2, (fname, x)
 
     def test_chunking_invariance(self, store_1e5):
-        f = identities.f_smoothed(store_1e5)
-        full = identities.tatuzawa_iseki_residual(store_1e5, 3000.0, f)
-        tiny = identities.tatuzawa_iseki_residual(store_1e5, 3000.0, f,
+        fs = list(_ti_functions(store_1e5).values())
+        full = identities.tatuzawa_iseki_residual(store_1e5, 3000.0, fs)
+        tiny = identities.tatuzawa_iseki_residual(store_1e5, 3000.0, fs,
                                                   flat_chunk=1 << 8)
         assert full == pytest.approx(tiny, abs=1e-10)
 
     def test_range_error(self, store_1e5):
+        fs = list(_ti_functions(store_1e5).values())
         with pytest.raises(RangeError):
-            identities.tatuzawa_iseki_residual(store_1e5, 1.5, identities.f_one)
+            identities.tatuzawa_iseki_residual(store_1e5, 1.5, fs)
 
     @pytest.mark.parametrize("fname", ["one", "log", "smoothed"])
     def test_bytes_match_pairwise(self, store_1e5, fname):
-        fs = {"one": identities.f_one, "log": identities.f_log,
-              "smoothed": identities.f_smoothed(store_1e5)}
+        # one shared call for all three f gives, for each f, the bits of the
+        # pairwise form with that f alone
+        fs = _ti_functions(store_1e5)
+        j = list(fs).index(fname)
         for x in np.geomspace(2, 2e4, 30):
-            got = identities.tatuzawa_iseki_residual(store_1e5, float(x), fs[fname])
+            got = identities.tatuzawa_iseki_residual(store_1e5, float(x),
+                                                     list(fs.values()))
             want = oracles.tatuzawa_iseki_pairwise(store_1e5, float(x), fs[fname])
-            assert got == want, (fname, x)
-        f = fs[fname]
+            assert got[j] == want, (fname, x)
         for chunk in (1 << 8, 1):
-            got = identities.tatuzawa_iseki_residual(store_1e5, 3000.5, f, flat_chunk=chunk)
-            want = oracles.tatuzawa_iseki_pairwise(store_1e5, 3000.5, f, flat_chunk=chunk)
-            assert got == want, (fname, chunk)
+            got = identities.tatuzawa_iseki_residual(
+                store_1e5, 3000.5, list(fs.values()), flat_chunk=chunk)
+            want = oracles.tatuzawa_iseki_pairwise(store_1e5, 3000.5, fs[fname],
+                                                   flat_chunk=chunk)
+            assert got[j] == want, (fname, chunk)
 
     def test_f_evaluated_once_per_k(self, store_1e5):
-        sizes = []
-        smoothed = identities.f_smoothed(store_1e5)
+        sizes = {}
 
-        def counted(ys):
-            sizes.append(np.size(ys))
-            return smoothed(ys)
+        def counted(name, f):
+            def g(ys):
+                sizes.setdefault(name, []).append(np.size(ys))
+                return f(ys)
+            return g
 
+        fs = [counted(name, f) for name, f in _ti_functions(store_1e5).items()]
         x = 1e4
-        identities.tatuzawa_iseki_residual(store_1e5, x, counted)
-        assert len(sizes) == 3
-        assert sum(sizes) <= 2 * math.floor(x) + 1
+        identities.tatuzawa_iseki_residual(store_1e5, x, fs)
+        assert sorted(sizes) == ["log", "one", "smoothed"]
+        for name, calls in sizes.items():
+            assert len(calls) == 3, name
+            assert sum(calls) <= 2 * math.floor(x) + 1, name
 
 
 class TestDilatedSumReadings:
@@ -103,6 +116,39 @@ class TestDilatedSumReadings:
         for x in np.geomspace(10, 10 ** 5, 20):
             fw = identities.floor_weighted_mu_sum(store_1e5, float(x))
             assert abs(fw.residual) <= 1e-9 * x, x
+
+    def test_second_call_reads_the_kept_sum(self, monkeypatch):
+        store = summatory.PrefixSums(5000)
+        calls = []
+        big_f_many = store.big_f_many
+
+        def counted(ys):
+            calls.append(np.size(ys))
+            return big_f_many(ys)
+
+        monkeypatch.setattr(store, "big_f_many", counted)
+        first = identities.check_f_sum_identity(store, 1234.5)
+        assert len(calls) == 1
+        again = identities.check_f_sum_identity(store, np.float64(1234.5))
+        assert again == first and len(calls) == 1
+
+    def test_report_grid_summed_once(self, monkeypatch):
+        # f-sum-collapse sums every point of the f_dilated_sum grid, so the
+        # remainder series that follows makes no lookup of its own
+        ctx = cli.Context(config=cli.RunConfig(n_max=10 ** 5, conv_cap=10 ** 4))
+        store = ctx.store
+        cli.check_f_sum_collapse(ctx)
+        calls = []
+        big_f_many = store.big_f_many
+
+        def counted(ys):
+            calls.append(np.size(ys))
+            return big_f_many(ys)
+
+        monkeypatch.setattr(store, "big_f_many", counted)
+        series = identities.remainder_series(
+            store, "f_dilated_sum", cli.series_grid(ctx, "f_dilated_sum"))
+        assert len(series.xs) > 30 and calls == []
 
     def test_two_readings_differ_by_psi(self, store_1e5):
         x = 1000.0

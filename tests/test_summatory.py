@@ -97,16 +97,20 @@ class TestSmoothedSum:
 
 
 class TestWeightedSums:
+    # G(x) = log x sum_{n<=x} F(x/n), the weight of the Tatuzawa-Iseki
+    # identity, read through the production route check_f_sum_identity
     def test_g_weighted_hand_values(self, store_1e5):
-        assert store_1e5.g_weighted(1) == 0.0
-        assert store_1e5.g_weighted(2) == pytest.approx(LOG2 ** 2, rel=1e-13)
-        assert store_1e5.g_weighted(4) == pytest.approx(math.log(4) ** 2, rel=1e-13)
+        def g(x):
+            return math.log(x) * identities.check_f_sum_identity(store_1e5, x)[0]
+        assert g(1.0) == 0.0
+        assert g(2.0) == pytest.approx(LOG2 ** 2, rel=1e-13)
+        assert g(4.0) == pytest.approx(math.log(4) ** 2, rel=1e-13)
 
     def test_g_weighted_matches_direct(self, store_1e5):
         for x in (37.0, 500.5, 4096.0):
-            direct = math.log(x) * sum(store_1e5.big_f(x / n)
-                                       for n in range(1, int(x) + 1))
-            assert store_1e5.g_weighted(x) == pytest.approx(direct, rel=1e-11)
+            direct = sum(store_1e5.big_f(x / n) for n in range(1, int(x) + 1))
+            total, _ = identities.check_f_sum_identity(store_1e5, x)
+            assert total == pytest.approx(direct, rel=1e-11), x
 
     def test_log_square_sum(self):
         v1, v2 = summatory.log_square_sums([1.0, 2.0])
