@@ -164,19 +164,29 @@ def pointwise_residuals(table: ArithTable, x: float) -> PointwiseResidualStats:
     top = int(math.floor(x))
     if top > table.n_max:
         raise RangeError(f"x = {x} beyond table cap {table.n_max}")
-    n = np.arange(1, top + 1)
-    log_ratio = math.log(x) - table.log_n[1:top + 1]
-    r13 = 2.0 * table.lam[1:top + 1] * log_ratio - np.abs(table.lambda2_minus[1:top + 1])
-    r14 = 2.0 * table.log_n[1:top + 1] - table.lambda2[1:top + 1]
-    norm = np.log(n + 1.0)
-    r13_norm = np.abs(r13) / norm
+    # at most two full-length arrays live at once: at conv_cap this check
+    # sets the report's peak memory
+    ns = slice(1, top + 1)
+    buf = np.multiply(2.0, table.log_n[ns])
+    buf -= table.lambda2[ns]                        # r14
+    r14_avg = float(np.sum(buf) / x)
+    r14_abs_max = float(np.abs(buf, out=buf).max())
+    np.subtract(math.log(x), table.log_n[ns], out=buf)
+    r13 = np.multiply(2.0, table.lam[ns])
+    r13 *= buf
+    r13 -= np.abs(table.lambda2_minus[ns], out=buf)
+    r13_avg = float(np.sum(r13) / x)
+    np.abs(r13, out=r13)
+    del buf
+    norm = np.arange(2.0, top + 2.0)                # n + 1
+    r13 /= np.log(norm, out=norm)
     return PointwiseResidualStats(
         x=float(x),
-        r13_norm_max=float(r13_norm.max()),
-        r13_norm_mean=float(r13_norm.mean()),
-        r14_abs_max=float(np.abs(r14).max()),
-        r13_avg=float(np.sum(r13) / x),
-        r14_avg=float(np.sum(r14) / x),
+        r13_norm_max=float(r13.max()),
+        r13_norm_mean=float(r13.mean()),
+        r14_abs_max=r14_abs_max,
+        r13_avg=r13_avg,
+        r14_avg=r14_avg,
     )
 
 

@@ -20,14 +20,14 @@ zero crossings are located and then refined by bisection.
 Each kind is walked once per store (:func:`profile_walk`): one pass over the
 store's stride windows, taking M(n) and A(n) from its checkpoints and mu as
 the window replay does, so its F(y) is the store's.  At every window seam
-the walk checkpoints its state: the Neumaier carries of both integrals and,
-for mertens, the open zero run and the decade sups so far.  It records the
-crossings or zero runs, with the integral of |H| up to each, over the whole
-range.  A query set (:func:`cumulative_at`) then replays only the windows
-that hold its points, each from its seam and by the walk's own per-window
-code, so every value equals that of a single pass up to the largest point.
-The two kinds are separate walks: a caller that needs only the mertens
-profile does not pay for the smoothed terms.
+the walk keeps the two integrals there.  It records the crossings or zero
+runs, with the integral of |H| up to each, and for mertens the decade sups,
+over the whole range [1, n_max]; profiles take their zeros from it.  A
+query set (:func:`cumulative_at`) replays only the windows that hold its
+points, each from its seam and by the walk's own per-window code, so every
+value equals that of a single pass up to the largest point.  The two kinds
+are separate walks: a caller that needs only the mertens profile does not
+pay for the smoothed terms.
 
 For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
@@ -75,15 +75,12 @@ def _piece_mertens(m, u0, u1):
 
 @dataclass
 class StreamResult:
-    """Exact cumulative integrals and zero events up to each query point."""
+    """Exact cumulative integrals and the profile's numerator at each query
+    point."""
 
     cum_abs: np.ndarray
     cum_signed: np.ndarray
     f_at: np.ndarray            # F(y) (smoothed) or M(floor(y)) (mertens)
-    zeros_y: np.ndarray
-    zeros_cum_abs: np.ndarray
-    zero_flags: list
-    decade_sup: dict            # mertens only: decade -> sup |M(n)|/n
 
 
 def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
@@ -116,14 +113,11 @@ class _Window:
 
     def __init__(self, store: PrefixSums, k: int, hi: int, smoothed: bool,
                  start_abs: float, start_sig: float):
-        lo = k * store.stride + 1
+        lo, mu, self.m_cum = store.window_mertens(k, hi)
         self.lo, self.hi = lo, hi
         self.smoothed = smoothed
         self.start_abs, self.start_sig = start_abs, start_sig
         self._pre = None
-        mu = store.mu[lo - 1:hi - 1]
-        self.m_cum = np.cumsum(mu, dtype=np.int64)
-        self.m_cum += store.cp_m[k]
         # step i is [n, n + 1) with n = lo + i; u_all holds both ends
         self.u_all = u_all = np.arange(lo, hi + 1, dtype=np.float64)
         log_all = np.log(u_all)
@@ -202,81 +196,54 @@ class _Window:
 
 
 @dataclass
-class _Seam:
-    """The walk's state where window k starts."""
-
-    acc_abs: NeumaierSum        # the carry of the |H| integral
-    acc_sig: NeumaierSum        # the carry of the signed integral
-    run_open: bool              # an M == 0 run reaches the seam
-    run_start_n: int
-    last_zero_n: int
-    n_zeros: int                # zeros emitted before window k
-    decade_sup: dict            # mertens: decade sups over the n before the seam
-
-
-@dataclass
 class ProfileWalk:
     """One walk of a profile kind over all of [1, n_max].
 
-    ``seams[k]`` is the walk's state where window k starts; the zeros, their
-    flags and the decade sups are those of the whole range.
+    ``seams[k]`` holds the two integrals, of |H| and of H, where window k
+    starts; the zeros, their flags, the integral of |H| up to each zero and
+    the decade sups (mertens: decade -> sup |M(n)|/n) are those of the whole
+    range.
     """
 
-    seams: list
-    zeros_y: list
-    zeros_cum_abs: list
-    zero_flags: list
-    decade_sup: dict
+    seams: list = field(default_factory=list)
+    zeros_y: list = field(default_factory=list)
+    zeros_cum_abs: list = field(default_factory=list)
+    zero_flags: list = field(default_factory=list)
+    decade_sup: dict = field(default_factory=dict)
 
 
 class _Walker:
-    """Carries the stream across windows and records its zero events.
+    """Carries the stream across windows from n = 1 and records its seams,
+    zero events and decade sups in ``walk``."""
 
-    A fresh walker starts at n = 1; given a finished ``walk``, it resumes
-    from that walk's seam before window k.
-    """
-
-    def __init__(self, store: PrefixSums, kind: str,
-                 walk: ProfileWalk | None = None, k: int = 0):
+    def __init__(self, store: PrefixSums, kind: str):
         self.store = store
         self.smoothed = kind == "smoothed"
-        if walk is None:
-            walk = ProfileWalk([_Seam(NeumaierSum(), NeumaierSum(), False, 0, 0, 0, {})],
-                               [], [], [], {})
-        seam = walk.seams[k]
-        self.acc_abs = NeumaierSum(seam.acc_abs.total, seam.acc_abs.comp)
-        self.acc_sig = NeumaierSum(seam.acc_sig.total, seam.acc_sig.comp)
-        self.run_open = seam.run_open
-        self.run_start_n = seam.run_start_n
-        self.last_zero_n = seam.last_zero_n
-        self.decade_sup = dict(seam.decade_sup)
-        self.zeros_y = walk.zeros_y[:seam.n_zeros]
-        self.zeros_cum = walk.zeros_cum_abs[:seam.n_zeros]
-        self.zero_flags = walk.zero_flags[:seam.n_zeros]
-
-    def seam(self) -> _Seam:
-        return _Seam(NeumaierSum(self.acc_abs.total, self.acc_abs.comp),
-                     NeumaierSum(self.acc_sig.total, self.acc_sig.comp),
-                     self.run_open, self.run_start_n, self.last_zero_n,
-                     len(self.zeros_y), dict(self.decade_sup))
+        self.acc_abs = NeumaierSum()
+        self.acc_sig = NeumaierSum()
+        self.run_open = False           # an M == 0 run reaches the seam
+        self.run_start_n = 0
+        self.last_zero_n = 0
+        self.walk = ProfileWalk()
 
     def _emit_step_zero(self, n_pos: int, cum_value: float) -> None:
-        self.zeros_y.append(float(n_pos))
-        self.zeros_cum.append(cum_value)
-        self.zero_flags.append("step")
+        self.walk.zeros_y.append(float(n_pos))
+        self.walk.zeros_cum_abs.append(cum_value)
+        self.walk.zero_flags.append("step")
 
-    def step(self, k: int, hi: int) -> _Window:
+    def step(self, k: int, hi: int) -> None:
         """Walk window k up to n = hi - 1: its zeros, sups and sums."""
-        win = _Window(self.store, k, hi, self.smoothed,
-                      self.acc_abs.value, self.acc_sig.value)
+        walk = self.walk
+        walk.seams.append((self.acc_abs.value, self.acc_sig.value))
+        win = _Window(self.store, k, hi, self.smoothed, *walk.seams[-1])
         lo = win.lo
         if self.smoothed:
             if win.cross_fix:
                 pre_abs = win.pre()[0]
                 for i in sorted(win.cross_fix):
-                    self.zeros_y.append(win.cross_fix[i][0])
-                    self.zeros_cum.append(float(pre_abs[i]) + win.cross_fix[i][1])
-                    self.zero_flags.append("crossing")
+                    walk.zeros_y.append(win.cross_fix[i][0])
+                    walk.zeros_cum_abs.append(float(pre_abs[i]) + win.cross_fix[i][1])
+                    walk.zero_flags.append("crossing")
         else:
             # maximal runs of M == 0: zeros at the run's first and last step
             z = win.m_cum == 0
@@ -308,16 +275,16 @@ class _Walker:
                 a_edge = max(lo, 10 ** dec)
                 b_edge = min(hi - 1, 10 ** (dec + 1) - 1)
                 sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
-                self.decade_sup[dec] = max(self.decade_sup.get(dec, 0.0), sup)
+                walk.decade_sup[dec] = max(walk.decade_sup.get(dec, 0.0), sup)
 
         self.acc_abs.add(float(np.sum(win.d_abs)))
         self.acc_sig.add(float(np.sum(win.d_sig)))
-        return win
 
-    def finish(self) -> None:
-        """Close a zero run that reaches the end of the walk."""
+    def finish(self) -> ProfileWalk:
+        """Close a zero run that reaches n_max; the walk is then complete."""
         if self.run_open and self.last_zero_n > self.run_start_n:
             self._emit_step_zero(self.last_zero_n, self.acc_abs.value)
+        return self.walk
 
 
 def stream_cumulative(store: PrefixSums, kind: str = "smoothed") -> ProfileWalk:
@@ -325,23 +292,17 @@ def stream_cumulative(store: PrefixSums, kind: str = "smoothed") -> ProfileWalk:
 
     Window k holds the n in (k stride, (k+1) stride]; M and A start from the
     checkpoints ``store.cp_m[k]`` and ``store.cp_a[k]`` and take the same
-    cumulative sums as the window replay.  The walk records its state at
-    every seam, the crossings (smoothed) or zero-run boundaries (mertens)
+    cumulative sums as the window replay.  The walk records the two integrals
+    at every seam, the crossings (smoothed) or zero-run boundaries (mertens)
     with the integral of |H| up to each, and, for mertens, the per-decade
     sups of |M(n)|/n.  Use :func:`profile_walk`, which walks once per store.
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
     walker = _Walker(store, kind)
-    seams = []
     for k in range((store.n_max - 1) // store.stride + 1):
-        seams.append(walker.seam())
         walker.step(k, min((k + 1) * store.stride, store.n_max) + 1)
-    walker.finish()
-    return ProfileWalk(seams=seams, zeros_y=walker.zeros_y,
-                       zeros_cum_abs=walker.zeros_cum,
-                       zero_flags=walker.zero_flags,
-                       decade_sup=walker.decade_sup)
+    return walker.finish()
 
 
 _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -361,13 +322,13 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
 
     ``ys`` must be >= 1 with floor(y) <= ``store.n_max``; results come back
     in the caller's order.  ``cum_abs[i]`` is the x-domain integral of |H|
-    from 0 up to x = (log ys[i])^2, and ``cum_signed`` likewise without the
-    absolute value.  The zeros, flags and decade sups are those of
-    [1, floor(max ys)].  Each window holding a query is replayed from the
-    walk's seam up to its largest floor(y), and the top window with the
-    walk's zero events, so every value is the one a single pass up to
-    max ys gives; off the stride grid ``f_at`` equals
-    ``store.big_f_many(ys)`` bitwise.
+    from 0 up to x = (log ys[i])^2, ``cum_signed`` likewise without the
+    absolute value, and ``f_at`` the profile's numerator at ys[i].  Each
+    window holding a query is replayed from the walk's seam up to its
+    largest floor(y), so every value is the one a single pass up to max ys
+    gives; off the stride grid ``f_at`` equals ``store.big_f_many(ys)``
+    bitwise.  The zeros and decade sups are the walk's
+    (:func:`profile_walk`).
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
@@ -379,34 +340,23 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
         raise CapabilityError(f"query point {y_top} beyond store cap {store.n_max}",
                               max_usable=store.n_max)
     cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
-    top = _Walker(store, kind)          # no query points: no zeros, no sups
     if len(ys):
-        walk = profile_walk(store, kind)
+        seams = profile_walk(store, kind).seams
         order = np.argsort(ys, kind="stable")
         ys_sorted = ys[order]
         ns = np.floor(ys_sorted).astype(np.int64)
         ks = (ns - 1) // store.stride
-        k_top = int(ks[-1])
-        top = _Walker(store, kind, walk, k_top)
         for grp in np.split(np.arange(len(ys)), np.flatnonzero(np.diff(ks)) + 1):
             k = int(ks[grp[0]])
-            if k == k_top:
-                win = top.step(k, int(ns[-1]) + 1)
-            else:
-                seam = walk.seams[k]
-                win = _Window(store, k, int(ns[grp[-1]]) + 1, kind == "smoothed",
-                              seam.acc_abs.value, seam.acc_sig.value)
+            win = _Window(store, k, int(ns[grp[-1]]) + 1, kind == "smoothed",
+                          *seams[k])
             for j in grp:
                 q = order[j]
                 cum_abs_q[q], cum_sig_q[q], m_q[q], a_q[q] = win.at(float(ys_sorted[j]))
-    top.finish()
 
     return StreamResult(
         cum_abs=cum_abs_q, cum_signed=cum_sig_q,
-        f_at=m_q * np.log(ys) - a_q if kind == "smoothed" else m_q,
-        zeros_y=np.array(top.zeros_y, dtype=np.float64),
-        zeros_cum_abs=np.array(top.zeros_cum, dtype=np.float64),
-        zero_flags=top.zero_flags, decade_sup=top.decade_sup)
+        f_at=m_q * np.log(ys) - a_q if kind == "smoothed" else m_q)
 
 
 # ----------------------------------------------------------------------
@@ -461,7 +411,6 @@ class HProfile:
     """Sampled profile of H with exact cumulative integrals and zeros."""
 
     kind: str                   # smoothed | mertens | synthetic
-    y_max: float
     x_samples: np.ndarray
     y_samples: np.ndarray
     h_values: np.ndarray
@@ -488,27 +437,24 @@ class HProfile:
 
 
 def build_profile(store: PrefixSums, kind: str = "smoothed",
-                  y_max: int | None = None,
                   samples_per_decade: int = 32) -> HProfile:
-    """Sample H on a geometric y-grid and attach exact cumulative integrals.
+    """Sample H on a geometric y-grid over the store's whole range [1, n_max]
+    and attach exact cumulative integrals and the walk's zeros.
 
-    ``y_max`` defaults to the store cap.  A ``y_max`` below the grid start
-    (2.0) yields an empty profile, which downstream consumers must treat as
-    the finite-zeros branch rather than an error.
+    The samples run from y = 2 to y = n_max; a profile of [1, y] is the
+    profile of ``PrefixSums(y, stride)``.  A store with n_max below the grid
+    start (2.0) yields an empty profile, which downstream consumers must
+    treat as the finite-zeros branch rather than an error.
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
     if samples_per_decade < 10:
         raise RangeError("samples_per_decade must be >= 10")
-    if y_max is None:
-        y_max = store.n_max
-    if y_max > store.n_max:
-        raise CapabilityError(f"y_max {y_max} beyond store cap {store.n_max}",
-                              max_usable=store.n_max)
+    y_max = store.n_max
 
     if y_max < Y_GRID_START:
         empty = np.zeros(0)
-        return HProfile(kind=kind, y_max=float(y_max), x_samples=empty,
+        return HProfile(kind=kind, x_samples=empty,
                         y_samples=empty, h_values=empty,
                         cumulative_abs_integral=empty,
                         cumulative_signed_integral=empty,
@@ -522,21 +468,22 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     ys = np.unique(ys)
 
     res = cumulative_at(store, ys, kind=kind)
+    walk = profile_walk(store, kind)
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys
 
-    zeros_x = np.log(res.zeros_y) ** 2 if len(res.zeros_y) else np.zeros(0)
+    zeros_y = np.array(walk.zeros_y, dtype=np.float64)
     return HProfile(
-        kind=kind, y_max=float(y_max), x_samples=xs, y_samples=ys,
+        kind=kind, x_samples=xs, y_samples=ys,
         h_values=h_vals,
         cumulative_abs_integral=res.cum_abs,
         cumulative_signed_integral=res.cum_signed,
-        zeros=zeros_x, zero_flags=res.zero_flags,
-        cum_abs_at_zeros=res.zeros_cum_abs,
+        zeros=np.log(zeros_y) ** 2, zero_flags=list(walk.zero_flags),
+        cum_abs_at_zeros=np.array(walk.zeros_cum_abs, dtype=np.float64),
         zeros_are_step_boundaries=(kind == "mertens"),
         h_continuous=_make_h_eval(store, kind),
         store=store,
-        decade_sups=res.decade_sup or None)
+        decade_sups=dict(walk.decade_sup) or None)
 
 
 def _make_h_eval(store: PrefixSums, kind: str) -> Callable:
@@ -595,7 +542,7 @@ def build_synthetic_profile(h_func: Callable, x_grid,
     pos = np.searchsorted(breaks, xs)
     zpos = np.searchsorted(breaks, zeros)
     return HProfile(
-        kind="synthetic", y_max=float("nan"), x_samples=xs,
+        kind="synthetic", x_samples=xs,
         y_samples=np.full(len(xs), float("nan")), h_values=h_vals,
         cumulative_abs_integral=cum_abs_b[pos],
         cumulative_signed_integral=cum_sig_b[pos],
@@ -609,20 +556,13 @@ def build_synthetic_profile(h_func: Callable, x_grid,
 # derivative, intervals, constants
 # ----------------------------------------------------------------------
 
-def h_derivative(store: PrefixSums, y: float) -> float:
+def h_derivative_many(store: PrefixSums, ys) -> np.ndarray:
     """Closed-form derivative of the smoothed profile at x = (log y)^2.
 
     dH/dx = (M(y) - F(y)) / (2 sqrt(x) y), from F'(y) = M(y)/y and the chain
     rule.  At integer y the step value of M gives the right-hand limit; x
-    below the left cutoff is clamped to it.
+    below the left cutoff is clamped to it.  Every y must lie in [1, n_max].
     """
-    if y < 1.0:
-        raise RangeError(f"derivative needs y >= 1, got {y}")
-    x = max(math.log(y) ** 2, X_MIN_GUARD)
-    return (store.mertens(y) - store.big_f(y)) / (2.0 * math.sqrt(x) * float(y))
-
-
-def h_derivative_many(store: PrefixSums, ys) -> np.ndarray:
     ys = np.asarray(ys, dtype=np.float64)
     xs = np.maximum(np.log(ys) ** 2, X_MIN_GUARD)
     m, a = store._cum_many(("m", "a"), store._floor_many(ys))

@@ -223,20 +223,6 @@ def floor_weighted_mu_sum(store: PrefixSums, x: float) -> FloorWeightedSum:
 
 
 # ----------------------------------------------------------------------
-# smoothed self-bound check
-# ----------------------------------------------------------------------
-
-def f_self_bound_constant(store: PrefixSums, x: float) -> float:
-    """c(x) = (|F(x)| log^2 x - 2 int_1^x |F(x/t)| log(x/t) dt) / (x log x).
-
-    The t-integral equals x * int_1^x |F(u)| log(u)/u^2 du, evaluated in
-    closed form per unit step (splitting at the zeros of F inside a step).
-    """
-    series = remainder_series(store, "f_self_bound", [x])
-    return float(series.normalized[0])
-
-
-# ----------------------------------------------------------------------
 # remainder series over sample grids
 # ----------------------------------------------------------------------
 
@@ -311,6 +297,8 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         normalized = raw.copy()
         label = "1"
     else:  # f_self_bound
+        # c(x) = (|F(x)| log^2 x - 2 int_1^x |F(x/t)| log(x/t) dt) / (x log x);
+        # the t-integral is x int_1^x |F(u)| log(u)/u^2 du = x cum_abs / 2
         res = hprofile.cumulative_at(store, xs, kind="smoothed")
         raw = np.abs(res.f_at) * log_xs ** 2 - xs * res.cum_abs
         normalized = raw / (xs * log_xs)

@@ -113,16 +113,25 @@ class PrefixSums:
     # window replay
     # ------------------------------------------------------------------
 
+    def window_mertens(self, k: int, hi: int | None = None):
+        """(lo, mu, M) over window k: the n in [lo, hi) with lo = k stride + 1
+        and hi at most the window's end, min((k+1) stride, n_max) + 1, which
+        it defaults to.  mu is a view of the stored mu and M(n) a fresh
+        int64 array summed from checkpoint k."""
+        lo = k * self.stride + 1
+        if hi is None:
+            hi = min((k + 1) * self.stride, self.n_max) + 1
+        mu = self.mu[lo - 1:hi - 1]
+        m_cum = np.cumsum(mu, dtype=np.int64)
+        m_cum += self.cp_m[k]
+        return lo, mu, m_cum
+
     def _window_terms(self, k: int):
         """Per-integer terms of window k, the n in (k stride, (k+1) stride]
         up to n_max: M(n), mu(n) log n and M(n) log((n+1)/n), as fresh
         arrays built in place (the replay is the scalar-query hot path)."""
-        lo = k * self.stride + 1
-        hi = min((k + 1) * self.stride, self.n_max) + 1
-        mu = self.mu[lo - 1:hi - 1]
-        n = np.arange(lo, hi, dtype=np.float64)
-        m_cum = np.cumsum(mu, dtype=np.int64)
-        m_cum += self.cp_m[k]
+        lo, mu, m_cum = self.window_mertens(k)
+        n = np.arange(lo, lo + len(mu), dtype=np.float64)
         f_terms = np.divide(1.0, n)
         np.log1p(f_terms, out=f_terms)
         f_terms *= m_cum

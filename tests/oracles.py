@@ -10,6 +10,7 @@ segmented sieve is the cross-validation the test suite relies on.
 from __future__ import annotations
 
 import math
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -164,20 +165,37 @@ def log_square_sum(x) -> tuple[float, float]:
     return value, value - 2.0 * xv
 
 
-def stream_single_pass(store, ys, kind: str = "smoothed"):
+@dataclass
+class SinglePass:
+    """What one pass over [1, floor(max ys)] finds: the integrals and the
+    profile's numerator at each query, and the zero events and decade sups
+    of the whole pass."""
+
+    cum_abs: np.ndarray
+    cum_signed: np.ndarray
+    f_at: np.ndarray
+    zeros_y: np.ndarray
+    zeros_cum_abs: np.ndarray
+    zero_flags: list
+    decade_sup: dict
+
+
+def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     """The profile stream as one pass over [1, floor(max ys)] per query set.
 
-    The form ``hprofile.cumulative_at`` replaces: it walks every window up
-    to the largest query and answers the queries on the way, with the same
-    operations in the same order, so the two agree bit for bit.
+    The form ``hprofile.cumulative_at`` and ``hprofile.profile_walk``
+    replace: it walks every window up to the largest query and answers the
+    queries on the way, with the same operations in the same order, so the
+    values agree bit for bit.
 
     ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
-    x = (log ys[i])^2; a mertens pass also collects the per-decade sups of
-    |M(n)|/n up to floor(max ys).
+    x = (log ys[i])^2; the zero events are those of [1, floor(max ys)], and
+    a mertens pass also collects the per-decade sups of |M(n)|/n up to
+    floor(max ys).
     """
     from mertenslab.accum import NeumaierSum
-    from mertenslab.hprofile import (StreamResult, _p_anti, _piece_mertens,
-                                     _piece_smoothed, _q_anti, _refine_crossing)
+    from mertenslab.hprofile import (_p_anti, _piece_mertens, _piece_smoothed,
+                                     _q_anti, _refine_crossing)
 
     ys = np.asarray(ys, dtype=np.float64)
     y_top = float(ys.max(initial=0.0))
@@ -328,9 +346,32 @@ def stream_single_pass(store, ys, kind: str = "smoothed"):
     if run_open and last_zero_n > run_start_n:
         emit_step_zero(last_zero_n, acc_abs.value)
 
-    return StreamResult(
+    return SinglePass(
         cum_abs=cum_abs_q, cum_signed=cum_sig_q,
         f_at=m_q * np.log(ys) - a_q if smoothed else m_q,
         zeros_y=np.array(zeros_y, dtype=np.float64),
         zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
         zero_flags=zero_flags, decade_sup=decade_sup)
+
+
+def pointwise_residuals(table, x: float):
+    """The pointwise Selberg-weight statistics, each term written out as one
+    expression over fresh arrays (the form ``dirichlet.pointwise_residuals``
+    computes in two reused buffers, with the same operations in the same
+    order)."""
+    from mertenslab.dirichlet import PointwiseResidualStats
+
+    top = int(math.floor(x))
+    n = np.arange(1, top + 1)
+    log_ratio = math.log(x) - table.log_n[1:top + 1]
+    r13 = 2.0 * table.lam[1:top + 1] * log_ratio - np.abs(table.lambda2_minus[1:top + 1])
+    r14 = 2.0 * table.log_n[1:top + 1] - table.lambda2[1:top + 1]
+    r13_norm = np.abs(r13) / np.log(n + 1.0)
+    return PointwiseResidualStats(
+        x=float(x),
+        r13_norm_max=float(r13_norm.max()),
+        r13_norm_mean=float(r13_norm.mean()),
+        r14_abs_max=float(np.abs(r14).max()),
+        r13_avg=float(np.sum(r13) / x),
+        r14_avg=float(np.sum(r14) / x),
+    )

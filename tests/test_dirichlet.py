@@ -118,6 +118,11 @@ class TestPointwiseResiduals:
         stats = dirichlet.pointwise_residuals(table_2e4, x)
         assert stats.r14_avg == pytest.approx(direct, rel=1e-12)
 
+    def test_matches_expression_form(self, table_2e4):
+        for x in (2.0, 30.0, 5000.0, 12345.6, 2e4):
+            assert (dirichlet.pointwise_residuals(table_2e4, x)
+                    == oracles.pointwise_residuals(table_2e4, x)), x
+
     def test_range_error(self, table_2e4):
         with pytest.raises(RangeError):
             dirichlet.pointwise_residuals(table_2e4, 1.5)

@@ -25,10 +25,13 @@ def assert_same_stream(res, want):
     assert res.cum_abs.tolist() == want.cum_abs.tolist()
     assert res.cum_signed.tolist() == want.cum_signed.tolist()
     assert res.f_at.tolist() == want.f_at.tolist()
-    assert res.zeros_y.tolist() == want.zeros_y.tolist()
-    assert res.zeros_cum_abs.tolist() == want.zeros_cum_abs.tolist()
-    assert res.zero_flags == want.zero_flags
-    assert list(res.decade_sup.items()) == list(want.decade_sup.items())
+
+
+def assert_same_events(walk, want):
+    assert walk.zeros_y == want.zeros_y.tolist()
+    assert walk.zeros_cum_abs == want.zeros_cum_abs.tolist()
+    assert walk.zero_flags == want.zero_flags
+    assert list(walk.decade_sup.items()) == list(want.decade_sup.items())
 
 
 class TestStreamCumulative:
@@ -55,16 +58,14 @@ class TestStreamCumulative:
             assert res.cum_abs[i] == res_sorted.cum_abs[j]
 
     def test_first_smoothed_zero_is_sqrt30(self, store_1e4):
-        res = hprofile.cumulative_at(store_1e4, np.array([100.0]), kind="smoothed")
-        assert len(res.zeros_y) >= 1
-        assert res.zeros_y[0] == pytest.approx(math.sqrt(30.0), rel=1e-10)
+        walk = hprofile.profile_walk(store_1e4, "smoothed")
+        assert len(walk.zeros_y) >= 1
+        assert walk.zeros_y[0] == pytest.approx(math.sqrt(30.0), rel=1e-10)
 
     def test_mertens_zero_runs(self, store_1e4):
         # M touches zero at 2, then on the run 39..40
-        res = hprofile.cumulative_at(store_1e4, np.array([50.0]), kind="mertens")
-        zs = list(res.zeros_y)
-        assert 2.0 in zs
-        assert 39.0 in zs and 40.0 in zs
+        zs = hprofile.profile_walk(store_1e4, "mertens").zeros_y
+        assert zs[:3] == [2.0, 39.0, 40.0]
 
     def test_empty_queries(self, store_1e4):
         res = hprofile.cumulative_at(store_1e4, np.array([]), kind="smoothed")
@@ -87,18 +88,20 @@ class TestStreamCumulative:
         ys = np.array([2.5, 39.5, 40.0, 1000.3, 65536.5, float(N_STRIDED)])
         ref = {kind: hprofile.cumulative_at(strided_stores[1 << 16], ys, kind)
                for kind in ("smoothed", "mertens")}
+        ref_walk = {kind: hprofile.profile_walk(strided_stores[1 << 16], kind)
+                    for kind in ("smoothed", "mertens")}
         for stride in (39, 211, 1000):
             store = strided_stores[stride]
             for kind in ("smoothed", "mertens"):
                 res = hprofile.cumulative_at(store, ys, kind)
-                want = ref[kind]
-                assert np.allclose(res.cum_abs, want.cum_abs, rtol=1e-12, atol=0)
+                assert np.allclose(res.cum_abs, ref[kind].cum_abs, rtol=1e-12, atol=0)
+                walk, want = hprofile.profile_walk(store, kind), ref_walk[kind]
                 if kind == "mertens":
-                    assert res.zeros_y.tolist() == want.zeros_y.tolist()
-                    assert res.zero_flags == want.zero_flags
-                    assert res.decade_sup == want.decade_sup
+                    assert walk.zeros_y == want.zeros_y
+                    assert walk.zero_flags == want.zero_flags
+                    assert walk.decade_sup == want.decade_sup
                 else:
-                    assert np.allclose(res.zeros_y, want.zeros_y, rtol=1e-12, atol=0)
+                    assert np.allclose(walk.zeros_y, want.zeros_y, rtol=1e-12, atol=0)
 
     def test_stream_does_not_replay_windows(self, store_1e4, monkeypatch):
         def no_replay(self, k):
@@ -115,7 +118,7 @@ class TestStreamCumulative:
         # replaying one window from the walk's seam gives the single pass's
         # values bit for bit: query points at seams, inside the zero runs
         # 39..40 and 422..425, in unsorted order, and with
-        # floor(max y) < n_max, where the top run and decades are cut short
+        # floor(max y) < n_max, where the pass stops short of the walk
         store = strided_stores[stride]
         query_sets = (
             [2.5, 39.0, 39.5, 40.0, 423.0, 1000.3, 65536.5, float(N_STRIDED)],
@@ -129,10 +132,22 @@ class TestStreamCumulative:
                 assert_same_stream(hprofile.cumulative_at(store, ys, kind),
                                    oracles.stream_single_pass(store, ys, kind))
 
+    @pytest.mark.parametrize("stride", [39, 211, 1000, 1 << 16])
+    def test_walk_matches_single_pass(self, strided_stores, stride):
+        # the walk's zeros, their flags and |H| integrals and the decade
+        # sups are those of one pass over all of [1, n_max]: the zero runs
+        # 39..40 and 422..425 straddle seams at strides 39 and 211
+        store = strided_stores[stride]
+        for kind in ("smoothed", "mertens"):
+            assert_same_events(hprofile.profile_walk(store, kind),
+                               oracles.stream_single_pass(store, [float(N_STRIDED)], kind))
+
     def test_walks_once_per_store(self, monkeypatch):
         store = summatory.PrefixSums(3000, stride=97)
         ys = [2.0, 100.5, 2999.0]
         first = {kind: hprofile.cumulative_at(store, ys, kind)
+                 for kind in ("smoothed", "mertens")}
+        walks = {kind: hprofile.profile_walk(store, kind)
                  for kind in ("smoothed", "mertens")}
 
         def no_walk(*args, **kwargs):
@@ -143,6 +158,8 @@ class TestStreamCumulative:
             assert_same_stream(hprofile.cumulative_at(store, ys, kind), first[kind])
             assert_same_stream(hprofile.cumulative_at(store, [50.5], kind),
                                oracles.stream_single_pass(store, [50.5], kind))
+            assert hprofile.profile_walk(store, kind) is walks[kind]
+            hprofile.build_profile(store, kind)
 
     def test_tail_sups_match_single_pass(self, strided_stores):
         for store in strided_stores.values():
@@ -156,13 +173,16 @@ class TestStreamCumulative:
 
 
 class TestBuildProfile:
-    @pytest.mark.parametrize("y_max", [10, 40, 1000, N_STRIDED])
+    # 424 lies inside the zero run 422..425, which the cut store ends early
+    @pytest.mark.parametrize("y_max", [10, 40, 424, 1000, N_STRIDED])
     def test_matches_single_pass(self, strided_stores, y_max):
-        for stride in (39, 1 << 16):
-            store = strided_stores[stride]
+        # the profile of [1, y] is that of the store PrefixSums(y): bit for
+        # bit the single pass over the larger store cut at y
+        for stride, full in strided_stores.items():
+            store = full if y_max == full.n_max else summatory.PrefixSums(y_max, stride)
             for kind in ("smoothed", "mertens"):
-                prof = hprofile.build_profile(store, kind, y_max=y_max)
-                res = oracles.stream_single_pass(store, prof.y_samples, kind)
+                prof = hprofile.build_profile(store, kind)
+                res = oracles.stream_single_pass(full, prof.y_samples, kind)
                 assert prof.y_samples[-1] == y_max
                 assert prof.h_values.tolist() == (res.f_at / prof.y_samples).tolist()
                 assert prof.cumulative_abs_integral.tolist() == res.cum_abs.tolist()
@@ -172,18 +192,18 @@ class TestBuildProfile:
                 assert prof.zero_flags == res.zero_flags
                 assert prof.decade_sups == (res.decade_sup or None)
 
-    def test_single_sample_profile(self, store_1e4):
-        prof = hprofile.build_profile(store_1e4, "smoothed", y_max=2)
+    def test_single_sample_profile(self):
+        prof = hprofile.build_profile(summatory.PrefixSums(2), "smoothed")
         assert len(prof.x_samples) == 1
         assert prof.x_samples[0] == pytest.approx(LOG2 ** 2)
         assert prof.h_values[0] == pytest.approx(LOG2 / 2)
 
-    def test_mertens_point(self, store_1e4):
-        prof = hprofile.build_profile(store_1e4, "mertens", y_max=10)
+    def test_mertens_point(self):
+        prof = hprofile.build_profile(summatory.PrefixSums(10), "mertens")
         assert prof.h_values[-1] == pytest.approx(-0.1)
 
-    def test_empty_profile_is_not_an_error(self, store_1e4):
-        prof = hprofile.build_profile(store_1e4, "mertens", y_max=1)
+    def test_empty_profile_is_not_an_error(self):
+        prof = hprofile.build_profile(summatory.PrefixSums(1), "mertens")
         assert len(prof.x_samples) == 0
         assert prof.finite_zero_branch()
         assert hprofile.interval_stats(prof) == []
@@ -204,10 +224,6 @@ class TestBuildProfile:
         lo = prof.cumulative_abs_integral[i - 1] if i else 0.0
         hi = prof.cumulative_abs_integral[min(i, len(prof.x_samples) - 1)]
         assert lo - 1e-12 <= prof.cum_abs_at_zeros[0] <= hi + 1e-12
-
-    def test_cap_error(self, store_1e4):
-        with pytest.raises(CapabilityError):
-            hprofile.build_profile(store_1e4, "smoothed", y_max=10 ** 6)
 
     def test_samples_per_decade_floor(self, store_1e4):
         with pytest.raises(RangeError):
@@ -256,7 +272,7 @@ class TestDerivative:
         y = 2.5
         x = math.log(y) ** 2
         want = (store_1e4.mertens(y) - store_1e4.big_f(y)) / (2 * math.sqrt(x) * y)
-        assert hprofile.h_derivative(store_1e4, y) == pytest.approx(want, rel=0)
+        assert hprofile.h_derivative_many(store_1e4, [y])[0] == pytest.approx(want, rel=0)
         assert store_1e4.mertens(2.5) == 0
         assert store_1e4.big_f(2.5) == pytest.approx(LOG2, abs=1e-15)
 
@@ -265,18 +281,18 @@ class TestDerivative:
         ys = np.exp(rng.uniform(math.log(5.0), math.log(10 ** 4), 100))
         ys = ys[np.abs(ys - np.round(ys)) > 0.05]
         step = 1e-6
-        for y in ys:
+        hps = hprofile.h_derivative_many(store_1e5, ys)
+        for y, hp in zip(ys, hps):
             x = math.log(y) ** 2
-            hp = hprofile.h_derivative(store_1e5, y)
             h = lambda xx: store_1e5.h_smoothed(math.exp(math.sqrt(xx)))
             fd = (h(x + step / 2) - h(x - step / 2)) / step
             assert abs(hp - fd) <= 1e-4, y
 
     def test_near_one_guard(self, store_1e4):
-        v = hprofile.h_derivative(store_1e4, 1.0000001)
+        v = hprofile.h_derivative_many(store_1e4, [1.0000001])[0]
         assert math.isfinite(v)
         with pytest.raises(RangeError):
-            hprofile.h_derivative(store_1e4, 0.5)
+            hprofile.h_derivative_many(store_1e4, [0.5])
 
 
 class TestConstants:
@@ -334,11 +350,11 @@ class TestConstants:
         for iv in prof.intervals:
             assert iv.integral_abs <= iv.deriv_bound + 1e-12
 
-    def test_empty_profile_rejected(self, store_1e4):
-        prof = hprofile.build_profile(store_1e4, "smoothed", y_max=1)
+    def test_empty_profile_rejected(self):
+        prof = hprofile.build_profile(summatory.PrefixSums(1), "smoothed")
         with pytest.raises(RangeError):
             hprofile.estimate_constants(prof, tail_fraction=0.5)
-        single = hprofile.build_profile(store_1e4, "smoothed", y_max=2)
+        single = hprofile.build_profile(summatory.PrefixSums(2), "smoothed")
         c = hprofile.estimate_constants(single, tail_fraction=0.5)
         assert c.n_window_samples == 1
         with pytest.raises(RangeError):

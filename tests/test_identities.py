@@ -159,13 +159,13 @@ class TestDilatedSumReadings:
 
 class TestSelfBound:
     def test_hand_value_at_2(self, store_1e5):
-        c2 = identities.f_self_bound_constant(store_1e5, 2.0)
+        c2 = identities.remainder_series(store_1e5, "f_self_bound", [2.0]).normalized[0]
         integral = 2.0 - 2.0 * LOG2 - LOG2 ** 2
         want = (LOG2 ** 3 - 2.0 * integral) / (2.0 * LOG2)
         assert c2 == pytest.approx(want, abs=1e-12)
 
     def test_non_integer_endpoint(self, store_1e5):
-        c = identities.f_self_bound_constant(store_1e5, math.e)
+        c = identities.remainder_series(store_1e5, "f_self_bound", [math.e]).normalized[0]
         assert math.isfinite(c)
 
     def test_sweep_finite_and_recorded(self, store_1e5):
