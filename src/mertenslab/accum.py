@@ -33,11 +33,17 @@ class NeumaierSum:
         return self.total + self.comp
 
 
-def kahan_slice_add(out: np.ndarray, comp: np.ndarray, sl, addend) -> None:
-    """In-place ``out[sl] += addend`` with per-element Kahan compensation."""
-    y = addend - comp[sl]
+def kahan_slice_add(out: np.ndarray, comp: np.ndarray, sl, addend: np.ndarray) -> None:
+    """In-place ``out[sl] += addend`` with per-element Kahan compensation.
+
+    ``sl`` is a slice and ``addend`` a fresh float64 array, which is
+    overwritten with y = addend - comp[sl]; t = out[sl] + y is the one
+    temporary, and comp[sl] = (t - out[sl]) - y is formed in place.
+    """
+    y = np.subtract(addend, comp[sl], out=addend)
     t = out[sl] + y
-    comp[sl] = (t - out[sl]) - y
+    c = np.subtract(t, out[sl], out=comp[sl])
+    c -= y
     out[sl] = t
 
 

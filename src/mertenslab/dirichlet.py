@@ -21,7 +21,7 @@ O(sqrt(n_max)) vectorized passes, each Kahan-compensated.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -59,7 +59,8 @@ def convolve_prefix(f: np.ndarray, g: np.ndarray, n_max: int) -> np.ndarray:
             top = n_max // q
             kahan_slice_add(out, comp, slice(q * (b + 1), q * top + 1, q),
                             gq * f[b + 1:top + 1])
-    return out - comp
+    out -= comp
+    return out
 
 
 @dataclass
@@ -79,7 +80,6 @@ class ArithTable:
     log_n: np.ndarray
     form_discrepancy: float = 0.0
     form_discrepancy_n: int = 0
-    lambda_conv: np.ndarray = field(default=None, repr=False)
 
 
 def build_arith_table(store: PrefixSums, n_max: int,
@@ -109,20 +109,25 @@ def build_arith_table(store: PrefixSums, n_max: int,
     i = int(np.searchsorted(store.pp, n_max, side="right"))
     lam[store.pp[:i]] = store.pp_lam[:i]
 
-    log_n = np.zeros(n_max + 1)
-    log_n[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+    log_n = np.arange(n_max + 1, dtype=np.float64)
+    np.log(log_n[1:], out=log_n[1:])
+    log_n[0] = 0.0
 
+    # each temporary is freed, or its buffer reused, once its last reader is
+    # done, so the mobius-form convolution runs beside the kept columns alone
     lam_conv = convolve_prefix(lam, lam, n_max)
-    lam_log = lam * log_n
-    lambda2 = lam_conv + lam_log
-    lambda2_minus = lam_conv - lam_log
-
     theta = np.zeros(n_max + 1)
     if n_max >= 2:
-        theta[2:] = lam_conv[2:] / log_n[2:]
+        np.divide(lam_conv[2:], log_n[2:], out=theta[2:])
+    lam_log = lam * log_n
+    lambda2 = lam_conv + lam_log
+    lambda2_minus = lam_conv
+    lambda2_minus -= lam_log
+    del lam_conv, lam_log
 
-    lambda2_mob = convolve_prefix(mu.astype(np.float64), log_n ** 2, n_max)
-    gaps = np.abs(lambda2_mob - lambda2)
+    gaps = convolve_prefix(mu.astype(np.float64), log_n ** 2, n_max)   # mobius form
+    gaps -= lambda2
+    np.abs(gaps, out=gaps)
     disc_n = int(np.argmax(gaps))
     disc = float(gaps[disc_n])
     budget = tol_rel * max(math.log(n_max), 1.0) ** 2
@@ -134,8 +139,7 @@ def build_arith_table(store: PrefixSums, n_max: int,
 
     return ArithTable(n_max=n_max, mu=mu, lam=lam, lambda2=lambda2,
                       lambda2_minus=lambda2_minus, theta=theta, log_n=log_n,
-                      form_discrepancy=disc, form_discrepancy_n=disc_n,
-                      lambda_conv=lam_conv)
+                      form_discrepancy=disc, form_discrepancy_n=disc_n)
 
 
 @dataclass(frozen=True)
@@ -164,8 +168,8 @@ def pointwise_residuals(table: ArithTable, x: float) -> PointwiseResidualStats:
     top = int(math.floor(x))
     if top > table.n_max:
         raise RangeError(f"x = {x} beyond table cap {table.n_max}")
-    # at most two full-length arrays live at once: at conv_cap this check
-    # sets the report's peak memory
+    # at most two full-length arrays live at once, to keep this check under
+    # the report's peak memory at conv_cap
     ns = slice(1, top + 1)
     buf = np.multiply(2.0, table.log_n[ns])
     buf -= table.lambda2[ns]                        # r14

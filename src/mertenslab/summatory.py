@@ -7,12 +7,16 @@ of prime powers carrying the von Mangoldt values, from which psi and its
 relatives are answered directly.  The build pass is the only sieve pass: it
 keeps mu as one int8 array (1 byte per integer) and the prime powers, and
 the checkpoints are then derived from the stored mu one stride window at a
-time.  Values between checkpoints are recovered by replaying one window of
-that mu from the nearest checkpoint with the same per-window terms, so
-arbitrary real-argument queries remain cheap; recently used windows are
-kept in an LRU cache.  Batched lookups group their arguments by window and
-read every running sum asked for (M, A, the integral) from one visit per
-window.
+time.  Between checkpoints, M(n) is the checkpoint plus an exact int64 sum
+of mu over the window's prefix, so a scalar M lookup replays nothing.  A
+and the integral are recovered by replaying that prefix of the window from
+the nearest checkpoint with the build's per-window terms, only for the sums
+asked for and only up to the largest offset asked for; numpy's cumsum adds
+left to right, so a prefix has the bits of a full-window replay.  Replayed
+windows are kept in an LRU cache, one dict of per-kind arrays per window,
+which may be shorter than the window.  Batched lookups group their
+arguments by window and read every running sum asked for (M, A, the
+integral) from one visit per window.
 
 Key evaluators built on top of the store:
 
@@ -129,7 +133,8 @@ class PrefixSums:
     def _window_terms(self, k: int):
         """Per-integer terms of window k, the n in (k stride, (k+1) stride]
         up to n_max: M(n), mu(n) log n and M(n) log((n+1)/n), as fresh
-        arrays built in place (the replay is the scalar-query hot path)."""
+        arrays built in place; the build pass sums them into the
+        checkpoints, and ``_window`` replays a prefix by the same steps."""
         lo, mu, m_cum = self.window_mertens(k)
         n = np.arange(lo, lo + len(mu), dtype=np.float64)
         f_terms = np.divide(1.0, n)
@@ -139,21 +144,55 @@ class PrefixSums:
         a_terms *= mu
         return m_cum, a_terms, f_terms
 
-    def _window(self, k: int) -> dict:
+    def _window(self, k: int, kinds: tuple[str, ...], top: int) -> dict:
+        """Running sums of window k at offsets 1..top, the n in (k stride,
+        k stride + top], one array per kind in ``kinds``, kept in the LRU.
+
+        A cached entry is returned as it is; ``_window_for`` drops one that
+        lacks a kind or is shorter than top before it calls here.  A replay
+        builds only the kinds asked for, by the operations of
+        ``_window_terms`` over the prefix: ``cumsum`` adds left to right, so
+        every value has the bits of a full-window replay.  The integral
+        reuses the window's M.
+        """
         win = self._windows.get(k)
         if win is not None:
             self._windows.move_to_end(k)
             return win
-        m_cum, a_cum, f_cum = self._window_terms(k)
-        np.cumsum(a_cum, out=a_cum)
-        a_cum += self.cp_a[k]
-        np.cumsum(f_cum, out=f_cum)
-        f_cum += self.cp_fint[k]
-        win = {"m": m_cum, "a": a_cum, "fint": f_cum}
+        lo = k * self.stride + 1
+        hi = lo + top
+        win = {}
+        if "m" in kinds or "fint" in kinds:
+            m_cum = self.window_mertens(k, hi)[2]
+            if "m" in kinds:
+                win["m"] = m_cum
+        if "fint" in kinds or "a" in kinds:
+            n = np.arange(lo, hi, dtype=np.float64)
+        if "fint" in kinds:
+            f_cum = np.divide(1.0, n)
+            np.log1p(f_cum, out=f_cum)
+            f_cum *= m_cum
+            np.cumsum(f_cum, out=f_cum)
+            f_cum += self.cp_fint[k]
+            win["fint"] = f_cum
+        if "a" in kinds:
+            a_cum = np.log(n, out=n)
+            a_cum *= self.mu[lo - 1:hi - 1]
+            np.cumsum(a_cum, out=a_cum)
+            a_cum += self.cp_a[k]
+            win["a"] = a_cum
         self._windows[k] = win
         if len(self._windows) > WINDOW_CACHE:
             self._windows.popitem(last=False)
         return win
+
+    def _window_for(self, k: int, kinds: tuple[str, ...], top: int) -> dict:
+        """``_window(k, kinds, top)`` after dropping a cached entry of window
+        k that cannot serve it, so that such an entry is replayed afresh."""
+        win = self._windows.get(k)
+        if win is not None and any(len(win.get(kind, ())) < top for kind in kinds):
+            del self._windows[k]
+        return self._window(k, kinds, top)
 
     def _floor_checked(self, x, lo: float = 1.0) -> int:
         xv = float(x)
@@ -165,16 +204,15 @@ class PrefixSums:
         return int(math.floor(xv))
 
     def _cum_lookup(self, kind: str, n: int):
-        """Value of the running sum at integer n (0 for n = 0)."""
-        if n == 0:
-            return 0 if kind == "m" else 0.0
+        """Value of the running sum at integer n (0 for n = 0).  M is the
+        checkpoint plus an exact int64 sum of mu over the window's prefix,
+        so it replays nothing."""
         k, r = divmod(n, self.stride)
+        if kind == "m":
+            return self.cp_m[k] + np.sum(self.mu[k * self.stride:n], dtype=np.int64)
         if r == 0:
-            if kind == "m":
-                return int(self.cp_m[k])
             return float(self.cp_a[k] if kind == "a" else self.cp_fint[k])
-        win = self._window(k)
-        return win[kind][r - 1]
+        return self._window_for(k, (kind,), r)[kind][r - 1]
 
     # ------------------------------------------------------------------
     # point queries
@@ -235,8 +273,8 @@ class PrefixSums:
         order = off[np.argsort(ks[off], kind="stable")]
         groups = np.split(order, np.flatnonzero(np.diff(ks[order])) + 1) if len(order) else []
         for sel in groups:
-            win = self._window(int(ks[sel[0]]))
             r = rs[sel] - 1
+            win = self._window_for(int(ks[sel[0]]), kinds, int(r.max()) + 1)
             for out, kind in zip(outs, kinds):
                 out[sel] = win[kind][r]
         return outs

@@ -94,6 +94,53 @@ def convolve_naive(f: np.ndarray, g: np.ndarray, n_max: int) -> np.ndarray:
     return out
 
 
+def convolve_split_fresh(f: np.ndarray, g: np.ndarray, n_max: int) -> np.ndarray:
+    """``dirichlet.convolve_prefix``'s split divisor loop with every Kahan
+    step written as one expression over fresh arrays (the form the in-place
+    ``accum.kahan_slice_add`` replaced, with the same operations in the same
+    order)."""
+    out = np.zeros(n_max + 1)
+    comp = np.zeros(n_max + 1)
+
+    def add(sl, addend):
+        y = addend - comp[sl]
+        t = out[sl] + y
+        comp[sl] = (t - out[sl]) - y
+        out[sl] = t
+
+    b = math.isqrt(n_max)
+    for d in range(1, b + 1):
+        if f[d] != 0.0:
+            add(slice(d, n_max + 1, d), f[d] * g[1:n_max // d + 1])
+    for q in range(1, n_max // (b + 1) + 1):
+        if g[q] != 0.0:
+            top = n_max // q
+            add(slice(q * (b + 1), q * top + 1, q), g[q] * f[b + 1:top + 1])
+    return out - comp
+
+
+def arith_columns(store, n_max: int) -> dict:
+    """The Selberg-weight columns of ``dirichlet.build_arith_table`` and its
+    worst form gap, each written as one expression over fresh arrays (the
+    form the table's freed and reused buffers replaced)."""
+    mu = np.zeros(n_max + 1)
+    mu[1:] = store.mu[:n_max]
+    lam = np.zeros(n_max + 1)
+    i = int(np.searchsorted(store.pp, n_max, side="right"))
+    lam[store.pp[:i]] = store.pp_lam[:i]
+    log_n = np.zeros(n_max + 1)
+    log_n[1:] = np.log(np.arange(1, n_max + 1, dtype=np.float64))
+    lam_conv = convolve_split_fresh(lam, lam, n_max)
+    theta = np.zeros(n_max + 1)
+    theta[2:] = lam_conv[2:] / log_n[2:]
+    lambda2 = lam_conv + lam * log_n
+    gaps = np.abs(convolve_split_fresh(mu, log_n ** 2, n_max) - lambda2)
+    return {"lam": lam, "log_n": log_n, "lambda2": lambda2,
+            "lambda2_minus": lam_conv - lam * log_n, "theta": theta,
+            "form_discrepancy": float(gaps.max()),
+            "form_discrepancy_n": int(np.argmax(gaps))}
+
+
 def big_f_naive(xs: float, mu: np.ndarray) -> float:
     """F(x) = sum_{n<=x} mu(n) log(x/n) summed term by term."""
     top = int(math.floor(xs))
@@ -163,6 +210,18 @@ def log_square_sum(x) -> tuple[float, float]:
         acc.add(float(np.sum(t * t)))
     value = acc.value
     return value, value - 2.0 * xv
+
+
+def window_replay(store, k: int) -> dict:
+    """The running sums M, A and the integral over the whole of window k,
+    replayed from checkpoint k (the form ``PrefixSums._window`` replaced:
+    every kind, always to the window's end)."""
+    m_cum, a_cum, f_cum = store._window_terms(k)
+    np.cumsum(a_cum, out=a_cum)
+    a_cum += store.cp_a[k]
+    np.cumsum(f_cum, out=f_cum)
+    f_cum += store.cp_fint[k]
+    return {"m": m_cum, "a": a_cum, "fint": f_cum}
 
 
 @dataclass

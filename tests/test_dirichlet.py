@@ -21,7 +21,8 @@ class TestConvolve:
         assert np.all(out[2:] == 0.0)
 
     def test_lambda_conv_hand_values(self, table_2e4):
-        conv = table_2e4.lambda_conv
+        t = table_2e4
+        conv = dirichlet.convolve_prefix(t.lam, t.lam, t.n_max)
         assert conv[12] == pytest.approx(2 * LOG2 * LOG3, rel=1e-14)
         assert conv[4] == pytest.approx(LOG2 ** 2, rel=1e-14)
         assert conv[1] == 0.0
@@ -43,6 +44,15 @@ class TestConvolve:
         got = dirichlet.convolve_prefix(f, g, n_max)
         want = oracles.convolve_naive(f, g, n_max)
         assert np.abs(got - want).max() < 1e-12
+
+    @pytest.mark.parametrize("n_max", [1, 2, 97, 5000])
+    def test_bits_match_fresh_array_steps(self, n_max):
+        rng = np.random.default_rng(n_max)
+        f = rng.uniform(-2, 2, n_max + 1)
+        g = rng.uniform(-2, 2, n_max + 1)
+        f[rng.random(n_max + 1) < 0.3] = 0.0
+        got = dirichlet.convolve_prefix(f, g, n_max)
+        assert np.array_equal(got, oracles.convolve_split_fresh(f, g, n_max))
 
     def test_rejects_zero_cap(self):
         with pytest.raises(RangeError):
@@ -76,15 +86,22 @@ class TestArithTable:
     def test_lambda2_minus_definition(self, table_2e4):
         t = table_2e4
         n = np.arange(2, 2001)
-        want = t.lambda_conv[n] - t.lam[n] * t.log_n[n]
+        want = dirichlet.convolve_prefix(t.lam, t.lam, t.n_max)[n] - t.lam[n] * t.log_n[n]
         assert np.array_equal(t.lambda2_minus[n], want)
 
     def test_theta_consistency(self, table_2e4):
         t = table_2e4
         n = np.arange(2, t.n_max + 1)
-        gap = np.abs(t.theta[n] * t.log_n[n] - t.lambda_conv[n])
+        conv = dirichlet.convolve_prefix(t.lam, t.lam, t.n_max)
+        gap = np.abs(t.theta[n] * t.log_n[n] - conv[n])
         assert gap.max() <= 1e-9 * math.log(t.n_max) ** 2
         assert t.theta[1] == 0.0
+
+    def test_columns_match_fresh_array_forms(self, store_1e5, table_2e4):
+        want = oracles.arith_columns(store_1e5, table_2e4.n_max)
+        for name, value in want.items():
+            got = getattr(table_2e4, name)
+            assert np.array_equal(got, value) if isinstance(value, np.ndarray) else got == value, name
 
     def test_nonnegative(self, table_2e4):
         assert table_2e4.lambda2.min() >= -1e-9

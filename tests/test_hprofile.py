@@ -104,7 +104,7 @@ class TestStreamCumulative:
                     assert np.allclose(walk.zeros_y, want.zeros_y, rtol=1e-12, atol=0)
 
     def test_stream_does_not_replay_windows(self, store_1e4, monkeypatch):
-        def no_replay(self, k):
+        def no_replay(self, k, kinds, top):
             raise AssertionError("the stream replayed a window")
 
         monkeypatch.setattr(summatory.PrefixSums, "_window", no_replay)

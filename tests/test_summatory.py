@@ -234,15 +234,140 @@ class TestBatchedLookups:
         visits = []
         window = summatory.PrefixSums._window
 
-        def counted(self, k):
+        def counted(self, k, kinds, top):
             visits.append(k)
-            return window(self, k)
+            return window(self, k, kinds, top)
 
         monkeypatch.setattr(summatory.PrefixSums, "_window", counted)
         ns = self._ns(store)
         store._cum_many(kinds, ns)
         off = ns[ns % self.STRIDE != 0]
         assert visits == list(np.unique(off // self.STRIDE))
+
+
+class TestPrefixReplay:
+    """A window replay builds only the kinds asked for and only up to the
+    largest offset asked for; every value it gives equals the full-window
+    replay of every kind (``oracles.window_replay``) bit for bit, whatever
+    the order of the requests."""
+
+    STRIDE = 1 << 10
+    N_MAX = 10 ** 5
+    KINDS = ("m", "a", "fint")
+
+    @pytest.fixture
+    def store(self):
+        return summatory.PrefixSums(self.N_MAX, stride=self.STRIDE)
+
+    @pytest.fixture(scope="class")
+    def full(self):
+        store = summatory.PrefixSums(self.N_MAX, stride=self.STRIDE)
+        return [oracles.window_replay(store, k) for k in range(len(store.cp_m))]
+
+    def _ns(self, seed):
+        seams = [k * self.STRIDE + d for k in (0, 1, 7, 50, 96, 97)
+                 for d in (-1, 0, 1, 2, self.STRIDE - 1)
+                 if 0 <= k * self.STRIDE + d <= self.N_MAX]
+        ns = np.random.default_rng(seed).integers(0, self.N_MAX + 1, 300)
+        return np.concatenate((ns, seams, [self.N_MAX])).astype(np.int64)
+
+    def _want(self, store, full, kind, ns):
+        cps = {"m": store.cp_m, "a": store.cp_a, "fint": store.cp_fint}
+        out = []
+        for n in ns:
+            k, r = divmod(int(n), self.STRIDE)
+            out.append(full[k][kind][r - 1] if r else cps[kind][k])
+        return np.array(out, dtype=cps[kind].dtype)
+
+    def _lookup(self, store, full, kinds, ns):
+        for kind, got in zip(kinds, store._cum_many(kinds, ns)):
+            assert np.array_equal(got, self._want(store, full, kind, ns)), kind
+        for k, win in store._windows.items():
+            for kind, arr in win.items():
+                assert np.array_equal(arr, full[k][kind][:len(arr)]), (k, kind)
+
+    def test_short_prefix_then_longer(self, store, full):
+        for k in (0, 7, 50, 97):
+            base = k * self.STRIDE
+            self._lookup(store, full, ("a", "fint"), [base + 3])
+            assert len(store._windows[k]["a"]) == 3
+            self._lookup(store, full, ("a", "fint"), [base + 2, base + 200])
+            assert len(store._windows[k]["fint"]) == 200
+            self._lookup(store, full, ("a",), [base + 5])
+            assert len(store._windows[k]["a"]) == 200      # served from the cache
+        self._lookup(store, full, self.KINDS, self._ns(1))
+
+    def test_a_then_fint(self, store, full):
+        ns = self._ns(2)
+        self._lookup(store, full, ("a",), ns)
+        self._lookup(store, full, ("fint",), ns)
+        self._lookup(store, full, ("a", "fint"), ns[::-1])
+
+    def test_m_alone_then_all_three(self, store, full):
+        ns = self._ns(3)
+        self._lookup(store, full, ("m",), ns)
+        assert all(set(win) == {"m"} for win in store._windows.values())
+        self._lookup(store, full, self.KINDS, ns)
+        self._lookup(store, full, ("m",), ns[:40])
+
+    def test_evicted_then_read_again(self, store, full):
+        ns = [3 * self.STRIDE + 17]
+        self._lookup(store, full, self.KINDS, ns)
+        others = [k * self.STRIDE + 1000 for k in range(10, 10 + summatory.WINDOW_CACHE)]
+        self._lookup(store, full, ("a",), others)
+        assert 3 not in store._windows
+        self._lookup(store, full, self.KINDS, ns)
+        self._lookup(store, full, ("fint",), ns + others)
+
+    def test_scalar_queries(self, store, full):
+        ns = self._ns(4)
+        xs = np.concatenate((ns[(ns >= 1) & (ns < self.N_MAX)] + 0.25,
+                             [1.0, 2.0, float(self.N_MAX)]))
+        for x in xs:
+            n = int(math.floor(x))
+            m = int(self._want(store, full, "m", [n])[0])
+            a = float(self._want(store, full, "a", [n])[0])
+            assert store.mertens(x) == m
+            assert store.big_f(x) == m * math.log(x) - a
+            fint = float(self._want(store, full, "fint", [n - 1])[0]) if n > 1 else 0.0
+            if x > n:
+                fint += m * math.log(x / n)
+            assert store.big_f_integral(x) == fint
+
+
+class TestReplayWork:
+    """Deterministic work counts of the window replay (the tracer's
+    ``summatory.window_replays`` counts calls of ``_window``)."""
+
+    STRIDE = 1 << 10
+
+    @pytest.fixture
+    def store(self):
+        return summatory.PrefixSums(10 ** 5, stride=self.STRIDE)
+
+    def test_scalar_mertens_replays_nothing(self, store, monkeypatch):
+        def no_replay(self, k, kinds, top):
+            raise AssertionError("a scalar M lookup replayed a window")
+
+        monkeypatch.setattr(summatory.PrefixSums, "_window", no_replay)
+        xs = np.random.default_rng(6).uniform(1, 10 ** 5, 200)
+        for x in np.concatenate((xs, [1.0, self.STRIDE, self.STRIDE + 1.5, 10 ** 5])):
+            store.mertens(x)
+        assert store.mertens(10 ** 5) == -48
+        assert not store._windows
+
+    def test_mertens_many_caches_m_alone(self, store):
+        xs = np.random.default_rng(7).uniform(1, 10 ** 5, 500)
+        store.mertens_many(xs)
+        assert len(store._windows) == summatory.WINDOW_CACHE
+        assert all(set(win) == {"m"} for win in store._windows.values())
+
+    @pytest.mark.parametrize("r", [1, 37, 1023])
+    def test_scalar_big_f_caches_its_prefix(self, store, r):
+        k = 41
+        store.big_f(k * self.STRIDE + r + 0.5)
+        assert list(store._windows) == [k]
+        assert {kind: len(arr) for kind, arr in store._windows[k].items()} == {"a": r}
 
 
 class TestConstructionDeterminism:
