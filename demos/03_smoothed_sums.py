@@ -60,5 +60,5 @@ print(" 4. The normalized profiles behind the main limit")
 print("=" * 70)
 print(f"{'y':>10} {'F(y)/y':>14} {'M(y)/y':>14}")
 for y in (10.0, 100.0, 10 ** 4, 10 ** 6):
-    print(f"{y:>10} {store.h_smoothed(y):>14.8f} {store.h_mertens(y):>14.8f}")
+    print(f"{y:>10} {store.big_f(y) / y:>14.8f} {store.mertens(y) / y:>14.8f}")
 print("  (both columns shrink: that is the prime number theorem at desk scale)")

@@ -33,6 +33,10 @@ For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
 first and last step boundaries are recorded as zeros (left endpoints, in
 x-coordinates) and flagged as step boundaries.
+
+A profile carries the sup of |H'| it was built with (``deriv_sup``, over a
+grid four times as dense as its samples), so the interval statistics and
+the constants read it without asking which kind of profile they hold.
 """
 
 from __future__ import annotations
@@ -51,6 +55,7 @@ from .summatory import PrefixSums
 X_MIN_GUARD = 1e-6          # left cutoff: 1/(2 sqrt(x)) is singular at 0
 ZERO_XTOL_REL = 1e-12       # x-domain relative tolerance for refined zeros
 Y_GRID_START = 2.0
+H_MARGIN = 0.1              # safety margin of h_param over m / 2
 
 
 def _q_anti(u, log_u):
@@ -113,21 +118,23 @@ class _Window:
 
     def __init__(self, store: PrefixSums, k: int, hi: int, smoothed: bool,
                  start_abs: float, start_sig: float):
-        lo, mu, self.m_cum = store.window_mertens(k, hi)
+        terms = store.window_terms(k, ("m", "log", "a") if smoothed else ("m", "log"), hi)
+        lo = k * store.stride + 1
         self.lo, self.hi = lo, hi
+        self.m_cum = terms["m"]
         self.smoothed = smoothed
         self.start_abs, self.start_sig = start_abs, start_sig
         self._pre = None
         # step i is [n, n + 1) with n = lo + i; u_all holds both ends
-        self.u_all = u_all = np.arange(lo, hi + 1, dtype=np.float64)
-        log_all = np.log(u_all)
+        self.u_all = u_all = terms["u"]
+        log_all = terms["log"]
         log_n, log_n1 = log_all[:-1], log_all[1:]
         q_all = _q_anti(u_all, log_all)
         q_step = q_all[1:] - q_all[:-1]
         self.mf = mf = self.m_cum.astype(np.float64)
 
         if smoothed:
-            self.a_cum = a_cum = mu * log_n
+            self.a_cum = a_cum = terms["a"]
             np.cumsum(a_cum, out=a_cum)
             a_cum += store.cp_a[k]
             p_all = _p_anti(u_all, log_all)
@@ -410,7 +417,7 @@ class ConstantEstimates:
 class HProfile:
     """Sampled profile of H with exact cumulative integrals and zeros."""
 
-    kind: str                   # smoothed | mertens | synthetic
+    kind: str                   # smoothed | mertens
     x_samples: np.ndarray
     y_samples: np.ndarray
     h_values: np.ndarray
@@ -420,9 +427,8 @@ class HProfile:
     zero_flags: list
     cum_abs_at_zeros: np.ndarray
     zeros_are_step_boundaries: bool
+    deriv_sup: float            # sup |H'| over a grid 4x as dense as the samples
     h_continuous: Callable = field(repr=False, default=None)
-    h_derivative_fn: Callable = field(repr=False, default=None)
-    store: PrefixSums = field(repr=False, default=None)
     decade_sups: dict = None
     intervals: list = None
     constants: ConstantEstimates = None
@@ -439,7 +445,7 @@ class HProfile:
 def build_profile(store: PrefixSums, kind: str = "smoothed",
                   samples_per_decade: int = 32) -> HProfile:
     """Sample H on a geometric y-grid over the store's whole range [1, n_max]
-    and attach exact cumulative integrals and the walk's zeros.
+    and attach exact cumulative integrals, the walk's zeros and ``deriv_sup``.
 
     The samples run from y = 2 to y = n_max; a profile of [1, y] is the
     profile of ``PrefixSums(y, stride)``.  A store with n_max below the grid
@@ -460,7 +466,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
                         cumulative_signed_integral=empty,
                         zeros=empty, zero_flags=[], cum_abs_at_zeros=empty,
                         zeros_are_step_boundaries=(kind == "mertens"),
-                        h_continuous=_make_h_eval(store, kind), store=store)
+                        deriv_sup=0.0, h_continuous=_make_h_eval(store, kind))
 
     n_pts = max(int(math.ceil(samples_per_decade * math.log10(y_max / Y_GRID_START))), 1) + 1
     ys = np.geomspace(Y_GRID_START, float(y_max), n_pts)
@@ -472,6 +478,14 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys
 
+    # sup |H'| over a geometric grid four times as dense as the samples
+    yd = np.minimum(np.maximum(np.geomspace(ys[0], ys[-1], 4 * len(ys)), 1.0), y_max)
+    if kind == "smoothed":
+        h_prime = h_derivative_many(store, yd)
+    else:
+        xd = np.maximum(np.log(yd) ** 2, X_MIN_GUARD)
+        h_prime = store.mertens_many(yd).astype(np.float64) / yd / (2.0 * np.sqrt(xd))
+
     zeros_y = np.array(walk.zeros_y, dtype=np.float64)
     return HProfile(
         kind=kind, x_samples=xs, y_samples=ys,
@@ -481,75 +495,18 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
         zeros=np.log(zeros_y) ** 2, zero_flags=list(walk.zero_flags),
         cum_abs_at_zeros=np.array(walk.zeros_cum_abs, dtype=np.float64),
         zeros_are_step_boundaries=(kind == "mertens"),
+        deriv_sup=float(np.abs(h_prime).max()),
         h_continuous=_make_h_eval(store, kind),
-        store=store,
         decade_sups=dict(walk.decade_sup) or None)
 
 
 def _make_h_eval(store: PrefixSums, kind: str) -> Callable:
-    if kind == "smoothed":
-        def h_eval(x):
-            y = math.exp(math.sqrt(max(x, 0.0)))
-            return store.big_f(y) / y
-    else:
-        def h_eval(x):
-            y = math.exp(math.sqrt(max(x, 0.0)))
-            return store.mertens(y) / y
+    numerator = store.big_f if kind == "smoothed" else store.mertens
+
+    def h_eval(x):
+        y = math.exp(math.sqrt(max(x, 0.0)))
+        return numerator(y) / y
     return h_eval
-
-
-def build_synthetic_profile(h_func: Callable, x_grid,
-                            dh_func: Callable | None = None) -> HProfile:
-    """Wrap a continuous test function as a profile.
-
-    Zeros are bracketed on the sample grid and refined with Brent's method;
-    cumulative integrals come from adaptive quadrature on the sign-constant
-    subintervals, so closed-form test cases reproduce to near machine
-    precision.  This is the package's only use of scipy, so scipy is
-    imported here and no command path loads it.
-    """
-    from scipy.integrate import quad
-    from scipy.optimize import brentq
-
-    xs = np.asarray(x_grid, dtype=np.float64)
-    if len(xs) < 2 or np.any(np.diff(xs) <= 0):
-        raise RangeError("x_grid must be strictly increasing with >= 2 points")
-    h_vals = np.array([h_func(x) for x in xs])
-
-    zeros = []
-    for i in range(len(xs) - 1):
-        f0, f1 = h_vals[i], h_vals[i + 1]
-        if f0 == 0.0:
-            zeros.append(float(xs[i]))
-        elif f0 * f1 < 0.0:
-            zeros.append(float(brentq(h_func, xs[i], xs[i + 1],
-                                      xtol=1e-15, rtol=1e-15)))
-    if len(h_vals) and h_vals[-1] == 0.0:
-        zeros.append(float(xs[-1]))
-    zeros = np.array(sorted(set(zeros)))
-
-    # integrate |h| piecewise between breakpoints (grid + zeros)
-    breaks = np.unique(np.concatenate((xs, zeros)))
-    cum_abs_b = np.zeros(len(breaks))
-    cum_sig_b = np.zeros(len(breaks))
-    for i in range(1, len(breaks)):
-        seg_sig, _ = quad(h_func, breaks[i - 1], breaks[i], limit=200)
-        cum_sig_b[i] = cum_sig_b[i - 1] + seg_sig
-        mid = 0.5 * (breaks[i - 1] + breaks[i])
-        sign = 1.0 if h_func(mid) >= 0 else -1.0
-        cum_abs_b[i] = cum_abs_b[i - 1] + sign * seg_sig
-
-    pos = np.searchsorted(breaks, xs)
-    zpos = np.searchsorted(breaks, zeros)
-    return HProfile(
-        kind="synthetic", x_samples=xs,
-        y_samples=np.full(len(xs), float("nan")), h_values=h_vals,
-        cumulative_abs_integral=cum_abs_b[pos],
-        cumulative_signed_integral=cum_sig_b[pos],
-        zeros=zeros, zero_flags=["crossing"] * len(zeros),
-        cum_abs_at_zeros=cum_abs_b[zpos],
-        zeros_are_step_boundaries=False,
-        h_continuous=h_func, h_derivative_fn=dh_func)
 
 
 # ----------------------------------------------------------------------
@@ -569,30 +526,6 @@ def h_derivative_many(store: PrefixSums, ys) -> np.ndarray:
     m = m.astype(np.float64)
     f = m * np.log(ys) - a
     return (m - f) / (2.0 * np.sqrt(xs) * ys)
-
-
-def _derivative_sup(profile: HProfile, refine: int = 4) -> float:
-    """sup |H'| over a dense grid covering the profile's x-range."""
-    if len(profile.x_samples) == 0:
-        return 0.0
-    if profile.kind == "synthetic":
-        xs = np.linspace(profile.x_samples[0], profile.x_samples[-1],
-                         refine * len(profile.x_samples))
-        if profile.h_derivative_fn is not None:
-            vals = np.array([abs(profile.h_derivative_fn(x)) for x in xs])
-        else:
-            h = profile.h_continuous
-            step = max((xs[-1] - xs[0]) * 1e-7, 1e-9)
-            vals = np.array([abs(h(x + step) - h(x - step)) / (2 * step) for x in xs])
-        return float(vals.max())
-    ys = np.geomspace(profile.y_samples[0], profile.y_samples[-1],
-                      refine * len(profile.y_samples))
-    ys = np.minimum(np.maximum(ys, 1.0), profile.store.n_max)
-    if profile.kind == "smoothed":
-        return float(np.abs(h_derivative_many(profile.store, ys)).max())
-    xs = np.maximum(np.log(ys) ** 2, X_MIN_GUARD)
-    m = profile.store.mertens_many(ys).astype(np.float64)
-    return float(np.abs(m / ys / (2.0 * np.sqrt(xs))).max())
 
 
 def _locate_mean_point(profile: HProfile, a: float, b: float,
@@ -626,11 +559,10 @@ def _locate_mean_point(profile: HProfile, a: float, b: float,
     return 0.5 * (lo_x + hi_x)
 
 
-def interval_stats(profile: HProfile, m_hat: float | None = None,
-                   alpha_hat: float | None = None,
-                   kappa: float | None = None,
-                   locate_xi: bool | None = None) -> list[ZeroInterval]:
-    """Per-interval exact integrals, mean-value data, and both bounds.
+def interval_stats(profile: HProfile, m_hat: float | None = None) -> list[ZeroInterval]:
+    """Per-interval exact integrals, mean-value data and derivative bounds
+    (m = ``m_hat``, by default the profile's ``deriv_sup``); ``damped_bound``
+    is left nan for :func:`estimate_constants`, which knows kappa.
 
     With fewer than two zeros the list is empty: that is the finite-zeros
     branch of the analysis, not an error.
@@ -638,9 +570,8 @@ def interval_stats(profile: HProfile, m_hat: float | None = None,
     if profile.finite_zero_branch():
         return []
     if m_hat is None:
-        m_hat = _derivative_sup(profile)
-    if locate_xi is None:
-        locate_xi = not profile.zeros_are_step_boundaries
+        m_hat = profile.deriv_sup
+    crossings = not profile.zeros_are_step_boundaries
     out = []
     za = profile.zeros
     ca = profile.cum_abs_at_zeros
@@ -651,27 +582,24 @@ def interval_stats(profile: HProfile, m_hat: float | None = None,
         if integral < 0.0:   # exact-zero rounding
             integral = 0.0
         h_xi = integral / width if width > 0 else 0.0
-        xi = _locate_mean_point(profile, a, b, h_xi) if (locate_xi and h_xi > 0) \
+        xi = _locate_mean_point(profile, a, b, h_xi) if (crossings and h_xi > 0) \
             else float("nan")
-        deriv_bound = 0.5 * m_hat * width * width
-        if alpha_hat is not None and kappa is not None and math.isfinite(kappa):
-            damped = alpha_hat * width * (1.0 - kappa * h_xi)
-        else:
-            damped = float("nan")
         out.append(ZeroInterval(a=a, b=b, integral_abs=integral, xi=xi,
-                                h_at_xi=h_xi, deriv_bound=deriv_bound,
-                                damped_bound=damped))
+                                h_at_xi=h_xi, deriv_bound=0.5 * m_hat * width * width,
+                                damped_bound=float("nan")))
     return out
 
 
-def estimate_constants(profile: HProfile, tail_fraction: float = 0.5,
-                       h_margin: float = 0.1) -> ConstantEstimates:
+def estimate_constants(profile: HProfile,
+                       tail_fraction: float = 0.5) -> ConstantEstimates:
     """Measure every named constant on the profile's tail window.
 
     The window is x >= (1 - tail_fraction) * x_max.  h_param realizes the
     two feasibility constraints (interval width and positive damping) as a
-    single max with a safety margin, and falls back to 1.0 when both are
-    degenerate (e.g. H identically zero).
+    single max with the safety margin ``H_MARGIN``, and falls back to 1.0
+    when both are degenerate (e.g. H identically zero).  The profile's
+    intervals are built once and get their ``damped_bound`` when kappa is
+    finite.
     """
     if len(profile.x_samples) == 0:
         raise RangeError("cannot estimate constants on an empty profile")
@@ -693,11 +621,11 @@ def estimate_constants(profile: HProfile, tail_fraction: float = 0.5,
     tail_span = x_max - float(profile.x_samples[idx_lo])
     mean_abs_tail_hat = tail_mass / tail_span if tail_span > 0 else alpha_hat
 
-    m_hat = _derivative_sup(profile)
+    m_hat = profile.deriv_sup
     cs = profile.cumulative_signed_integral
     signed_span = float(max(cs.max(), 0.0) - min(cs.min(), 0.0))
 
-    intervals = interval_stats(profile, m_hat=m_hat)
+    intervals = interval_stats(profile)
     if intervals:
         min_width = min(iv.b - iv.a for iv in intervals)
         h1 = alpha_hat / min_width if min_width > 0 else 0.0
@@ -705,7 +633,7 @@ def estimate_constants(profile: HProfile, tail_fraction: float = 0.5,
     else:
         h1 = 0.0
         iota_hat = float("nan")
-    h2 = 0.5 * m_hat * (1.0 + h_margin)
+    h2 = 0.5 * m_hat * (1.0 + H_MARGIN)
     h_param = max(h1, h2)
     if h_param <= 0.0:
         h_param = 1.0
@@ -717,6 +645,9 @@ def estimate_constants(profile: HProfile, tail_fraction: float = 0.5,
     epsilon = alpha_hat / h_param
     lambda_est = kappa * iota_hat if (math.isfinite(kappa) and math.isfinite(iota_hat)) \
         else float("nan")
+    if math.isfinite(kappa):
+        for iv in intervals:
+            iv.damped_bound = alpha_hat * (iv.b - iv.a) * (1.0 - kappa * iv.h_at_xi)
 
     constants = ConstantEstimates(
         alpha_hat=alpha_hat, mean_abs_hat=mean_abs_hat,
@@ -724,10 +655,6 @@ def estimate_constants(profile: HProfile, tail_fraction: float = 0.5,
         signed_span_hat=signed_span, iota_hat=iota_hat, kappa=kappa,
         epsilon=epsilon, h_param=h_param, lambda_est=lambda_est,
         window_lo=w_lo, window_hi=x_max, n_window_samples=int(in_win.sum()))
-
-    if intervals and math.isfinite(kappa):
-        intervals = interval_stats(profile, m_hat=m_hat, alpha_hat=alpha_hat,
-                                   kappa=kappa)
     profile.intervals = intervals
     profile.constants = constants
     return constants

@@ -16,15 +16,18 @@ left to right, so a prefix has the bits of a full-window replay.  Replayed
 windows are kept in an LRU cache, one dict of per-kind arrays per window,
 which may be shorter than the window.  Batched lookups group their
 arguments by window and read every running sum asked for (M, A, the
-integral) from one visit per window.
+integral) from one visit per window.  A window's per-integer terms (M,
+log n, mu(n) log n and M(n) log((n+1)/n)) are built in one place,
+``window_terms``, for the build, the replay and the profile walks alike.
 
 Key evaluators built on top of the store:
 
     big_f(x)          F(x) = sum_{n<=x} mu(n) log(x/n) = M(|x|) log x - A(|x|)
     big_f_integral(x) the same F(x) as integral_1^x M(y)/y dy, evaluated in
                       closed form over the unit steps of M
-    h_smoothed(y)     F(y)/y       (normalized smoothed Mertens function)
-    h_mertens(y)      M(y)/y
+
+The normalized profiles of :mod:`hprofile` are ``big_f(y)/y`` and
+``mertens(y)/y``.
 """
 
 from __future__ import annotations
@@ -98,10 +101,10 @@ class PrefixSums:
         acc_a = NeumaierSum()
         acc_f = NeumaierSum()
         for k in range(n_cp):
-            m_cum, a_terms, f_terms = self._window_terms(k)
-            acc_a.add(float(np.sum(a_terms)))
-            acc_f.add(float(np.sum(f_terms)))
-            self.cp_m[k + 1] = m_cum[-1]
+            terms = self.window_terms(k, ("m", "a", "fint"))
+            acc_a.add(float(np.sum(terms["a"])))
+            acc_f.add(float(np.sum(terms["fint"])))
+            self.cp_m[k + 1] = terms["m"][-1]
             self.cp_a[k + 1] = acc_a.value
             self.cp_fint[k + 1] = acc_f.value
         self.mertens_at_n_max = int(self.cp_m[n_cp]) + int(
@@ -117,32 +120,42 @@ class PrefixSums:
     # window replay
     # ------------------------------------------------------------------
 
-    def window_mertens(self, k: int, hi: int | None = None):
-        """(lo, mu, M) over window k: the n in [lo, hi) with lo = k stride + 1
-        and hi at most the window's end, min((k+1) stride, n_max) + 1, which
-        it defaults to.  mu is a view of the stored mu and M(n) a fresh
-        int64 array summed from checkpoint k."""
+    def window_terms(self, k: int, kinds: tuple[str, ...], hi: int | None = None) -> dict:
+        """Per-integer terms of window k, one fresh array per kind asked for:
+        "m" M(n) as int64 from checkpoint k, "log" log u at the step ends
+        u = lo, ..., hi (with those ends as floats under "u"), "a" mu(n) log n
+        and "fint" M(n) log((n+1)/n), over the n in [lo, hi) with
+        lo = k stride + 1 and hi at most (and by default) the window's end,
+        min((k+1) stride, n_max) + 1.
+
+        "fint" also builds "m", and "log" and "a" share one ``np.log``.  The
+        build sums these terms into the checkpoints, and ``_window`` and the
+        profile walks take their cumulative sums, so every route has the
+        same bits.
+        """
         lo = k * self.stride + 1
         if hi is None:
             hi = min((k + 1) * self.stride, self.n_max) + 1
         mu = self.mu[lo - 1:hi - 1]
-        m_cum = np.cumsum(mu, dtype=np.int64)
-        m_cum += self.cp_m[k]
-        return lo, mu, m_cum
-
-    def _window_terms(self, k: int):
-        """Per-integer terms of window k, the n in (k stride, (k+1) stride]
-        up to n_max: M(n), mu(n) log n and M(n) log((n+1)/n), as fresh
-        arrays built in place; the build pass sums them into the
-        checkpoints, and ``_window`` replays a prefix by the same steps."""
-        lo, mu, m_cum = self.window_mertens(k)
-        n = np.arange(lo, lo + len(mu), dtype=np.float64)
-        f_terms = np.divide(1.0, n)
-        np.log1p(f_terms, out=f_terms)
-        f_terms *= m_cum
-        a_terms = np.log(n, out=n)
-        a_terms *= mu
-        return m_cum, a_terms, f_terms
+        out = {}
+        if "m" in kinds or "fint" in kinds:
+            out["m"] = m_cum = np.cumsum(mu, dtype=np.int64)
+            m_cum += self.cp_m[k]
+        if {"log", "a", "fint"} & set(kinds):
+            u = np.arange(lo, hi + 1, dtype=np.float64)
+        if "fint" in kinds:
+            out["fint"] = f_terms = np.divide(1.0, u[:-1])
+            np.log1p(f_terms, out=f_terms)
+            f_terms *= m_cum
+        if "log" in kinds:      # the walks keep the step ends and their logs
+            out["u"] = u
+            out["log"] = log_u = np.log(u)
+            if "a" in kinds:
+                out["a"] = mu * log_u[:-1]
+        elif "a" in kinds:      # the build and the replays take the logs in place
+            out["a"] = a_terms = np.log(u, out=u)[:-1]
+            a_terms *= mu
+        return out
 
     def _window(self, k: int, kinds: tuple[str, ...], top: int) -> dict:
         """Running sums of window k at offsets 1..top, the n in (k stride,
@@ -150,37 +163,23 @@ class PrefixSums:
 
         A cached entry is returned as it is; ``_window_for`` drops one that
         lacks a kind or is shorter than top before it calls here.  A replay
-        builds only the kinds asked for, by the operations of
-        ``_window_terms`` over the prefix: ``cumsum`` adds left to right, so
-        every value has the bits of a full-window replay.  The integral
-        reuses the window's M.
+        builds only the kinds asked for, as cumulative sums of
+        ``window_terms`` over the prefix: ``cumsum`` adds left to right, so
+        every value has the bits of a full-window replay.
         """
         win = self._windows.get(k)
         if win is not None:
             self._windows.move_to_end(k)
             return win
-        lo = k * self.stride + 1
-        hi = lo + top
+        terms = self.window_terms(k, kinds, k * self.stride + 1 + top)
+        cps = {"a": self.cp_a, "fint": self.cp_fint}
         win = {}
-        if "m" in kinds or "fint" in kinds:
-            m_cum = self.window_mertens(k, hi)[2]
-            if "m" in kinds:
-                win["m"] = m_cum
-        if "fint" in kinds or "a" in kinds:
-            n = np.arange(lo, hi, dtype=np.float64)
-        if "fint" in kinds:
-            f_cum = np.divide(1.0, n)
-            np.log1p(f_cum, out=f_cum)
-            f_cum *= m_cum
-            np.cumsum(f_cum, out=f_cum)
-            f_cum += self.cp_fint[k]
-            win["fint"] = f_cum
-        if "a" in kinds:
-            a_cum = np.log(n, out=n)
-            a_cum *= self.mu[lo - 1:hi - 1]
-            np.cumsum(a_cum, out=a_cum)
-            a_cum += self.cp_a[k]
-            win["a"] = a_cum
+        for kind in kinds:
+            run = terms[kind]
+            if kind != "m":
+                np.cumsum(run, out=run)
+                run += cps[kind][k]
+            win[kind] = run
         self._windows[k] = win
         if len(self._windows) > WINDOW_CACHE:
             self._windows.popitem(last=False)
@@ -241,14 +240,6 @@ class PrefixSums:
         if frac > 1.0:
             val += self._cum_lookup("m", n) * math.log(frac)
         return val
-
-    def h_smoothed(self, y) -> float:
-        """F(y)/y, the smoothed sum normalized at y = exp(sqrt(x))."""
-        return self.big_f(y) / float(y)
-
-    def h_mertens(self, y) -> float:
-        """M(y)/y, the raw Mertens ratio at y = exp(sqrt(x))."""
-        return self.mertens(y) / float(y)
 
     # ------------------------------------------------------------------
     # batched queries: one visit per window answers every kind asked for

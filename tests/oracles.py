@@ -216,7 +216,8 @@ def window_replay(store, k: int) -> dict:
     """The running sums M, A and the integral over the whole of window k,
     replayed from checkpoint k (the form ``PrefixSums._window`` replaced:
     every kind, always to the window's end)."""
-    m_cum, a_cum, f_cum = store._window_terms(k)
+    terms = store.window_terms(k, ("m", "a", "fint"))
+    m_cum, a_cum, f_cum = terms["m"], terms["a"], terms["fint"]
     np.cumsum(a_cum, out=a_cum)
     a_cum += store.cp_a[k]
     np.cumsum(f_cum, out=f_cum)
@@ -434,3 +435,65 @@ def pointwise_residuals(table, x: float):
         r13_avg=float(np.sum(r13) / x),
         r14_avg=float(np.sum(r14) / x),
     )
+
+
+def build_synthetic_profile(h_func, x_grid, dh_func=None):
+    """Wrap a continuous test function as an ``hprofile.HProfile``.
+
+    Zeros are bracketed on the sample grid and refined with Brent's method;
+    cumulative integrals come from adaptive quadrature on the sign-constant
+    subintervals, so closed-form test cases reproduce to near machine
+    precision.  ``deriv_sup`` is the sup of |dh_func|, or of a central
+    difference of h_func when dh_func is None, over a linspace grid four
+    times as dense as x_grid.
+    """
+    from scipy.integrate import quad
+    from scipy.optimize import brentq
+
+    from mertenslab.hprofile import HProfile
+
+    xs = np.asarray(x_grid, dtype=np.float64)
+    assert len(xs) >= 2 and np.all(np.diff(xs) > 0), "x_grid must increase"
+    h_vals = np.array([h_func(x) for x in xs])
+
+    zeros = []
+    for i in range(len(xs) - 1):
+        f0, f1 = h_vals[i], h_vals[i + 1]
+        if f0 == 0.0:
+            zeros.append(float(xs[i]))
+        elif f0 * f1 < 0.0:
+            zeros.append(float(brentq(h_func, xs[i], xs[i + 1],
+                                      xtol=1e-15, rtol=1e-15)))
+    if h_vals[-1] == 0.0:
+        zeros.append(float(xs[-1]))
+    zeros = np.array(sorted(set(zeros)))
+
+    # integrate |h| piecewise between breakpoints (grid + zeros)
+    breaks = np.unique(np.concatenate((xs, zeros)))
+    cum_abs_b = np.zeros(len(breaks))
+    cum_sig_b = np.zeros(len(breaks))
+    for i in range(1, len(breaks)):
+        seg_sig, _ = quad(h_func, breaks[i - 1], breaks[i], limit=200)
+        cum_sig_b[i] = cum_sig_b[i - 1] + seg_sig
+        mid = 0.5 * (breaks[i - 1] + breaks[i])
+        sign = 1.0 if h_func(mid) >= 0 else -1.0
+        cum_abs_b[i] = cum_abs_b[i - 1] + sign * seg_sig
+
+    dense = np.linspace(xs[0], xs[-1], 4 * len(xs))
+    if dh_func is not None:
+        deriv = [abs(dh_func(x)) for x in dense]
+    else:
+        step = max((dense[-1] - dense[0]) * 1e-7, 1e-9)
+        deriv = [abs(h_func(x + step) - h_func(x - step)) / (2 * step) for x in dense]
+
+    pos = np.searchsorted(breaks, xs)
+    zpos = np.searchsorted(breaks, zeros)
+    return HProfile(
+        kind="synthetic", x_samples=xs,
+        y_samples=np.full(len(xs), float("nan")), h_values=h_vals,
+        cumulative_abs_integral=cum_abs_b[pos],
+        cumulative_signed_integral=cum_sig_b[pos],
+        zeros=zeros, zero_flags=["crossing"] * len(zeros),
+        cum_abs_at_zeros=cum_abs_b[zpos],
+        zeros_are_step_boundaries=False,
+        deriv_sup=float(max(deriv)), h_continuous=h_func)

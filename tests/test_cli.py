@@ -219,8 +219,9 @@ def test_timings_label_import(tmp_path):
 
 
 def test_report_never_imports_scipy(tmp_path):
-    # ratchet: scipy serves only build_synthetic_profile, which no command
-    # calls, so a fresh process that runs the report must not load it
+    # ratchet: scipy is a test-only dependency (the synthetic profiles of
+    # tests/oracles.py), so a fresh process that runs the report must not
+    # load it
     code = (
         "import sys\n"
         "from mertenslab import cli\n"
@@ -236,6 +237,14 @@ def test_report_never_imports_scipy(tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr[-2000:]
     assert (tmp_path / "report.json").exists()
+
+
+def test_runtime_dependencies_are_numpy_only():
+    # ratchet: scipy sits in the test extra, and the package needs numpy only
+    tomllib = pytest.importorskip("tomllib")
+    path = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    project = tomllib.loads(path.read_text())["project"]
+    assert project["dependencies"] == ["numpy>=1.24"]
 
 
 def test_pinned_mertens_above_1e7_match_recursion():

@@ -113,6 +113,20 @@ class TestStreamCumulative:
             res = hprofile.cumulative_at(store_1e4, ys, kind)
             assert np.all(np.isfinite(res.cum_abs))
 
+    def test_mertens_walk_builds_no_a(self, monkeypatch):
+        # the step profile needs M and the logs only, never mu(n) log n
+        store = summatory.PrefixSums(10 ** 4, stride=1 << 10)
+        asked = []
+        window_terms = store.window_terms
+
+        def recorded(k, kinds, hi=None):
+            asked.append(kinds)
+            return window_terms(k, kinds, hi)
+
+        monkeypatch.setattr(store, "window_terms", recorded)
+        hprofile.stream_cumulative(store, "mertens")
+        assert len(asked) == 10 and all("a" not in kinds for kinds in asked)
+
     @pytest.mark.parametrize("stride", [39, 211, 1000, 1 << 16])
     def test_matches_single_pass(self, strided_stores, stride):
         # replaying one window from the walk's seam gives the single pass's
@@ -233,7 +247,7 @@ class TestBuildProfile:
 class TestSyntheticProfiles:
     def test_sin_like_bracket_count(self):
         xs = np.linspace(0.0, 10.0, 401)
-        prof = hprofile.build_synthetic_profile(lambda x: math.sin(x), xs)
+        prof = oracles.build_synthetic_profile(lambda x: math.sin(x), xs)
         want = [k * math.pi for k in range(0, 4)]
         assert len(prof.zeros) == len(want)
         for got, w in zip(prof.zeros, want):
@@ -243,7 +257,7 @@ class TestSyntheticProfiles:
         a, b, c = 1.0, 3.5, 0.8
         arch = lambda x: c * (x - a) * (b - x) if a <= x <= b else 0.0
         xs = np.linspace(0.5, 4.0, 176)
-        prof = hprofile.build_synthetic_profile(
+        prof = oracles.build_synthetic_profile(
             arch, xs, dh_func=lambda x: c * (a + b - 2 * x) if a <= x <= b else 0.0)
         zs = prof.zeros
         assert any(abs(z - a) <= 1e-10 * max(a, 1) for z in zs)
@@ -260,7 +274,7 @@ class TestSyntheticProfiles:
         a, b, c = 0.0, 2.0, 1.0
         arch = lambda x: c * (x - a) * (b - x)
         xs = np.linspace(a, b, 81)
-        prof = hprofile.build_synthetic_profile(arch, xs)
+        prof = oracles.build_synthetic_profile(arch, xs)
         ivs = hprofile.interval_stats(prof)
         iv = ivs[0]
         assert iv.h_at_xi * (iv.b - iv.a) == pytest.approx(iv.integral_abs, rel=1e-12)
@@ -281,10 +295,14 @@ class TestDerivative:
         ys = np.exp(rng.uniform(math.log(5.0), math.log(10 ** 4), 100))
         ys = ys[np.abs(ys - np.round(ys)) > 0.05]
         step = 1e-6
+
+        def h(xx):
+            yy = math.exp(math.sqrt(xx))
+            return store_1e5.big_f(yy) / yy
+
         hps = hprofile.h_derivative_many(store_1e5, ys)
         for y, hp in zip(ys, hps):
             x = math.log(y) ** 2
-            h = lambda xx: store_1e5.h_smoothed(math.exp(math.sqrt(xx)))
             fd = (h(x + step / 2) - h(x - step / 2)) / step
             assert abs(hp - fd) <= 1e-4, y
 
@@ -298,7 +316,7 @@ class TestDerivative:
 class TestConstants:
     def test_zero_function_profile(self):
         xs = np.linspace(0.0, 4.0, 41)
-        prof = hprofile.build_synthetic_profile(lambda x: 0.0, xs,
+        prof = oracles.build_synthetic_profile(lambda x: 0.0, xs,
                                                 dh_func=lambda x: 0.0)
         c = hprofile.estimate_constants(prof)
         assert c.alpha_hat == 0.0
@@ -349,6 +367,30 @@ class TestConstants:
         hprofile.estimate_constants(prof)
         for iv in prof.intervals:
             assert iv.integral_abs <= iv.deriv_bound + 1e-12
+
+    def test_one_interval_pass(self, store_1e5, monkeypatch):
+        # ratchet: the constants build the intervals once and fill in
+        # damped_bound on the same objects once kappa is known
+        calls = []
+        interval_stats = hprofile.interval_stats
+
+        def counted(profile, *args, **kwargs):
+            calls.append(profile)
+            return interval_stats(profile, *args, **kwargs)
+
+        monkeypatch.setattr(hprofile, "interval_stats", counted)
+        for kind in ("smoothed", "mertens"):
+            prof = hprofile.build_profile(store_1e5, kind, samples_per_decade=16)
+            c = hprofile.estimate_constants(prof)
+            assert len(calls) == 1 and calls.pop() is prof, kind
+            # at 1e5 the smoothed profile has fewer than two zeros
+            assert bool(prof.intervals) == (kind == "mertens")
+            assert math.isfinite(c.kappa), kind
+            for iv in prof.intervals:
+                width = iv.b - iv.a
+                assert iv.deriv_bound == 0.5 * prof.deriv_sup * width * width
+                damped = c.alpha_hat * width * (1.0 - c.kappa * iv.h_at_xi)
+                assert iv.damped_bound == damped
 
     def test_empty_profile_rejected(self):
         prof = hprofile.build_profile(summatory.PrefixSums(1), "smoothed")

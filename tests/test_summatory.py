@@ -86,9 +86,9 @@ class TestSmoothedSum:
         assert abs(f_sum - f_int) <= 1e-9 * (1.0 + abs(f_sum) + math.log(x))
 
     def test_h_parametrization(self, store_1e5):
-        assert store_1e5.h_smoothed(1) == 0.0
-        assert store_1e5.h_smoothed(2) == pytest.approx(LOG2 / 2, abs=1e-15)
-        assert store_1e5.h_mertens(10) == pytest.approx(-0.1, abs=0)
+        assert store_1e5.big_f(1) / 1 == 0.0
+        assert store_1e5.big_f(2) / 2 == pytest.approx(LOG2 / 2, abs=1e-15)
+        assert store_1e5.mertens(10) / 10 == pytest.approx(-0.1, abs=0)
 
     def test_h_bounded_by_one(self, store_1e5):
         ys = np.geomspace(1.0, 10 ** 5, 500)
@@ -296,6 +296,22 @@ class TestPrefixReplay:
             self._lookup(store, full, ("a",), [base + 5])
             assert len(store._windows[k]["a"]) == 200      # served from the cache
         self._lookup(store, full, self.KINDS, self._ns(1))
+
+    def test_window_terms_builds_the_kinds_asked_for(self, store):
+        # each kind has the same bits whichever others are asked with it;
+        # "fint" needs "m", and "log" comes with the step ends "u"
+        k, hi = 7, 7 * self.STRIDE + 200
+        every = store.window_terms(k, ("m", "log", "a", "fint"), hi)
+        ends = np.arange(7 * self.STRIDE + 1, hi + 1, dtype=np.float64)
+        assert every["u"].tolist() == ends.tolist()
+        assert every["log"].tolist() == np.log(ends).tolist()
+        for kinds in (("m",), ("log",), ("a",), ("fint",), ("m", "log"), ("a", "fint")):
+            got = store.window_terms(k, kinds, hi)
+            want = set(kinds) | ({"m"} if "fint" in kinds else set()) \
+                | ({"u"} if "log" in kinds else set())
+            assert set(got) == want, kinds
+            for kind, arr in got.items():
+                assert arr.tolist() == every[kind].tolist(), (kinds, kind)
 
     def test_a_then_fint(self, store, full):
         ns = self._ns(2)
