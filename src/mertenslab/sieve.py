@@ -1,13 +1,17 @@
 """Segmented Moebius and von Mangoldt sieve.
 
-:func:`build_segment` sieves a half-open block ``[lo, hi)`` in one pass over
-the base primes p <= isqrt(hi - 1).  For each p it flips the sign of mu at
-the multiples of p, multiplies p into a running product there, and zeroes mu
-at the multiples of p^2.  Where the product falls short of n, n has exactly
-one prime factor above isqrt(hi - 1) and mu takes one more flip.  The block
-keeps mu as int8 and, sparse, the prime powers it contains with their von
-Mangoldt values; any block decomposition of ``[1, N]`` yields identical
-values.
+:func:`build_segment` sieves a half-open block ``[lo, hi)`` into one signed
+product per integer: for each base prime p it multiplies the product by -p
+at the multiples of p and sets it to 0 at the multiples of p^2.  The primes
+2, 3, 5 and 7 are base primes of every block; their signs, product and
+square zeros repeat with period 44 100 = (2*3*5*7)^2, so the block starts
+as a copy of a one-period template and only the primes from 11 to
+isqrt(hi - 1) are peeled.  Then mu(n) = sign(product), negated where
+|product| != n: n then has exactly one prime factor above isqrt(hi - 1).
+The product is int32 while hi - 1 < 2**31 and int64 above; it divides n, so
+it never overflows.  The block keeps mu as int8 and, sparse, the prime
+powers it contains with their von Mangoldt values; any block decomposition
+of ``[1, N]`` yields identical values.
 
 Conventions: mu(1) = 1 and Lambda(1) = 0; all integers are signed 64-bit and
 the module refuses bounds at or above 2**63.
@@ -25,6 +29,21 @@ from .errors import RangeError
 
 DEFAULT_SEGMENT_SIZE = 1 << 20
 INT_LIMIT = 2 ** 63 - 1
+PRESIEVED = np.array([2, 3, 5, 7], dtype=np.int64)
+PERIOD = 44100                  # (2*3*5*7)^2, the period of the template
+
+
+def _presieve_template() -> np.ndarray:
+    """The signed product of the PRESIEVED primes at n = 0, 1, ... over two
+    periods, so that every offset into the first has a full period after it."""
+    t = np.ones(PERIOD, dtype=np.int32)
+    for p in PRESIEVED.tolist():
+        t[::p] *= -p
+        t[::p * p] = 0
+    return np.concatenate([t, t])
+
+
+_TEMPLATE = _presieve_template()
 
 
 def base_primes(limit: int) -> np.ndarray:
@@ -77,7 +96,7 @@ def _check_base_primes(hi: int, primes: np.ndarray) -> None:
         )
 
 
-def _base_prime_powers(small: np.ndarray, lo: int, hi: int):
+def prime_powers(small: np.ndarray, lo: int, hi: int):
     """Powers p^k (k >= 1) in ``[lo, hi)`` of the ascending primes ``small``
     (each < hi), in ascending order, and log p for each."""
     logs = np.log(small.astype(np.float64))
@@ -119,30 +138,49 @@ def build_segment(lo: int, hi: int, primes: Sequence[int] | np.ndarray) -> Sieve
     _check_base_primes(hi, primes)
 
     size = hi - lo
-    mu = np.ones(size, dtype=np.int8)
-    prod = np.ones(size, dtype=np.int64)
-    small = primes[:int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))]
-    for p in small.tolist():
-        flip = mu[-lo % p::p]
-        np.negative(flip, out=flip)
-        mult = prod[-lo % p::p]
-        mult *= p
-        mu[-lo % (p * p)::p * p] = 0
-    n = np.arange(lo, hi, dtype=np.int64)
-    # prod < n exactly when one prime factor > isqrt(hi-1) is left over; that
-    # factor flips mu once more (a multiply by +-1 beats a masked negate)
-    sign = (prod == n).view(np.int8)
-    sign *= 2
-    sign -= 1
-    mu *= sign
+    dtype = np.int32 if hi - 1 < 2 ** 31 else np.int64
+    prod = np.empty(size, dtype=dtype)
+    k = min(size, PERIOD)
+    prod[:k] = _TEMPLATE[lo % PERIOD:lo % PERIOD + k]
+    while k < size:             # prod[:k] is whole periods: double it
+        c = min(k, size - k)
+        prod[k:k + c] = prod[:c]
+        k += c
 
-    # Lambda's support: the n > 1 with no base-prime factor (the primes
-    # above isqrt(hi-1)) and the powers of the base primes
-    big = n[prod == 1]
+    s = math.isqrt(hi - 1)
+    peel = primes[int(np.searchsorted(primes, PRESIEVED[-1], side="right")):
+                  int(np.searchsorted(primes, s, side="right"))]
+    # -p as a scalar of prod's dtype multiplies faster than a Python int
+    for start, p, neg in zip(((-lo) % peel).tolist(), peel.tolist(),
+                             (-peel).astype(dtype)):
+        mult = prod[start::p]
+        mult *= neg
+    # zeroing after the products gives the same values; a p^2 above the
+    # block size has at most one multiple in it, so those go in one write
+    dense = int(np.searchsorted(peel, math.isqrt(size), side="right"))
+    for p in peel[:dense].tolist():
+        prod[-lo % (p * p)::p * p] = 0
+    first = (-lo) % (peel[dense:] * peel[dense:])
+    prod[first[first < size]] = 0
+
+    # Lambda's support: the n > 1 with no base-prime factor (product 1: the
+    # primes above isqrt(hi-1)) and the powers of the base primes
+    big = np.flatnonzero(prod == 1)
+    big += lo
     if lo == 1:
         big = big[1:]
     big_lam = np.log(big.astype(np.float64))
-    pw, pw_lam = _base_prime_powers(small, lo, hi)
+    small = np.concatenate([PRESIEVED[PRESIEVED < hi], peel])
+    pw, pw_lam = prime_powers(small, lo, hi)
+
+    # |prod| < n exactly when one prime factor > isqrt(hi-1) is left over;
+    # that factor flips mu once more (a multiply by +-1 beats a masked negate)
+    mu = (prod > 0).view(np.int8) - (prod < 0).view(np.int8)
+    full = (np.abs(prod, out=prod) == np.arange(lo, hi, dtype=dtype)).view(np.int8)
+    full += full
+    full -= 1
+    mu *= full
+
     at = np.searchsorted(big, pw)
     return SieveSegment(lo=lo, hi=hi, mu=mu, pp=np.insert(big, at, pw),
                         pp_lam=np.insert(big_lam, at, pw_lam))

@@ -45,8 +45,8 @@ from .errors import CapabilityError, RangeError
 DEFAULT_STRIDE = 1 << 16
 WINDOW_CACHE = 32               # replayed windows kept by the LRU
 # Peak bytes of a store per integer: ru_maxrss around PrefixSums(1e7) rose
-# 56.5 MiB and around PrefixSums(1e8) 430.9 MiB (numpy 2.4, x86-64), so the
-# slope is (430.9 - 56.5) MiB / 9e7 = 4.36 bytes per integer, rounded up.
+# 50.9 MiB and around PrefixSums(1e8) 424.6 MiB (numpy 2.4, x86-64), so the
+# slope is (424.6 - 50.9) MiB / 9e7 = 4.35 bytes per integer, rounded up.
 STORE_BYTES_PER_INT = 5
 
 
@@ -79,15 +79,28 @@ class PrefixSums:
 
     def _build(self) -> None:
         self.mu = np.empty(self.n_max, dtype=np.int8)
-        pp, pp_lam = [], []
+        # pp and pp_lam are filled in place.  Their size bounds the primes by
+        # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld) and adds
+        # the p^k with k >= 2 of the base primes; pages never written cost
+        # no memory.
+        powers, _ = sieve.prime_powers(self.primes, 1, self.n_max + 1)
+        higher = np.setdiff1d(powers, self.primes, assume_unique=True)
+        x = max(self.n_max, 2)
+        cap = int(1.25506 * x / math.log(x)) + 1 + len(higher)
+        pp = np.empty(cap, dtype=np.int64)
+        pp_lam = np.empty(cap, dtype=np.float64)
+        end = 0
         for seg in sieve.iter_segments(self.n_max, primes=self.primes):
             self.mu[seg.lo - 1:seg.hi - 1] = seg.mu
-            pp.append(seg.pp)
-            pp_lam.append(seg.pp_lam)
-        self.pp = np.concatenate(pp)
-        self.pp_lam = np.concatenate(pp_lam)
-        del pp, pp_lam
-        self.pp_log = np.log(self.pp.astype(np.float64))
+            pp[end:end + len(seg.pp)] = seg.pp
+            pp_lam[end:end + len(seg.pp)] = seg.pp_lam
+            end += len(seg.pp)
+        self.pp = pp[:end]
+        self.pp_lam = pp_lam[:end]
+        # at a prime, Lambda is already log n with np.log's bits; only the
+        # higher powers take a log of their own
+        self.pp_log = self.pp_lam.copy()
+        self.pp_log[np.searchsorted(self.pp, higher)] = np.log(higher.astype(np.float64))
         self.pp_cum_lam = chunked_cumsum(self.pp_lam)
         self.pp_cum_lam_over = chunked_cumsum(self.pp_lam / self.pp)
         self.pp_cum_lamlog = chunked_cumsum(self.pp_lam * self.pp_log)

@@ -82,6 +82,59 @@ def mertens_dense(n_max: int) -> np.ndarray:
     return np.cumsum(mobius_dense(n_max), dtype=np.int64)
 
 
+def _prime_powers_reference(small: np.ndarray, lo: int, hi: int):
+    """Powers p^k (k >= 1) in [lo, hi) of the ascending primes ``small``
+    (each < hi), ascending, with log p for each."""
+    logs = np.log(small.astype(np.float64))
+    found, found_log = [small[:0]], [logs[:0]]
+    pw = small.copy()
+    c = len(small)
+    while c:
+        a = int(np.searchsorted(pw[:c], lo, side="left"))
+        found.append(pw[a:c])
+        found_log.append(logs[a:c])
+        c = int(np.count_nonzero(pw[:c] <= (hi - 1) // small[:c]))
+        pw = pw[:c] * small[:c]
+    pp = np.concatenate(found)
+    order = np.argsort(pp, kind="stable")
+    return pp[order], np.concatenate(found_log)[order]
+
+
+def build_segment_reference(lo: int, hi: int, primes):
+    """The block [lo, hi) by the three-op peel: for each base prime
+    p <= isqrt(hi - 1), negate an int8 mu at the multiples of p, multiply p
+    into an int64 product there and zero mu at the multiples of p^2; a
+    product short of n gives one more flip.  No template, no int32 path.
+    Takes ``sieve.build_segment``'s arguments and returns its segment type.
+    """
+    from mertenslab import sieve
+
+    primes = np.asarray(primes, dtype=np.int64)
+    size = hi - lo
+    mu = np.ones(size, dtype=np.int8)
+    prod = np.ones(size, dtype=np.int64)
+    small = primes[:int(np.searchsorted(primes, math.isqrt(hi - 1), side="right"))]
+    for p in small.tolist():
+        flip = mu[-lo % p::p]
+        np.negative(flip, out=flip)
+        mult = prod[-lo % p::p]
+        mult *= p
+        mu[-lo % (p * p)::p * p] = 0
+    n = np.arange(lo, hi, dtype=np.int64)
+    sign = (prod == n).view(np.int8)
+    sign *= 2
+    sign -= 1
+    mu *= sign
+    big = n[prod == 1]
+    if lo == 1:
+        big = big[1:]
+    big_lam = np.log(big.astype(np.float64))
+    pw, pw_lam = _prime_powers_reference(small, lo, hi)
+    at = np.searchsorted(big, pw)
+    return sieve.SieveSegment(lo=lo, hi=hi, mu=mu, pp=np.insert(big, at, pw),
+                              pp_lam=np.insert(big_lam, at, pw_lam))
+
+
 def convolve_naive(f: np.ndarray, g: np.ndarray, n_max: int) -> np.ndarray:
     """O(n_max^2) divisor-loop Dirichlet convolution."""
     out = np.zeros(n_max + 1)

@@ -130,3 +130,44 @@ class TestSegmentation:
         mu, lam = segment_full(n_max, segment_size=size)
         assert np.array_equal(mu, mu_ref)
         assert np.array_equal(lam, lam_ref)
+
+
+def assert_reference_segment(lo, hi, primes=None):
+    if primes is None:
+        primes = sieve.base_primes(math.isqrt(hi - 1))
+    got = sieve.build_segment(lo, hi, primes)
+    want = oracles.build_segment_reference(lo, hi, primes)
+    for name in ("mu", "pp", "pp_lam"):
+        a, b = getattr(got, name), getattr(want, name)
+        assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (lo, hi, name)
+
+
+class TestReferenceKernel:
+    """The template-and-signed-product kernel against the three-op peel."""
+
+    def test_every_block_below_200(self):
+        # below hi = 50, isqrt(hi - 1) < 7, so some of 2, 3, 5 and 7 are
+        # base primes beyond the ones the caller must pass
+        for hi in range(2, 201):
+            primes = sieve.base_primes(math.isqrt(hi - 1))
+            for lo in range(1, hi):
+                assert_reference_segment(lo, hi, primes)
+
+    def test_blocks_straddling_the_template_period(self):
+        for c in (sieve.PERIOD, 2 * sieve.PERIOD, 7 * sieve.PERIOD,
+                  20000 * sieve.PERIOD):
+            for lo, hi in ((c - 1, c), (c, c + 1), (c - 5, c + 5),
+                           (c - 30000, c + 70000), (c - 100, c + 3 * sieve.PERIOD)):
+                assert_reference_segment(lo, hi)
+
+    def test_seeded_random_blocks_to_1e9(self):
+        rng = np.random.default_rng(18)
+        primes = sieve.base_primes(math.isqrt(10 ** 9 + (1 << 20)))
+        for _ in range(12):
+            lo = int(rng.integers(1, 10 ** 9))
+            hi = lo + int(rng.integers(1, 1 << 18))
+            assert_reference_segment(lo, hi, primes)
+
+    def test_int32_limit_and_the_switch_to_int64(self):
+        assert_reference_segment(2 ** 31 - (1 << 16), 2 ** 31)     # hi - 1 = 2^31 - 1
+        assert_reference_segment(2 ** 31 - (1 << 15), 2 ** 31 + (1 << 15))

@@ -399,6 +399,23 @@ class TestConstructionDeterminism:
         with pytest.raises(RangeError):
             summatory.PrefixSums(1000, stride=0)
 
+    def test_pp_log_is_log_of_pp(self):
+        # pp_log copies Lambda at the primes and takes np.log at the p^k,
+        # k >= 2; either way it has the bits of one np.log over pp
+        store = summatory.PrefixSums(10 ** 6)
+        assert store.pp_log.tobytes() == np.log(store.pp.astype(np.float64)).tobytes()
+        assert np.count_nonzero(store.pp_log != store.pp_lam) == 236
+
+    def test_store_matches_reference_kernel(self, monkeypatch):
+        names = ("mu", "pp", "pp_lam", "pp_log", "pp_cum_lam", "pp_cum_lam_over",
+                 "pp_cum_lamlog", "cp_m", "cp_a", "cp_fint")
+        store = summatory.PrefixSums(2 * 10 ** 5, stride=2 ** 10)
+        monkeypatch.setattr(sieve, "build_segment", oracles.build_segment_reference)
+        ref = summatory.PrefixSums(2 * 10 ** 5, stride=2 ** 10)
+        for name in names:
+            a, b = getattr(store, name), getattr(ref, name)
+            assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), name
+
     def test_mertens_bounded_by_index(self, store_1e5):
         ks = np.geomspace(1, 10 ** 5, 200)
         ms = store_1e5.mertens_many(ks)
