@@ -161,7 +161,6 @@ class Context:
                 except CrossCheckError as exc:
                     self._table_error = exc
                     raise
-            store.attach_table(self._table)
         return self._table
 
     def profile(self, kind: str) -> hprofile.HProfile:
@@ -688,7 +687,8 @@ def build_parser() -> argparse.ArgumentParser:
         description="Verification workbench for Mertens-function arithmetic")
     p.add_argument("command", choices=sorted(COMMANDS))
     p.add_argument("--n-max", type=int, default=10 ** 7)
-    p.add_argument("--conv-cap", type=int, default=10 ** 6)
+    p.add_argument("--conv-cap", type=int, default=None,
+                   help="dense table cap (default: min(10**6, n_max))")
     grid = p.add_mutually_exclusive_group()
     grid.add_argument("--grid", type=str, default=None,
                       help="geometric grid start:ratio[:count]")
@@ -729,10 +729,8 @@ def config_from_args(args) -> RunConfig:
         raw = [s for s in args.points.split(",") if s.strip()]
         points = [float(s) for s in raw]
     conv_cap = args.conv_cap
-    if conv_cap > args.n_max:
-        if conv_cap != 10 ** 6:
-            raise RangeError("conv_cap must not exceed n_max")
-        conv_cap = args.n_max    # untouched default follows a smaller n_max
+    if conv_cap is None:
+        conv_cap = min(10 ** 6, args.n_max)
     cfg = RunConfig(
         n_max=args.n_max, conv_cap=conv_cap, grid=grid, points=points,
         which=args.which, f_kind=args.f_kind, profile_kind=args.profile_kind,

@@ -207,7 +207,7 @@ class ProfileWalk:
     """One walk of a profile kind over all of [1, n_max].
 
     ``seams[k]`` holds the two integrals, of |H| and of H, where window k
-    starts; the zeros, their flags, the integral of |H| up to each zero and
+    starts; the zeros, the integral of |H| up to each zero and
     the decade sups (mertens: decade -> sup |M(n)|/n) are those of the whole
     range.
     """
@@ -215,7 +215,6 @@ class ProfileWalk:
     seams: list = field(default_factory=list)
     zeros_y: list = field(default_factory=list)
     zeros_cum_abs: list = field(default_factory=list)
-    zero_flags: list = field(default_factory=list)
     decade_sup: dict = field(default_factory=dict)
 
 
@@ -236,7 +235,6 @@ class _Walker:
     def _emit_step_zero(self, n_pos: int, cum_value: float) -> None:
         self.walk.zeros_y.append(float(n_pos))
         self.walk.zeros_cum_abs.append(cum_value)
-        self.walk.zero_flags.append("step")
 
     def step(self, k: int, hi: int) -> None:
         """Walk window k up to n = hi - 1: its zeros, sups and sums."""
@@ -250,7 +248,6 @@ class _Walker:
                 for i in sorted(win.cross_fix):
                     walk.zeros_y.append(win.cross_fix[i][0])
                     walk.zeros_cum_abs.append(float(pre_abs[i]) + win.cross_fix[i][1])
-                    walk.zero_flags.append("crossing")
         else:
             # maximal runs of M == 0: zeros at the run's first and last step
             z = win.m_cum == 0
@@ -424,7 +421,6 @@ class HProfile:
     cumulative_abs_integral: np.ndarray
     cumulative_signed_integral: np.ndarray
     zeros: np.ndarray           # x-domain positions
-    zero_flags: list
     cum_abs_at_zeros: np.ndarray
     zeros_are_step_boundaries: bool
     deriv_sup: float            # sup |H'| over a grid 4x as dense as the samples
@@ -464,7 +460,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
                         y_samples=empty, h_values=empty,
                         cumulative_abs_integral=empty,
                         cumulative_signed_integral=empty,
-                        zeros=empty, zero_flags=[], cum_abs_at_zeros=empty,
+                        zeros=empty, cum_abs_at_zeros=empty,
                         zeros_are_step_boundaries=(kind == "mertens"),
                         deriv_sup=0.0, h_continuous=_make_h_eval(store, kind))
 
@@ -492,7 +488,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
         h_values=h_vals,
         cumulative_abs_integral=res.cum_abs,
         cumulative_signed_integral=res.cum_signed,
-        zeros=np.log(zeros_y) ** 2, zero_flags=list(walk.zero_flags),
+        zeros=np.log(zeros_y) ** 2,
         cum_abs_at_zeros=np.array(walk.zeros_cum_abs, dtype=np.float64),
         zeros_are_step_boundaries=(kind == "mertens"),
         deriv_sup=float(np.abs(h_prime).max()),

@@ -249,7 +249,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
     xs = np.unique(np.asarray(xs, dtype=np.float64))
     if len(xs) == 0:
         raise RangeError("empty sample grid")
-    caps = {"n_max": store.n_max, "table_cap": store.table_cap}
+    caps = {"n_max": store.n_max}
 
     if kind in ("h_mean_gap", "mertens_h_mean_gap"):
         x_cap = math.log(store.n_max) ** 2

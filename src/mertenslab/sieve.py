@@ -77,9 +77,6 @@ class SieveSegment:
     pp: np.ndarray
     pp_lam: np.ndarray
 
-    def __len__(self) -> int:
-        return self.hi - self.lo
-
 
 def _check_base_primes(hi: int, primes: np.ndarray) -> None:
     s = math.isqrt(hi - 1)

@@ -2,23 +2,27 @@
 
 The store keeps three running sums checkpointed every ``stride`` integers
 (the Mertens function M as exact int64, A(x) = sum mu(n) log n, and the
-piecewise-exact integral I(x) = sum M(n) log((n+1)/n)), plus a sparse table
-of prime powers carrying the von Mangoldt values, from which psi and its
-relatives are answered directly.  The build pass is the only sieve pass: it
-keeps mu as one int8 array (1 byte per integer) and the prime powers, and
-the checkpoints are then derived from the stored mu one stride window at a
-time.  Between checkpoints, M(n) is the checkpoint plus an exact int64 sum
-of mu over the window's prefix, so a scalar M lookup replays nothing.  A
-and the integral are recovered by replaying that prefix of the window from
-the nearest checkpoint with the build's per-window terms, only for the sums
-asked for and only up to the largest offset asked for; numpy's cumsum adds
-left to right, so a prefix has the bits of a full-window replay.  Replayed
-windows are kept in an LRU cache, one dict of per-kind arrays per window,
-which may be shorter than the window.  Batched lookups group their
-arguments by window and read every running sum asked for (M, A, the
-integral) from one visit per window.  A window's per-integer terms (M,
-log n, mu(n) log n and M(n) log((n+1)/n)) are built in one place,
-``window_terms``, for the build, the replay and the profile walks alike.
+piecewise-exact integral I(x) = sum M(n) log((n+1)/n)), plus three arrays
+over the prime powers: ``pp``, their von Mangoldt values ``pp_lam`` and the
+running sum ``pp_cum_lam``, from which psi is read directly.  The
+Selberg-weight sums (sum Lambda*Lambda + Lambda log, its theta form and
+sum Lambda(n)/n) have one route, the prime-power hyperbola, and each lookup
+sums its own slice of ``pp`` and ``pp_lam``.  The build pass is the only
+sieve pass: it keeps mu as one int8 array (1 byte per integer) and the
+prime powers, and the checkpoints are then derived from the stored mu one
+stride window at a time.  Between checkpoints, M(n) is the checkpoint plus
+an exact int64 sum of mu over the window's prefix, so a scalar M lookup
+replays nothing.  A and the integral are recovered by replaying that prefix
+of the window from the nearest checkpoint with the build's per-window
+terms, only for the sums asked for and only up to the largest offset asked
+for; numpy's cumsum adds left to right, so a prefix has the bits of a
+full-window replay.  Replayed windows are kept in an LRU cache, one dict of
+per-kind arrays per window, which may be shorter than the window.  Batched
+lookups group their arguments by window and read every running sum asked
+for (M, A, the integral) from one visit per window.  A window's per-integer
+terms (M, log n, mu(n) log n and M(n) log((n+1)/n)) are built in one
+place, ``window_terms``, for the build, the replay and the profile walks
+alike.
 
 Key evaluators built on top of the store:
 
@@ -45,9 +49,10 @@ from .errors import CapabilityError, RangeError
 DEFAULT_STRIDE = 1 << 16
 WINDOW_CACHE = 32               # replayed windows kept by the LRU
 # Peak bytes of a store per integer: ru_maxrss around PrefixSums(1e7) rose
-# 50.9 MiB and around PrefixSums(1e8) 424.6 MiB (numpy 2.4, x86-64), so the
-# slope is (424.6 - 50.9) MiB / 9e7 = 4.35 bytes per integer, rounded up.
-STORE_BYTES_PER_INT = 5
+# 36.7 MiB, around PrefixSums(1e8) 247.0 MiB and around PrefixSums(1e9)
+# 2141.3 MiB (numpy 2.4, x86-64), so the slopes are 2.45 and 2.21 bytes per
+# integer; the larger, rounded up.
+STORE_BYTES_PER_INT = 3
 
 
 class PrefixSums:
@@ -68,9 +73,6 @@ class PrefixSums:
         self.stride = int(stride)
         self.primes = sieve.base_primes(math.isqrt(self.n_max))
         self._windows: OrderedDict[int, dict] = OrderedDict()
-        self.table_cap = 0
-        self._s_lambda2 = None
-        self._s_theta = None
         self._build()
 
     # ------------------------------------------------------------------
@@ -84,9 +86,8 @@ class PrefixSums:
         # the p^k with k >= 2 of the base primes; pages never written cost
         # no memory.
         powers, _ = sieve.prime_powers(self.primes, 1, self.n_max + 1)
-        higher = np.setdiff1d(powers, self.primes, assume_unique=True)
         x = max(self.n_max, 2)
-        cap = int(1.25506 * x / math.log(x)) + 1 + len(higher)
+        cap = int(1.25506 * x / math.log(x)) + 1 + len(powers) - len(self.primes)
         pp = np.empty(cap, dtype=np.int64)
         pp_lam = np.empty(cap, dtype=np.float64)
         end = 0
@@ -97,13 +98,7 @@ class PrefixSums:
             end += len(seg.pp)
         self.pp = pp[:end]
         self.pp_lam = pp_lam[:end]
-        # at a prime, Lambda is already log n with np.log's bits; only the
-        # higher powers take a log of their own
-        self.pp_log = self.pp_lam.copy()
-        self.pp_log[np.searchsorted(self.pp, higher)] = np.log(higher.astype(np.float64))
         self.pp_cum_lam = chunked_cumsum(self.pp_lam)
-        self.pp_cum_lam_over = chunked_cumsum(self.pp_lam / self.pp)
-        self.pp_cum_lamlog = chunked_cumsum(self.pp_lam * self.pp_log)
 
         # checkpoint k holds the running sums at n = k * stride; each stride
         # window's terms are summed once and carried in compensated sums
@@ -122,12 +117,6 @@ class PrefixSums:
             self.cp_fint[k + 1] = acc_f.value
         self.mertens_at_n_max = int(self.cp_m[n_cp]) + int(
             np.sum(self.mu[n_cp * self.stride:], dtype=np.int64))
-
-    def attach_table(self, table) -> None:
-        """Adopt dense Selberg-weight prefix sums from an arithmetic table."""
-        self.table_cap = table.n_max
-        self._s_lambda2 = chunked_cumsum(table.lambda2[1:])
-        self._s_theta = chunked_cumsum(table.theta[1:])
 
     # ------------------------------------------------------------------
     # window replay
@@ -318,30 +307,34 @@ class PrefixSums:
         return self.mu[lo - 1:hi - 1].copy()
 
     # ------------------------------------------------------------------
-    # Selberg-weight prefix sums (dense below the attached table cap,
-    # prime-power hyperbola enumeration above it)
+    # Selberg-weight prefix sums by prime-power hyperbola enumeration.  A
+    # lookup sums its own slice of pp and pp_lam in one fresh float64
+    # temporary; log p^k is np.log of pp, which at a prime has the bits of
+    # pp_lam.
     # ------------------------------------------------------------------
 
     def lambda2_sum(self, x) -> float:
         """Sum of the Selberg weight (Lambda*Lambda + Lambda log) up to x."""
         n = self._floor_checked(x)
-        if self._s_lambda2 is not None and n <= self.table_cap:
-            return float(self._s_lambda2[n - 1])
         return self._lambda_conv_sum(n) + self._lamlog_sum(n)
 
     def theta_sum(self, x) -> float:
         """Sum of (Lambda*Lambda)(n)/log n up to x."""
-        n = self._floor_checked(x)
-        if self._s_theta is not None and n <= self.table_cap:
-            return float(self._s_theta[n - 1])
-        return self._theta_sum_sparse(n)
+        return self._theta_sum_sparse(self._floor_checked(x))
 
     def _pp_upto(self, n: int) -> int:
         return int(np.searchsorted(self.pp, n, side="right"))
 
+    def _pp_log(self, i: int) -> np.ndarray:
+        """log p^k for the first i prime powers, as a fresh float64 array."""
+        t = self.pp[:i].astype(np.float64)
+        return np.log(t, out=t)
+
     def _lamlog_sum(self, n: int) -> float:
         i = self._pp_upto(n)
-        return float(self.pp_cum_lamlog[i - 1]) if i else 0.0
+        t = self._pp_log(i)
+        t *= self.pp_lam[:i]
+        return float(np.sum(t))
 
     def _lambda_conv_sum(self, n: int) -> float:
         """sum_{ab<=n} Lambda(a) Lambda(b) by the symmetric hyperbola split."""
@@ -365,13 +358,15 @@ class PrefixSums:
         i = self._pp_upto(r)
         if i == 0:
             return 0.0
+        # b runs up to n/2 at a = 2, the widest row
+        log_pp = self._pp_log(self._pp_upto(n // 2))
         total = NeumaierSum()
         for j in range(i):
-            la, lga = float(self.pp_lam[j]), float(self.pp_log[j])
+            la, lga = float(self.pp_lam[j]), float(log_pp[j])
             hi = self._pp_upto(n // int(self.pp[j]))
             total.add(2.0 * la * float(np.sum(
-                self.pp_lam[:hi] / (lga + self.pp_log[:hi]))))
-        lam_s, log_s = self.pp_lam[:i], self.pp_log[:i]
+                self.pp_lam[:hi] / (lga + log_pp[:hi]))))
+        lam_s, log_s = self.pp_lam[:i], log_pp[:i]
         corner = float(np.sum(
             (lam_s[:, None] * lam_s[None, :]) / (log_s[:, None] + log_s[None, :])))
         return total.value - corner
@@ -384,7 +379,7 @@ class PrefixSums:
         """(sum_{n<=x} Lambda(n)/n, its gap to log x); 2 <= x <= n_max."""
         n = self._floor_checked(x, lo=2.0)
         i = self._pp_upto(n)
-        val = float(self.pp_cum_lam_over[i - 1]) if i else 0.0
+        val = float(np.sum(np.divide(self.pp_lam[:i], self.pp[:i])))
         return val, val - math.log(float(x))
 
 

@@ -289,7 +289,6 @@ class SinglePass:
     f_at: np.ndarray
     zeros_y: np.ndarray
     zeros_cum_abs: np.ndarray
-    zero_flags: list
     decade_sup: dict
 
 
@@ -319,7 +318,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     stride = store.stride
 
     cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
-    zeros_y, zeros_cum, zero_flags = [], [], []
+    zeros_y, zeros_cum = [], []
     decade_sup: dict = {}
 
     acc_abs = NeumaierSum()
@@ -332,7 +331,6 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     def emit_step_zero(n_pos: int, cum_value: float) -> None:
         zeros_y.append(float(n_pos))
         zeros_cum.append(cum_value)
-        zero_flags.append("step")
 
     for k in range((n_top - 1) // stride + 1):
         lo = k * stride + 1
@@ -393,7 +391,6 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
             for i in sorted(cross_fix):
                 zeros_y.append(cross_fix[i][0])
                 zeros_cum.append(float(pre_abs[i]) + cross_fix[i][1])
-                zero_flags.append("crossing")
         else:
             # maximal runs of M == 0: zeros at the run's first and last step
             z = m_cum == 0
@@ -464,7 +461,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
         f_at=m_q * np.log(ys) - a_q if smoothed else m_q,
         zeros_y=np.array(zeros_y, dtype=np.float64),
         zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
-        zero_flags=zero_flags, decade_sup=decade_sup)
+        decade_sup=decade_sup)
 
 
 def pointwise_residuals(table, x: float):
@@ -546,7 +543,7 @@ def build_synthetic_profile(h_func, x_grid, dh_func=None):
         y_samples=np.full(len(xs), float("nan")), h_values=h_vals,
         cumulative_abs_integral=cum_abs_b[pos],
         cumulative_signed_integral=cum_sig_b[pos],
-        zeros=zeros, zero_flags=["crossing"] * len(zeros),
+        zeros=zeros,
         cum_abs_at_zeros=cum_abs_b[zpos],
         zeros_are_step_boundaries=False,
         deriv_sup=float(max(deriv)), h_continuous=h_func)

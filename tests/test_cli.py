@@ -284,5 +284,7 @@ def test_failing_check_exits_one(tmp_path):
 def test_explicit_conv_cap_above_n_max_rejected():
     assert run(["mertens", "--points", "10", "--n-max", "1000",
                 "--conv-cap", "2000"]) == 2
+    # an explicit 10**6 is checked like any other value
+    assert run(["sieve", "--n-max", "1000", "--conv-cap", "1000000"]) == 2
     # the untouched default clamps to a smaller n_max instead of erroring
     assert run(["mertens", "--points", "10", "--n-max", "1000"]) == 0

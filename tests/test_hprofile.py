@@ -30,7 +30,6 @@ def assert_same_stream(res, want):
 def assert_same_events(walk, want):
     assert walk.zeros_y == want.zeros_y.tolist()
     assert walk.zeros_cum_abs == want.zeros_cum_abs.tolist()
-    assert walk.zero_flags == want.zero_flags
     assert list(walk.decade_sup.items()) == list(want.decade_sup.items())
 
 
@@ -98,7 +97,6 @@ class TestStreamCumulative:
                 walk, want = hprofile.profile_walk(store, kind), ref_walk[kind]
                 if kind == "mertens":
                     assert walk.zeros_y == want.zeros_y
-                    assert walk.zero_flags == want.zero_flags
                     assert walk.decade_sup == want.decade_sup
                 else:
                     assert np.allclose(walk.zeros_y, want.zeros_y, rtol=1e-12, atol=0)
@@ -203,7 +201,6 @@ class TestBuildProfile:
                 assert prof.cumulative_signed_integral.tolist() == res.cum_signed.tolist()
                 assert prof.zeros.tolist() == (np.log(res.zeros_y) ** 2).tolist()
                 assert prof.cum_abs_at_zeros.tolist() == res.zeros_cum_abs.tolist()
-                assert prof.zero_flags == res.zero_flags
                 assert prof.decade_sups == (res.decade_sup or None)
 
     def test_single_sample_profile(self):

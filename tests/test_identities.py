@@ -225,6 +225,19 @@ class TestRemainderSeries:
         summary = s.summary()
         assert set(summary) == {"kind", "sup_normalized", "argmax_x",
                                 "n_samples", "caps"}
+        assert summary["caps"] == {"n_max": 10 ** 4}
+
+    def test_selberg_sums_do_not_depend_on_call_order(self):
+        # reading the arithmetic table must not switch the Selberg-weight
+        # sums to another route: the same x gives the same bits
+        ctx = cli.Context(config=cli.RunConfig(n_max=10 ** 5, conv_cap=10 ** 4))
+        kinds = ["selberg_sum", "lambda_theta_sum"]
+        before = cli.run_remainders(ctx, kinds)
+        assert ctx.table.n_max == 10 ** 4
+        after = cli.run_remainders(ctx, kinds)
+        for kind in kinds:
+            assert before[kind].raw.tobytes() == after[kind].raw.tobytes(), kind
+            assert before[kind].summary() == after[kind].summary(), kind
 
 
 class TestDecadeProfiles:

@@ -163,19 +163,12 @@ class TestPsiAndWeights:
         assert got == pytest.approx(want, rel=1e-12)
 
     def test_sparse_vs_dense_sums(self, store_1e5, table_2e4):
-        sparse_l2 = [store_1e5.lambda2_sum(x) for x in (100, 4096, 19999)]
-        sparse_th = [store_1e5.theta_sum(x) for x in (100, 4096, 19999)]
-        store_1e5.attach_table(table_2e4)
-        try:
-            for x, sl, st_ in zip((100, 4096, 19999), sparse_l2, sparse_th):
-                dense_l2 = store_1e5.lambda2_sum(x)
-                dense_th = store_1e5.theta_sum(x)
-                assert dense_l2 == pytest.approx(sl, rel=1e-10), x
-                assert dense_th == pytest.approx(st_, rel=1e-10), x
-        finally:
-            store_1e5.table_cap = 0
-            store_1e5._s_lambda2 = None
-            store_1e5._s_theta = None
+        # the hyperbola route against cumulative sums of the dense table
+        dense_l2 = np.cumsum(table_2e4.lambda2[1:])
+        dense_th = np.cumsum(table_2e4.theta[1:])
+        for x in (100, 4096, 19999):
+            assert store_1e5.lambda2_sum(x) == pytest.approx(dense_l2[x - 1], rel=1e-10), x
+            assert store_1e5.theta_sum(x) == pytest.approx(dense_th[x - 1], rel=1e-10), x
 
 
 class TestOneSievePass:
@@ -400,15 +393,28 @@ class TestConstructionDeterminism:
             summatory.PrefixSums(1000, stride=0)
 
     def test_pp_log_is_log_of_pp(self):
-        # pp_log copies Lambda at the primes and takes np.log at the p^k,
-        # k >= 2; either way it has the bits of one np.log over pp
+        # the Selberg-weight sums take log p^k as np.log of pp; at a prime
+        # that has the bits of Lambda, so only the p^k, k >= 2, differ
         store = summatory.PrefixSums(10 ** 6)
-        assert store.pp_log.tobytes() == np.log(store.pp.astype(np.float64)).tobytes()
-        assert np.count_nonzero(store.pp_log != store.pp_lam) == 236
+        log_pp = store._pp_log(len(store.pp))
+        assert log_pp.tobytes() == np.log(store.pp.astype(np.float64)).tobytes()
+        differ = log_pp != store.pp_lam
+        assert np.count_nonzero(differ) == 236
+        is_prime = np.isin(store.pp, sieve.base_primes(10 ** 6))
+        assert log_pp[is_prime].tobytes() == store.pp_lam[is_prime].tobytes()
+        assert np.array_equal(differ, ~is_prime)
+
+    def test_store_keeps_three_prime_power_arrays(self):
+        # pp, pp_lam and pp_cum_lam are all the store keeps per prime power;
+        # this count may be lowered, never raised
+        store = summatory.PrefixSums(10 ** 5)
+        n_pp = len(store.pp)
+        held = [name for name, v in vars(store).items()
+                if isinstance(v, np.ndarray) and len(v) == n_pp]
+        assert sorted(held) == ["pp", "pp_cum_lam", "pp_lam"]
 
     def test_store_matches_reference_kernel(self, monkeypatch):
-        names = ("mu", "pp", "pp_lam", "pp_log", "pp_cum_lam", "pp_cum_lam_over",
-                 "pp_cum_lamlog", "cp_m", "cp_a", "cp_fint")
+        names = ("mu", "pp", "pp_lam", "pp_cum_lam", "cp_m", "cp_a", "cp_fint")
         store = summatory.PrefixSums(2 * 10 ** 5, stride=2 ** 10)
         monkeypatch.setattr(sieve, "build_segment", oracles.build_segment_reference)
         ref = summatory.PrefixSums(2 * 10 ** 5, stride=2 ** 10)
