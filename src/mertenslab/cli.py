@@ -22,6 +22,7 @@ import time
 _IMPORT_T0 = time.perf_counter()
 
 import argparse
+import contextlib
 import math
 import os
 import sys
@@ -105,28 +106,20 @@ class Timings:
     def __init__(self):
         self.entries = []
 
+    @contextlib.contextmanager
     def measure(self, label, before: float = 0.0):
         """Time a block; ``before`` seconds spent ahead of it count too."""
-        return _Timer(self, label, before)
+        t0 = time.perf_counter() - before
+        try:
+            yield
+        finally:
+            self.entries.append((label, time.perf_counter() - t0))
 
     def emit(self, path: str | None) -> None:
         for label, dt in self.entries:
             print(f"[time] {label}: {dt:.3f}s", file=sys.stderr)
         if path:
             write_json_atomic(path, {label: dt for label, dt in self.entries})
-
-
-class _Timer:
-    def __init__(self, sink, label, before):
-        self.sink, self.label, self.before = sink, label, before
-
-    def __enter__(self):
-        self.t0 = time.perf_counter() - self.before
-        return self
-
-    def __exit__(self, *exc):
-        self.sink.entries.append((self.label, time.perf_counter() - self.t0))
-        return False
 
 
 @dataclass

@@ -27,10 +27,13 @@ import numpy as np
 
 from .accum import kahan_slice_add
 from .errors import CapabilityError, CrossCheckError, RangeError
-from .summatory import PrefixSums
+from .summatory import PrefixSums, max_usable
 
 TOL_REL = 1e-9
-TOL_ABS = 1e-9
+# Peak bytes of a table per integer: ru_maxrss around build_arith_table rose
+# 75.8 MiB at n_max 1e6 and 878.7 MiB at 1e7 (numpy 2.4, x86-64), a slope of
+# 93.6 bytes per integer; rounded up.
+TABLE_BYTES_PER_INT = 96
 
 
 def convolve_prefix(f: np.ndarray, g: np.ndarray, n_max: int) -> np.ndarray:
@@ -94,7 +97,8 @@ def build_arith_table(store: PrefixSums, n_max: int,
             scaled by log(n_max)^2.
 
     Raises:
-        CapabilityError: n_max exceeds the store's cap.
+        CapabilityError: n_max exceeds the store's cap, or the table would
+            not fit in physical memory.
         CrossCheckError: the two formulas disagree beyond tolerance.
     """
     if n_max < 1:
@@ -102,6 +106,10 @@ def build_arith_table(store: PrefixSums, n_max: int,
     if n_max > store.n_max:
         raise CapabilityError(f"table cap {n_max} beyond store cap {store.n_max}",
                               max_usable=store.n_max)
+    usable = max_usable(TABLE_BYTES_PER_INT)
+    if n_max > usable:
+        raise CapabilityError(f"table cap {n_max} needs more than physical memory; "
+                              f"max usable table cap is {usable}", max_usable=usable)
 
     mu = np.zeros(n_max + 1, dtype=np.int8)
     mu[1:] = store.mu[:n_max]

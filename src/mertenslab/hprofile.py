@@ -17,17 +17,17 @@ Absolute-value integrals split a step only where the linear-in-log factor
 changes sign; that root is also a zero of the continuous F, which is how
 zero crossings are located and then refined by bisection.
 
-Each kind is walked once per store (:func:`profile_walk`): one pass over the
-store's stride windows, taking M(n) and A(n) from its checkpoints and mu as
-the window replay does, so its F(y) is the store's.  At every window seam
-the walk keeps the two integrals there.  It records the crossings or zero
-runs, with the integral of |H| up to each, and for mertens the decade sups,
-over the whole range [1, n_max]; profiles take their zeros from it.  A
-query set (:func:`cumulative_at`) replays only the windows that hold its
-points, each from its seam and by the walk's own per-window code, so every
-value equals that of a single pass up to the largest point.  The two kinds
-are separate walks: a caller that needs only the mertens profile does not
-pay for the smoothed terms.
+Each kind is walked once per store (:func:`profile_walk`): one pass over
+the store in blocks of ``BLOCK`` stride windows, taking M(n) and A(n) from
+its checkpoints and mu as the window replay does, so its F(y) is the
+store's.  At every block seam the walk keeps the two integrals there.  It
+records the crossings or zero runs, with the integral of |H| up to each,
+and for mertens the decade sups, over the whole range [1, n_max]; profiles
+take their zeros from it.  A query set (:func:`cumulative_at`) replays only
+the blocks that hold its points, each from its seam and by the walk's own
+per-block code, so every value equals that of a single pass up to the
+largest point.  The two kinds are separate walks: a caller that needs only
+the mertens profile does not pay for the smoothed terms.
 
 For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
@@ -50,7 +50,7 @@ import numpy as np
 
 from .accum import NeumaierSum
 from .errors import CapabilityError, RangeError
-from .summatory import PrefixSums
+from .summatory import BLOCK, PrefixSums
 
 X_MIN_GUARD = 1e-6          # left cutoff: 1/(2 sqrt(x)) is singular at 0
 ZERO_XTOL_REL = 1e-12       # x-domain relative tolerance for refined zeros
@@ -109,10 +109,11 @@ def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
 
 
 class _Window:
-    """The unit steps [n, n + 1) of window k, n = k stride + 1 .. hi - 1.
+    """The unit steps [n, n + 1), n = k stride + 1 .. hi - 1, of the block
+    that starts at window k.
 
     These are the stream's operations, in the stream's order.  The walk and
-    the replay of a query window both build their steps here, from the same
+    the replay of a query block both build their steps here, from the same
     carried values, so their sums agree bit for bit.
     """
 
@@ -134,9 +135,7 @@ class _Window:
         self.mf = mf = self.m_cum.astype(np.float64)
 
         if smoothed:
-            self.a_cum = a_cum = terms["a"]
-            np.cumsum(a_cum, out=a_cum)
-            a_cum += store.cp_a[k]
+            self.a_cum = a_cum = store._running(k, "a", terms["a"])
             p_all = _p_anti(u_all, log_all)
             self.d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
             g_start = mf * log_n - a_cum
@@ -179,7 +178,7 @@ class _Window:
         return self._pre
 
     def at(self, yq: float) -> tuple[float, float, float, float]:
-        """(cum_abs, cum_signed, M, A) at a query point yq in this window."""
+        """(cum_abs, cum_signed, M, A) at a query point yq in this block."""
         pre_abs, pre_sig = self.pre()
         i = int(yq) - self.lo
         m_i = float(self.mf[i])
@@ -206,10 +205,10 @@ class _Window:
 class ProfileWalk:
     """One walk of a profile kind over all of [1, n_max].
 
-    ``seams[k]`` holds the two integrals, of |H| and of H, where window k
-    starts; the zeros, the integral of |H| up to each zero and
-    the decade sups (mertens: decade -> sup |M(n)|/n) are those of the whole
-    range.
+    ``seams[b]`` holds the two integrals, of |H| and of H, where block b
+    (window b BLOCK) starts; the zeros, the integral of |H| up to each zero
+    and the decade sups (mertens: decade -> sup |M(n)|/n) are those of the
+    whole range.
     """
 
     seams: list = field(default_factory=list)
@@ -219,7 +218,7 @@ class ProfileWalk:
 
 
 class _Walker:
-    """Carries the stream across windows from n = 1 and records its seams,
+    """Carries the stream across blocks from n = 1 and records its seams,
     zero events and decade sups in ``walk``."""
 
     def __init__(self, store: PrefixSums, kind: str):
@@ -237,7 +236,8 @@ class _Walker:
         self.walk.zeros_cum_abs.append(cum_value)
 
     def step(self, k: int, hi: int) -> None:
-        """Walk window k up to n = hi - 1: its zeros, sups and sums."""
+        """Walk the block from window k up to n = hi - 1: its zeros, sups
+        and sums."""
         walk = self.walk
         walk.seams.append((self.acc_abs.value, self.acc_sig.value))
         win = _Window(self.store, k, hi, self.smoothed, *walk.seams[-1])
@@ -292,20 +292,21 @@ class _Walker:
 
 
 def stream_cumulative(store: PrefixSums, kind: str = "smoothed") -> ProfileWalk:
-    """Walk the store's stride windows once over [1, n_max] for one kind.
+    """Walk the store once over [1, n_max] for one kind, in blocks of
+    ``BLOCK`` stride windows.
 
-    Window k holds the n in (k stride, (k+1) stride]; M and A start from the
-    checkpoints ``store.cp_m[k]`` and ``store.cp_a[k]`` and take the same
-    cumulative sums as the window replay.  The walk records the two integrals
-    at every seam, the crossings (smoothed) or zero-run boundaries (mertens)
-    with the integral of |H| up to each, and, for mertens, the per-decade
-    sups of |M(n)|/n.  Use :func:`profile_walk`, which walks once per store.
+    Block b holds the n in (b BLOCK stride, (b+1) BLOCK stride]; each of
+    its windows k takes M and A from the checkpoints ``store.cp_m[k]`` and
+    ``store.cp_a[k]`` by the window replay's running sums.  The walk
+    records the two integrals at every block seam, the crossings (smoothed)
+    or zero-run boundaries (mertens) with the integral of |H| up to each,
+    and, for mertens, the per-decade sups of |M(n)|/n.  Use :func:`profile_walk`, which walks once per store.
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
     walker = _Walker(store, kind)
-    for k in range((store.n_max - 1) // store.stride + 1):
-        walker.step(k, min((k + 1) * store.stride, store.n_max) + 1)
+    for k in range(0, (store.n_max - 1) // store.stride + 1, BLOCK):
+        walker.step(k, min((k + BLOCK) * store.stride, store.n_max) + 1)
     return walker.finish()
 
 
@@ -328,11 +329,11 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
     in the caller's order.  ``cum_abs[i]`` is the x-domain integral of |H|
     from 0 up to x = (log ys[i])^2, ``cum_signed`` likewise without the
     absolute value, and ``f_at`` the profile's numerator at ys[i].  Each
-    window holding a query is replayed from the walk's seam up to its
-    largest floor(y), so every value is the one a single pass up to max ys
-    gives; off the stride grid ``f_at`` equals ``store.big_f_many(ys)``
-    bitwise.  The zeros and decade sups are the walk's
-    (:func:`profile_walk`).
+    block of ``BLOCK`` stride windows holding a query is replayed from the
+    walk's seam up to its largest floor(y), so every value is the one a
+    single pass up to max ys gives; off the stride grid ``f_at`` equals
+    ``store.big_f_many(ys)`` bitwise.  The zeros and decade sups are the
+    walk's (:func:`profile_walk`).
     """
     if kind not in ("smoothed", "mertens"):
         raise RangeError(f"unknown profile kind {kind!r}")
@@ -349,11 +350,11 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
         order = np.argsort(ys, kind="stable")
         ys_sorted = ys[order]
         ns = np.floor(ys_sorted).astype(np.int64)
-        ks = (ns - 1) // store.stride
-        for grp in np.split(np.arange(len(ys)), np.flatnonzero(np.diff(ks)) + 1):
-            k = int(ks[grp[0]])
-            win = _Window(store, k, int(ns[grp[-1]]) + 1, kind == "smoothed",
-                          *seams[k])
+        bs = (ns - 1) // (BLOCK * store.stride)
+        for grp in np.split(np.arange(len(ys)), np.flatnonzero(np.diff(bs)) + 1):
+            b = int(bs[grp[0]])
+            win = _Window(store, b * BLOCK, int(ns[grp[-1]]) + 1, kind == "smoothed",
+                          *seams[b])
             for j in grp:
                 q = order[j]
                 cum_abs_q[q], cum_sig_q[q], m_q[q], a_q[q] = win.at(float(ys_sorted[j]))

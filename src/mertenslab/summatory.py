@@ -9,20 +9,21 @@ Selberg-weight sums (sum Lambda*Lambda + Lambda log, its theta form and
 sum Lambda(n)/n) have one route, the prime-power hyperbola, and each lookup
 sums its own slice of ``pp`` and ``pp_lam``.  The build pass is the only
 sieve pass: it keeps mu as one int8 array (1 byte per integer) and the
-prime powers, and the checkpoints are then derived from the stored mu one
-stride window at a time.  Between checkpoints, M(n) is the checkpoint plus
-an exact int64 sum of mu over the window's prefix, so a scalar M lookup
-replays nothing.  A and the integral are recovered by replaying that prefix
-of the window from the nearest checkpoint with the build's per-window
-terms, only for the sums asked for and only up to the largest offset asked
-for; numpy's cumsum adds left to right, so a prefix has the bits of a
-full-window replay.  Replayed windows are kept in an LRU cache, one dict of
-per-kind arrays per window, which may be shorter than the window.  Batched
-lookups group their arguments by window and read every running sum asked
-for (M, A, the integral) from one visit per window.  A window's per-integer
-terms (M, log n, mu(n) log n and M(n) log((n+1)/n)) are built in one
-place, ``window_terms``, for the build, the replay and the profile walks
-alike.
+prime powers, and the checkpoints are then derived from the stored mu in
+blocks of ``BLOCK`` stride windows, each stride window summed on its own.
+Between checkpoints, M(n) is the checkpoint plus an exact int64 sum of mu
+over the window's prefix, so a scalar M lookup replays nothing.  A and the
+integral are recovered by replaying that prefix of the window from its
+checkpoint with the build's per-window terms, only for the sums asked for
+and only up to the largest offset asked for, so a replay spans at most one
+stride; nothing replayed is kept.  Every running sum, in a replay or in a
+profile walk's block, is summed left to right from its stride window's own
+checkpoint (``_running``), so a prefix has the bits of a full-window
+replay.  Batched lookups group their arguments by window and read every
+running sum asked for (M, A, the integral) from one visit per window.  A
+window's per-integer terms (M, log n, mu(n) log n and M(n) log((n+1)/n))
+are built in one place, ``window_terms``, for the build, the replay and
+the profile walks alike.
 
 Key evaluators built on top of the store:
 
@@ -38,7 +39,6 @@ from __future__ import annotations
 
 import math
 import os
-from collections import OrderedDict
 
 import numpy as np
 
@@ -46,13 +46,18 @@ from . import sieve
 from .accum import NeumaierSum, chunked_cumsum
 from .errors import CapabilityError, RangeError
 
-DEFAULT_STRIDE = 1 << 16
-WINDOW_CACHE = 32               # replayed windows kept by the LRU
+DEFAULT_STRIDE = 1 << 12       # checkpoint spacing: a replay's longest span
+BLOCK = 16                      # stride windows per build or walk block
 # Peak bytes of a store per integer: ru_maxrss around PrefixSums(1e7) rose
 # 36.7 MiB, around PrefixSums(1e8) 247.0 MiB and around PrefixSums(1e9)
 # 2141.3 MiB (numpy 2.4, x86-64), so the slopes are 2.45 and 2.21 bytes per
 # integer; the larger, rounded up.
 STORE_BYTES_PER_INT = 3
+
+
+def max_usable(bytes_per_int: int) -> int:
+    """How many integers fit in physical memory at bytes_per_int each."""
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // bytes_per_int
 
 
 class PrefixSums:
@@ -65,14 +70,13 @@ class PrefixSums:
             raise RangeError(f"n_max {n_max} exceeds the 64-bit limit")
         if stride < 1:
             raise RangeError(f"stride must be >= 1, got {stride}")
-        usable = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // STORE_BYTES_PER_INT
+        usable = max_usable(STORE_BYTES_PER_INT)
         if n_max > usable:
             raise CapabilityError(f"n_max {n_max} needs more than physical memory; "
                                   f"max usable n_max is {usable}", max_usable=usable)
         self.n_max = int(n_max)
         self.stride = int(stride)
         self.primes = sieve.base_primes(math.isqrt(self.n_max))
-        self._windows: OrderedDict[int, dict] = OrderedDict()
         self._build()
 
     # ------------------------------------------------------------------
@@ -100,21 +104,26 @@ class PrefixSums:
         self.pp_lam = pp_lam[:end]
         self.pp_cum_lam = chunked_cumsum(self.pp_lam)
 
-        # checkpoint k holds the running sums at n = k * stride; each stride
-        # window's terms are summed once and carried in compensated sums
+        # checkpoint k holds the running sums at n = k * stride; the build
+        # takes BLOCK stride windows per window_terms call, sums each window
+        # once and carries the sums in compensated sums
         n_cp = self.n_max // self.stride
         self.cp_m = np.zeros(n_cp + 1, dtype=np.int64)
         self.cp_a = np.zeros(n_cp + 1, dtype=np.float64)
         self.cp_fint = np.zeros(n_cp + 1, dtype=np.float64)
         acc_a = NeumaierSum()
         acc_f = NeumaierSum()
-        for k in range(n_cp):
-            terms = self.window_terms(k, ("m", "a", "fint"))
-            acc_a.add(float(np.sum(terms["a"])))
-            acc_f.add(float(np.sum(terms["fint"])))
-            self.cp_m[k + 1] = terms["m"][-1]
-            self.cp_a[k + 1] = acc_a.value
-            self.cp_fint[k + 1] = acc_f.value
+        for k in range(0, n_cp, BLOCK):
+            w = min(BLOCK, n_cp - k)
+            terms = self.window_terms(k, ("m", "a", "fint"), (k + w) * self.stride + 1)
+            self.cp_m[k + 1:k + w + 1] = terms["m"][self.stride - 1::self.stride]
+            sums_a = terms["a"].reshape(w, self.stride).sum(axis=1)
+            sums_f = terms["fint"].reshape(w, self.stride).sum(axis=1)
+            for j in range(w):
+                acc_a.add(float(sums_a[j]))
+                acc_f.add(float(sums_f[j]))
+                self.cp_a[k + j + 1] = acc_a.value
+                self.cp_fint[k + j + 1] = acc_f.value
         self.mertens_at_n_max = int(self.cp_m[n_cp]) + int(
             np.sum(self.mu[n_cp * self.stride:], dtype=np.int64))
 
@@ -123,17 +132,19 @@ class PrefixSums:
     # ------------------------------------------------------------------
 
     def window_terms(self, k: int, kinds: tuple[str, ...], hi: int | None = None) -> dict:
-        """Per-integer terms of window k, one fresh array per kind asked for:
-        "m" M(n) as int64 from checkpoint k, "log" log u at the step ends
-        u = lo, ..., hi (with those ends as floats under "u"), "a" mu(n) log n
-        and "fint" M(n) log((n+1)/n), over the n in [lo, hi) with
-        lo = k stride + 1 and hi at most (and by default) the window's end,
-        min((k+1) stride, n_max) + 1.
+        """Per-integer terms from window k on, one fresh array per kind asked
+        for: "m" M(n) as int64 from checkpoint k, "log" log u at the step
+        ends u = lo, ..., hi (with those ends as floats under "u"),
+        "a" mu(n) log n and "fint" M(n) log((n+1)/n), over the n in [lo, hi)
+        with lo = k stride + 1 and hi at most n_max + 1; by default hi is
+        window k's end, min((k+1) stride, n_max) + 1.  The build and the
+        profile walks ask for a block of up to BLOCK windows, a replay for
+        a prefix of one window.
 
         "fint" also builds "m", and "log" and "a" share one ``np.log``.  The
         build sums these terms into the checkpoints, and ``_window`` and the
-        profile walks take their cumulative sums, so every route has the
-        same bits.
+        profile walks take their running sums with ``_running``, so every
+        route has the same bits.
         """
         lo = k * self.stride + 1
         if hi is None:
@@ -159,41 +170,28 @@ class PrefixSums:
             a_terms *= mu
         return out
 
+    def _running(self, k: int, kind: str, run: np.ndarray) -> np.ndarray:
+        """Turn the "a" or "fint" terms ``run`` that start at window k into
+        running sums, in place: each stride window is summed left to right
+        from its own checkpoint."""
+        cp = self.cp_a if kind == "a" else self.cp_fint
+        for j in range(0, len(run), self.stride):
+            win = run[j:j + self.stride]
+            np.cumsum(win, out=win)
+            win += cp[k + j // self.stride]
+        return run
+
     def _window(self, k: int, kinds: tuple[str, ...], top: int) -> dict:
         """Running sums of window k at offsets 1..top, the n in (k stride,
-        k stride + top], one array per kind in ``kinds``, kept in the LRU.
+        k stride + top], one array per kind in ``kinds``.
 
-        A cached entry is returned as it is; ``_window_for`` drops one that
-        lacks a kind or is shorter than top before it calls here.  A replay
-        builds only the kinds asked for, as cumulative sums of
-        ``window_terms`` over the prefix: ``cumsum`` adds left to right, so
-        every value has the bits of a full-window replay.
+        A replay builds only the kinds asked for, from checkpoint k over the
+        window's prefix, and keeps nothing: ``cumsum`` adds left to right,
+        so every value has the bits of a full-window replay.
         """
-        win = self._windows.get(k)
-        if win is not None:
-            self._windows.move_to_end(k)
-            return win
         terms = self.window_terms(k, kinds, k * self.stride + 1 + top)
-        cps = {"a": self.cp_a, "fint": self.cp_fint}
-        win = {}
-        for kind in kinds:
-            run = terms[kind]
-            if kind != "m":
-                np.cumsum(run, out=run)
-                run += cps[kind][k]
-            win[kind] = run
-        self._windows[k] = win
-        if len(self._windows) > WINDOW_CACHE:
-            self._windows.popitem(last=False)
-        return win
-
-    def _window_for(self, k: int, kinds: tuple[str, ...], top: int) -> dict:
-        """``_window(k, kinds, top)`` after dropping a cached entry of window
-        k that cannot serve it, so that such an entry is replayed afresh."""
-        win = self._windows.get(k)
-        if win is not None and any(len(win.get(kind, ())) < top for kind in kinds):
-            del self._windows[k]
-        return self._window(k, kinds, top)
+        return {kind: terms[kind] if kind == "m" else self._running(k, kind, terms[kind])
+                for kind in kinds}
 
     def _floor_checked(self, x, lo: float = 1.0) -> int:
         xv = float(x)
@@ -213,7 +211,7 @@ class PrefixSums:
             return self.cp_m[k] + np.sum(self.mu[k * self.stride:n], dtype=np.int64)
         if r == 0:
             return float(self.cp_a[k] if kind == "a" else self.cp_fint[k])
-        return self._window_for(k, (kind,), r)[kind][r - 1]
+        return self._window(k, (kind,), r)[kind][r - 1]
 
     # ------------------------------------------------------------------
     # point queries
@@ -225,8 +223,7 @@ class PrefixSums:
 
     def psi(self, x) -> float:
         """Chebyshev psi(x) = sum of von Mangoldt values up to x."""
-        n = self._floor_checked(x)
-        idx = int(np.searchsorted(self.pp, n, side="right"))
+        idx = self._pp_upto(self._floor_checked(x))
         return float(self.pp_cum_lam[idx - 1]) if idx else 0.0
 
     def big_f(self, x) -> float:
@@ -267,7 +264,7 @@ class PrefixSums:
         groups = np.split(order, np.flatnonzero(np.diff(ks[order])) + 1) if len(order) else []
         for sel in groups:
             r = rs[sel] - 1
-            win = self._window_for(int(ks[sel[0]]), kinds, int(r.max()) + 1)
+            win = self._window(int(ks[sel[0]]), kinds, int(r.max()) + 1)
             for out, kind in zip(outs, kinds):
                 out[sel] = win[kind][r]
         return outs

@@ -296,9 +296,10 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     """The profile stream as one pass over [1, floor(max ys)] per query set.
 
     The form ``hprofile.cumulative_at`` and ``hprofile.profile_walk``
-    replace: it walks every window up to the largest query and answers the
-    queries on the way, with the same operations in the same order, so the
-    values agree bit for bit.
+    replace: it walks every block of ``summatory.BLOCK`` stride windows up to
+    the largest query and answers the queries on the way, with the same
+    operations in the same order, so the values agree bit for bit.  A is
+    summed window by window, each window from its own checkpoint.
 
     ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
     x = (log ys[i])^2; the zero events are those of [1, floor(max ys)], and
@@ -308,6 +309,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     from mertenslab.accum import NeumaierSum
     from mertenslab.hprofile import (_p_anti, _piece_mertens, _piece_smoothed,
                                      _q_anti, _refine_crossing)
+    from mertenslab.summatory import BLOCK
 
     ys = np.asarray(ys, dtype=np.float64)
     y_top = float(ys.max(initial=0.0))
@@ -316,6 +318,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     ys_sorted = ys[order]
     smoothed = kind == "smoothed"
     stride = store.stride
+    span = BLOCK * stride
 
     cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
     zeros_y, zeros_cum = [], []
@@ -323,7 +326,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
 
     acc_abs = NeumaierSum()
     acc_sig = NeumaierSum()
-    run_open = False            # an M == 0 run reaches the window seam
+    run_open = False            # an M == 0 run reaches the block seam
     run_start_n = 0
     last_zero_n = 0
     q_pos = 0
@@ -332,9 +335,9 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
         zeros_y.append(float(n_pos))
         zeros_cum.append(cum_value)
 
-    for k in range((n_top - 1) // stride + 1):
+    for k in range(0, (n_top - 1) // stride + 1, BLOCK):
         lo = k * stride + 1
-        hi = min(lo + stride, n_top + 1)
+        hi = min(lo + span, n_top + 1)
         size = hi - lo
         mu = store.mu[lo - 1:hi - 1]
         m_cum = np.cumsum(mu, dtype=np.int64)
@@ -349,8 +352,10 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
 
         if smoothed:
             a_cum = mu * log_n
-            np.cumsum(a_cum, out=a_cum)
-            a_cum += store.cp_a[k]
+            for j in range(0, size, stride):
+                a_win = a_cum[j:j + stride]
+                np.cumsum(a_win, out=a_win)
+                a_win += store.cp_a[k + j // stride]
             p_all = _p_anti(u_all, log_all)
             d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
             g_start = mf * log_n - a_cum
@@ -423,7 +428,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
                 sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
                 decade_sup[dec] = max(decade_sup.get(dec, 0.0), sup)
 
-        # answer query points landing in this window
+        # answer query points landing in this block
         while q_pos < len(ys_sorted) and ys_sorted[q_pos] < hi:
             yq = float(ys_sorted[q_pos])
             i = int(yq) - lo

@@ -1,4 +1,5 @@
 import math
+import os
 
 import numpy as np
 import pytest
@@ -82,6 +83,19 @@ class TestArithTable:
         with pytest.raises(CapabilityError) as err:
             dirichlet.build_arith_table(store_1e4, 10 ** 4 + 1)
         assert err.value.max_usable == 10 ** 4
+
+    def test_table_beyond_memory(self, store_1e5, monkeypatch):
+        # a machine of 1 MiB holds a table of 1 MiB // 96 = 10 922 integers;
+        # the check runs before anything is allocated, so nothing is
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("the table began to allocate")
+
+        pages = {"SC_PHYS_PAGES": 256, "SC_PAGE_SIZE": 4096}
+        monkeypatch.setattr(os, "sysconf", pages.__getitem__)
+        monkeypatch.setattr(dirichlet.np, "zeros", no_alloc)
+        with pytest.raises(CapabilityError) as err:
+            dirichlet.build_arith_table(store_1e5, 2 * 10 ** 4)
+        assert err.value.max_usable == (1 << 20) // dirichlet.TABLE_BYTES_PER_INT == 10922
 
     def test_lambda2_minus_definition(self, table_2e4):
         t = table_2e4

@@ -1,8 +1,9 @@
 """Fault suite: the report run on data with one injected fault.
 
 Each case runs a command at a small size with one fault put into the
-sieve's output by monkeypatching ``sieve.build_segment``, and asserts which
-checks fail and that the report is still written.
+sieve's output by monkeypatching ``sieve.build_segment``, or into the store
+right after its build, and asserts which checks fail and that the report is
+still written.
 """
 
 import dataclasses
@@ -10,7 +11,7 @@ import json
 
 import pytest
 
-from mertenslab import cli, dirichlet, sieve
+from mertenslab import cli, dirichlet, sieve, summatory
 
 SMALL = ["--n-max", "200000", "--conv-cap", "20000"]
 
@@ -61,3 +62,25 @@ def test_failed_table_cross_check_in_verify(tmp_path, lambda_fault):
     assert check["name"] == "residual-stats" and check["status"] == "fail"
     assert check["worst_n"] >= 7523
     assert len(lambda_fault) == 1
+
+
+@pytest.mark.parametrize("name, failing", [
+    ("cp_a", {"f-sum-collapse", "dual-route"}),
+    ("cp_fint", {"dual-route"}),
+])
+def test_corrupted_checkpoints_fail(tmp_path, monkeypatch, name, failing):
+    # from the middle checkpoint k on, the running sum is raised by
+    # 1e-6 |cp[k]|, as if one window's sum were off
+    build = summatory.PrefixSums._build
+
+    def faulty_build(self):
+        build(self)
+        cp = getattr(self, name)
+        k = len(cp) // 2
+        cp[k:] += 1e-6 * abs(cp[k])
+
+    monkeypatch.setattr(summatory.PrefixSums, "_build", faulty_build)
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--out", str(out)] + SMALL) == cli.EXIT_FAIL
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["name"] for c in checks if c["status"] == "fail"} == failing

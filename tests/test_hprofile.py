@@ -15,10 +15,12 @@ N_STRIDED = 10 ** 5 + 7
 
 @pytest.fixture(scope="module")
 def strided_stores():
-    # at stride 39 the mertens zero run 39..40 straddles the first seam, and
-    # at stride 211 the run 422..425 continues for three steps past one
+    # at stride 39 the mertens zero run 39..40 straddles the first window
+    # seam, and at stride 211 the run 422..425 continues for three steps
+    # past one; at stride 2845 the run 45519..45522 has two steps on each
+    # side of the first walk block seam, 16 * 2845 = 45520
     return {stride: summatory.PrefixSums(N_STRIDED, stride=stride)
-            for stride in (39, 211, 1000, 1 << 16)}
+            for stride in (39, 211, 1000, 2845, 1 << 16)}
 
 
 def assert_same_stream(res, want):
@@ -89,7 +91,7 @@ class TestStreamCumulative:
                for kind in ("smoothed", "mertens")}
         ref_walk = {kind: hprofile.profile_walk(strided_stores[1 << 16], kind)
                     for kind in ("smoothed", "mertens")}
-        for stride in (39, 211, 1000):
+        for stride in (39, 211, 1000, 2845):
             store = strided_stores[stride]
             for kind in ("smoothed", "mertens"):
                 res = hprofile.cumulative_at(store, ys, kind)
@@ -111,9 +113,16 @@ class TestStreamCumulative:
             res = hprofile.cumulative_at(store_1e4, ys, kind)
             assert np.all(np.isfinite(res.cum_abs))
 
+    def test_block_seam_inside_a_zero_run(self, strided_stores):
+        store = strided_stores[2845]
+        seam = summatory.BLOCK * store.stride
+        assert seam == 45520
+        assert [store.mertens(n) for n in range(seam - 2, seam + 4)] == [-1, 0, 0, 0, 0, -1]
+
     def test_mertens_walk_builds_no_a(self, monkeypatch):
-        # the step profile needs M and the logs only, never mu(n) log n
-        store = summatory.PrefixSums(10 ** 4, stride=1 << 10)
+        # the step profile needs M and the logs only, never mu(n) log n;
+        # one window_terms call per block: 157 windows of 64 make 10 blocks
+        store = summatory.PrefixSums(10 ** 4, stride=1 << 6)
         asked = []
         window_terms = store.window_terms
 
@@ -125,17 +134,17 @@ class TestStreamCumulative:
         hprofile.stream_cumulative(store, "mertens")
         assert len(asked) == 10 and all("a" not in kinds for kinds in asked)
 
-    @pytest.mark.parametrize("stride", [39, 211, 1000, 1 << 16])
+    @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
     def test_matches_single_pass(self, strided_stores, stride):
-        # replaying one window from the walk's seam gives the single pass's
+        # replaying one block from the walk's seam gives the single pass's
         # values bit for bit: query points at seams, inside the zero runs
-        # 39..40 and 422..425, in unsorted order, and with
+        # 39..40, 422..425 and 45519..45522, in unsorted order, and with
         # floor(max y) < n_max, where the pass stops short of the walk
         store = strided_stores[stride]
         query_sets = (
             [2.5, 39.0, 39.5, 40.0, 423.0, 1000.3, 65536.5, float(N_STRIDED)],
             [40.0, 2.0, 424.7],
-            [78.0, 211.0, 422.0, 5000.0, 12345.6],
+            [78.0, 211.0, 422.0, 5000.0, 12345.6, 45519.0, 45520.5, 45521.0],
             [float(N_STRIDED) + 0.5, 17.0, 65536.0],
             [1.0],
         )
@@ -144,11 +153,11 @@ class TestStreamCumulative:
                 assert_same_stream(hprofile.cumulative_at(store, ys, kind),
                                    oracles.stream_single_pass(store, ys, kind))
 
-    @pytest.mark.parametrize("stride", [39, 211, 1000, 1 << 16])
+    @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
     def test_walk_matches_single_pass(self, strided_stores, stride):
-        # the walk's zeros, their flags and |H| integrals and the decade
-        # sups are those of one pass over all of [1, n_max]: the zero runs
-        # 39..40 and 422..425 straddle seams at strides 39 and 211
+        # the walk's zeros, their |H| integrals and the decade sups are those
+        # of one pass over all of [1, n_max]: the zero run 45519..45522
+        # straddles a block seam at stride 2845
         store = strided_stores[stride]
         for kind in ("smoothed", "mertens"):
             assert_same_events(hprofile.profile_walk(store, kind),

@@ -173,7 +173,7 @@ class TestPsiAndWeights:
 
 class TestOneSievePass:
     def test_queries_read_the_stored_mu(self, monkeypatch):
-        # a fresh store, so every window below is replayed, not an LRU hit
+        # every lookup below replays from the stored mu; the sieve is not called
         store = summatory.PrefixSums(10 ** 5)
 
         def no_sieve(*args, **kwargs):
@@ -200,7 +200,7 @@ class TestBatchedLookups:
 
     @pytest.fixture(scope="class")
     def store(self):
-        # about 98 windows, so a batch spans far more than the LRU holds
+        # about 98 windows, so a batch visits many of them
         return summatory.PrefixSums(10 ** 5, stride=self.STRIDE)
 
     def _ns(self, store):
@@ -275,19 +275,13 @@ class TestPrefixReplay:
     def _lookup(self, store, full, kinds, ns):
         for kind, got in zip(kinds, store._cum_many(kinds, ns)):
             assert np.array_equal(got, self._want(store, full, kind, ns)), kind
-        for k, win in store._windows.items():
-            for kind, arr in win.items():
-                assert np.array_equal(arr, full[k][kind][:len(arr)]), (k, kind)
 
     def test_short_prefix_then_longer(self, store, full):
         for k in (0, 7, 50, 97):
             base = k * self.STRIDE
             self._lookup(store, full, ("a", "fint"), [base + 3])
-            assert len(store._windows[k]["a"]) == 3
             self._lookup(store, full, ("a", "fint"), [base + 2, base + 200])
-            assert len(store._windows[k]["fint"]) == 200
             self._lookup(store, full, ("a",), [base + 5])
-            assert len(store._windows[k]["a"]) == 200      # served from the cache
         self._lookup(store, full, self.KINDS, self._ns(1))
 
     def test_window_terms_builds_the_kinds_asked_for(self, store):
@@ -315,16 +309,14 @@ class TestPrefixReplay:
     def test_m_alone_then_all_three(self, store, full):
         ns = self._ns(3)
         self._lookup(store, full, ("m",), ns)
-        assert all(set(win) == {"m"} for win in store._windows.values())
         self._lookup(store, full, self.KINDS, ns)
         self._lookup(store, full, ("m",), ns[:40])
 
     def test_evicted_then_read_again(self, store, full):
         ns = [3 * self.STRIDE + 17]
         self._lookup(store, full, self.KINDS, ns)
-        others = [k * self.STRIDE + 1000 for k in range(10, 10 + summatory.WINDOW_CACHE)]
+        others = [k * self.STRIDE + 1000 for k in range(10, 42)]
         self._lookup(store, full, ("a",), others)
-        assert 3 not in store._windows
         self._lookup(store, full, self.KINDS, ns)
         self._lookup(store, full, ("fint",), ns + others)
 
@@ -363,20 +355,69 @@ class TestReplayWork:
         for x in np.concatenate((xs, [1.0, self.STRIDE, self.STRIDE + 1.5, 10 ** 5])):
             store.mertens(x)
         assert store.mertens(10 ** 5) == -48
-        assert not store._windows
 
-    def test_mertens_many_caches_m_alone(self, store):
+    @staticmethod
+    def _recorded(store, monkeypatch):
+        """Record (k, kinds, hi) of every ``window_terms`` call on store."""
+        calls = []
+        window_terms = store.window_terms
+
+        def recorded(k, kinds, hi=None):
+            calls.append((k, tuple(kinds), hi))
+            return window_terms(k, kinds, hi)
+
+        monkeypatch.setattr(store, "window_terms", recorded)
+        return calls
+
+    def test_mertens_many_replays_m_alone(self, store, monkeypatch):
+        calls = self._recorded(store, monkeypatch)
         xs = np.random.default_rng(7).uniform(1, 10 ** 5, 500)
-        store.mertens_many(xs)
-        assert len(store._windows) == summatory.WINDOW_CACHE
-        assert all(set(win) == {"m"} for win in store._windows.values())
+        assert store.mertens_many(xs).tolist() == [store.mertens(x) for x in xs]
+        assert calls and all(kinds == ("m",) for _, kinds, _ in calls)
 
     @pytest.mark.parametrize("r", [1, 37, 1023])
-    def test_scalar_big_f_caches_its_prefix(self, store, r):
+    def test_scalar_big_f_replays_its_prefix(self, store, monkeypatch, r):
+        calls = self._recorded(store, monkeypatch)
         k = 41
         store.big_f(k * self.STRIDE + r + 0.5)
-        assert list(store._windows) == [k]
-        assert {kind: len(arr) for kind, arr in store._windows[k].items()} == {"a": r}
+        assert calls == [(k, ("a",), k * self.STRIDE + 1 + r)]
+
+    # the longest span of one replay at the default stride, in integers;
+    # this bound may be lowered, never raised
+    REPLAY_SPAN = 1 << 12
+
+    def test_replays_span_at_most_a_stride(self, store_1e5, monkeypatch):
+        calls = self._recorded(store_1e5, monkeypatch)
+        rng = np.random.default_rng(8)
+        xs = np.concatenate((rng.uniform(1, 10 ** 5, 300), [10 ** 5 - 0.5, 10 ** 5]))
+        for x in xs[:100]:
+            store_1e5.big_f(x)
+            store_1e5.big_f_integral(x)
+        store_1e5._cum_many(("m", "a", "fint"), np.floor(xs).astype(np.int64))
+        store_1e5.big_f_many(xs)
+        assert len(calls) > 100
+        assert store_1e5.stride == summatory.DEFAULT_STRIDE <= self.REPLAY_SPAN
+        for k, _, hi in calls:
+            assert hi - (k * store_1e5.stride + 1) <= store_1e5.stride
+
+    def test_lookups_keep_nothing(self, store):
+        # the store holds arrays and integers only, and no lookup replaces
+        # or writes into any of them
+        before = dict(vars(store))
+        assert all(isinstance(v, (np.ndarray, int)) for v in before.values())
+        data = {name: v.tobytes() for name, v in before.items() if isinstance(v, np.ndarray)}
+        xs = np.random.default_rng(9).uniform(1, 10 ** 5, 200)
+        for x in xs[:50]:
+            store.mertens(x)
+            store.big_f(x)
+            store.big_f_integral(x)
+        store._cum_many(("m", "a", "fint"), np.floor(xs).astype(np.int64))
+        store.big_f_many(xs)
+        hprofile.h_derivative_many(store, xs)
+        after = vars(store)
+        assert list(after) == list(before)
+        assert all(after[name] is value for name, value in before.items())
+        assert all(after[name].tobytes() == raw for name, raw in data.items())
 
 
 class TestConstructionDeterminism:

@@ -1,0 +1,39 @@
+"""The benchmark's layer tracer (``perfbench/tracer.py``) wraps the program's
+functions by name, and a traced run drops the per-layer metrics of every
+name it cannot find.  This test installs the tracer in a child process and
+pins which names it finds, so that a rename fails here rather than silently
+thinning the traced result."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+
+INSTALL = """
+import json
+import tracer
+tr = tracer.Tracer()
+tracer.install(tr)
+print(json.dumps({"installed": tr.installed, "missing": tr.missing}))
+"""
+
+# scalar query names that the program no longer has; the tracer lists them
+# as missing and needs none of them for a metric
+DEAD_QUERIES = ["summatory.query.mu_log_sum", "summatory.query.h_smoothed",
+                "summatory.query.h_mertens"]
+
+
+def test_tracer_finds_every_live_target():
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), str(ROOT / "perfbench")]))
+    out = subprocess.run([sys.executable, "-c", INSTALL], cwd=ROOT, env=env,
+                         capture_output=True, text=True, check=True, timeout=120)
+    result = json.loads(out.stdout.strip().splitlines()[-1])
+    assert result["missing"] == DEAD_QUERIES
+    assert len(result["installed"]) == 27
+    for label in ("sieve.build_segment", "sieve.mobius", "sieve.lambda",
+                  "summatory.build", "summatory.window", "hprofile.stream"):
+        assert label in result["installed"], label
