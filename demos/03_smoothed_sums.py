@@ -47,7 +47,7 @@ print(" 3. Tatuzawa-Iseki residuals are rounding noise for any F")
 print("=" * 70)
 fs = {"F = 1": identities.f_one, "F = log": identities.f_log,
       "F = smoothed sum": identities.f_smoothed(store)}
-# one call per x: the divisor pairs of x are enumerated once for all three F
+# one call per x: one Dirichlet convolution of x serves all three F
 residuals = np.array([identities.tatuzawa_iseki_residual(store, float(x),
                                                          list(fs.values()))
                       for x in np.geomspace(2, 10 ** 4, 15)])

@@ -186,6 +186,19 @@ def check_mertens_values(ctx: Context) -> dict:
             "values": rows}
 
 
+def _residual_scan(residuals, tols, **at) -> tuple[bool, dict]:
+    """(every |residual| within its tolerance, the worst point): the first
+    of largest |residual|, with its entry in each list of ``at``; with no
+    points, residual 0.0 at x None."""
+    size = np.abs(residuals)
+    if not len(size):
+        return True, {"residual": 0.0, "x": None}
+    i = int(np.argmax(size))
+    worst = {"residual": float(residuals[i])}
+    worst.update((key, values[i]) for key, values in at.items())
+    return bool(np.all(size <= tols)), worst
+
+
 def check_tatuzawa_iseki(ctx: Context) -> dict:
     cfg = ctx.config
     if cfg.points is not None:
@@ -197,18 +210,12 @@ def check_tatuzawa_iseki(ctx: Context) -> dict:
     if cfg.f_kind != "all":
         fs = {cfg.f_kind: fs[cfg.f_kind]}
     # one call per x serves every f; the scan keeps f outer, x inner
-    residuals = [identities.tatuzawa_iseki_residual(ctx.store, float(x),
-                                                    list(fs.values()))
-                 for x in xs]
-    worst = {"residual": 0.0, "x": None, "f": None}
-    ok = True
-    for j, fname in enumerate(fs):
-        for x, rs in zip(xs, residuals):
-            r = rs[j]
-            tol = cfg.tol_rel * x * math.log(x) ** 2
-            if worst["x"] is None or abs(r) > abs(worst["residual"]):
-                worst = {"residual": r, "x": float(x), "f": fname}
-            ok &= abs(r) <= tol
+    residuals = np.array([identities.tatuzawa_iseki_residual(ctx.store, float(x),
+                                                             list(fs.values()))
+                          for x in xs])
+    ok, worst = _residual_scan(
+        residuals.T.ravel(), cfg.tol_rel * np.tile(xs * np.log(xs) ** 2, len(fs)),
+        x=xs.tolist() * len(fs), f=[fname for fname in fs for _ in xs])
     return {"name": "tatuzawa-iseki", "status": "pass" if ok else "fail",
             "n_points": int(len(xs)), "functions": sorted(fs),
             "worst": worst, "tolerance": "tol_rel * x * log(x)^2"}
@@ -220,13 +227,9 @@ def check_f_sum_collapse(ctx: Context) -> dict:
     xs = cfg.grid_points(stop) if cfg.points is not None else \
         np.concatenate(([2.0, 4.0, 10.0], identities.geometric_grid(100.0, stop)))
     xs = xs[xs <= cfg.n_max]
-    ok = True
-    worst = {"residual": 0.0, "x": None}
-    for x in xs:
-        _, resid = identities.check_f_sum_identity(ctx.store, float(x))
-        if abs(resid) > abs(worst["residual"]):
-            worst = {"residual": resid, "x": float(x)}
-        ok &= abs(resid) <= cfg.tol_rel * x
+    ok, worst = _residual_scan(
+        [identities.check_f_sum_identity(ctx.store, float(x))[1] for x in xs],
+        cfg.tol_rel * xs, x=xs.tolist())
     return {"name": "f-sum-collapse", "status": "pass" if ok else "fail",
             "n_points": int(len(xs)), "worst": worst, "tolerance": "tol_rel * x"}
 
@@ -237,13 +240,9 @@ def check_floor_weighted(ctx: Context) -> dict:
     xs = cfg.grid_points(stop) if cfg.points is not None else \
         np.concatenate(([2.0, 4.0, 10.0], identities.geometric_grid(100.0, stop)))
     xs = xs[(xs >= 2.0) & (xs <= cfg.n_max)]
-    ok = True
-    worst = {"residual": 0.0, "x": None}
-    for x in xs:
-        fw = identities.floor_weighted_mu_sum(ctx.store, float(x))
-        if abs(fw.residual) > abs(worst["residual"]):
-            worst = {"residual": fw.residual, "x": float(x)}
-        ok &= abs(fw.residual) <= cfg.tol_rel * x
+    ok, worst = _residual_scan(
+        [identities.floor_weighted_mu_sum(ctx.store, float(x)).residual for x in xs],
+        cfg.tol_rel * xs, x=xs.tolist())
     return {"name": "floor-weighted", "status": "pass" if ok else "fail",
             "n_points": int(len(xs)), "worst": worst,
             "tolerance": "tol_rel * x"}
@@ -443,10 +442,9 @@ def interval_rows(prof: hprofile.HProfile) -> list[dict]:
             for iv in (prof.intervals or [])]
 
 
-def iteration_payload(lam: float, steps: int, alpha: float) -> dict:
-    it = hprofile.lambda_iteration(lam, steps, alpha)
+def iteration_payload(it: hprofile.IterationResult) -> dict:
     return {
-        "lambda": it.lam, "alpha": it.alpha, "n_steps": steps,
+        "lambda": it.lam, "alpha": it.alpha, "n_steps": len(it.lambdas) - 1,
         "limit": it.limit,
         "final_lambda_n": float(it.lambdas[-1]),
         "final_bound_recurrence": float(it.bounds_recurrence[-1]),
@@ -583,7 +581,6 @@ def cmd_intervals(ctx: Context) -> int:
 
 def cmd_iterate(ctx: Context) -> int:
     cfg = ctx.config
-    payload = iteration_payload(cfg.lam, cfg.steps, cfg.alpha)
     it = hprofile.lambda_iteration(cfg.lam, cfg.steps, cfg.alpha)
     if cfg.fmt == "csv":
         rows = [{"k": k, "lambda_k": float(it.lambdas[k]),
@@ -593,7 +590,7 @@ def cmd_iterate(ctx: Context) -> int:
         _emit_csv(cfg, ["k", "lambda_k", "bound_recurrence", "bound_contracting"],
                   rows, "iterate.csv")
     else:
-        _emit(cfg, payload, "iterate.json")
+        _emit(cfg, iteration_payload(it), "iterate.json")
     return EXIT_PASS
 
 
@@ -622,8 +619,10 @@ def cmd_report(ctx: Context) -> int:
 
     iterations = {}
     for lam in (0.1, 0.5, 0.9):
-        iterations[str(lam)] = iteration_payload(lam, cfg.steps, 1.0)
-    iterations["alpha_hat"] = iteration_payload(0.5, cfg.steps, alpha_hat)
+        iterations[str(lam)] = iteration_payload(
+            hprofile.lambda_iteration(lam, cfg.steps))
+    iterations["alpha_hat"] = iteration_payload(
+        hprofile.lambda_iteration(0.5, cfg.steps, alpha_hat))
     conv = abs(hprofile.lambda_iteration(0.5, 50).lambdas[-1] - 2.0)
     it_ok = conv <= 1e-12
     checks.append({"name": "iteration-convergence",

@@ -517,9 +517,9 @@ def h_derivative_many(store: PrefixSums, ys) -> np.ndarray:
     rule.  At integer y the step value of M gives the right-hand limit; x
     below the left cutoff is clamped to it.  Every y must lie in [1, n_max].
     """
-    ys = np.asarray(ys, dtype=np.float64)
+    ys, ns = store._floor_many(ys)
     xs = np.maximum(np.log(ys) ** 2, X_MIN_GUARD)
-    m, a = store._cum_many(("m", "a"), store._floor_many(ys))
+    m, a = store._cum_many(("m", "a"), ns)
     m = m.astype(np.float64)
     f = m * np.log(ys) - a
     return (m - f) / (2.0 * np.sqrt(xs) * ys)

@@ -10,10 +10,10 @@ Exact identities (true for every argument; only rounding survives):
 The two right-hand closed forms differ (log x vs log x + psi x): the module
 computes both sums independently and never equates them.
 
-The Tatuzawa-Iseki residual takes a sequence of F and enumerates the
-divisor pairs of x once for all of them.  The dilated sum is summed once
-per (store, x) and kept, so a check and a remainder series over the same
-points share it.
+The Tatuzawa-Iseki residual takes a sequence of F and builds its right
+side's weights once per x, by one :func:`dirichlet.convolve_prefix` call.
+The dilated sum is summed once per (store, x) and kept, so a check and a
+remainder series over the same points share it.
 
 Asymptotic claims are materialized as :class:`RemainderSeries`: sampled
 values of (computed sum - main term), with the claim's own normalizer, so
@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import hprofile
+from . import dirichlet, hprofile
 from .accum import NeumaierSum
 from .errors import CapabilityError, RangeError
 from .summatory import PrefixSums, log_square_sums
@@ -47,7 +47,6 @@ SERIES_KINDS = (
 )
 
 _CHUNK = 1 << 20
-_FLAT_CHUNK = 1 << 21
 
 
 @dataclass(frozen=True)
@@ -100,60 +99,51 @@ def f_smoothed(store: PrefixSums):
     return store.big_f_many
 
 
-def tatuzawa_iseki_residual(store: PrefixSums, x: float, fs, *,
-                            flat_chunk: int = _FLAT_CHUNK) -> list[float]:
+def tatuzawa_iseki_residual(store: PrefixSums, x: float, fs) -> list[float]:
     """Residuals of the exact weighted identity at x, one per F in ``fs``.
 
     Both sides are summed outright: the left side over the prime powers
-    carrying Lambda, the right side over all divisor pairs (d, m) with
-    d m <= x, enumerated flat in chunks.  Each F is evaluated once per
-    k = d m <= x, x arguments rather than one per pair (about x log x); the
-    pairs only gather from those arrays and from the per-d weights
-    mu(d) (log x - log d).  The pairs of a chunk are enumerated once and
-    applied to every F in turn, so each residual is the one a call with
-    that F alone would give.  The result is pure rounding noise for any F;
-    tolerances scale with x (log x)^2.
+    carrying Lambda, the right side over the divisor pairs (d, m), d m <= x,
+    grouped by k = d m first.  It is sum_{k<=x} c(k) F(x/k) with c = w * 1
+    and w(d) = mu(d) log(x/d), one :func:`dirichlet.convolve_prefix` call.
+    Each F is evaluated once per k, in slices; one c serves every F, so each
+    residual is the one a call with that F alone would give.  The result is
+    pure rounding noise for any F; tolerances scale with x (log x)^2.
     """
     if not 2.0 <= x <= store.n_max:
         raise RangeError(f"identity check needs 2 <= x <= {store.n_max}, got {x}")
     xf = int(math.floor(x))
     log_x = math.log(x)
 
+    w = np.zeros(xf + 1)
+    w[1:] = store.mobius_range(1, xf + 1) * (log_x - np.log(np.arange(1.0, xf + 1.0)))
+    c = dirichlet.convolve_prefix(w, np.broadcast_to(1.0, (xf + 1,)), xf)
+    del w
+
+    # x >= 2, so the prime power 2 is always among them
     i = int(np.searchsorted(store.pp, xf, side="right"))
     pp = store.pp[:i]
-    ks = np.arange(1, xf + 1, dtype=np.int64)
-    lhs, f_at_k = [], []
+    residuals = []
     for f in fs:
         f_at_x = float(np.asarray(f(np.array([x])))[0])
-        acc = NeumaierSum(f_at_x * log_x)
-        if i:
-            acc.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
-        lhs.append(acc)
-        # F is evaluated in flat_chunk slices, so its temporaries stay bounded
-        f_at_k.append(np.concatenate([np.asarray(f(x / ks[j:j + flat_chunk]))
-                                      for j in range(0, xf, flat_chunk)]))
-    w_at_d = (store.mobius_range(1, xf + 1).astype(np.float64)
-              * (log_x - np.log(ks.astype(np.float64))))
-    # cum[d - 1] = pairs with first factor <= d; a d-block [d0, d1) takes the
-    # most d whose pairs fit in flat_chunk, and at least one d
-    cum = np.cumsum(xf // ks)
-    rhs = [NeumaierSum() for _ in f_at_k]
-    d0 = 1
-    while d0 <= xf:
-        base = int(cum[d0 - 2]) if d0 > 1 else 0
-        d1 = max(int(np.searchsorted(cum, base + flat_chunk, "right")) + 1, d0 + 1)
-        pairs = int(cum[d1 - 2]) - base
-        ds = np.arange(d0, d1, dtype=np.int64)
-        counts = xf // ds
-        starts = np.cumsum(counts) - counts
-        flat_d = np.repeat(ds, counts)
-        flat_m = np.arange(1, pairs + 1, dtype=np.int64) - np.repeat(starts, counts)
-        weights = np.repeat(w_at_d[d0 - 1:d1 - 1], counts)
-        idx = flat_d * flat_m - 1
-        for acc, vals in zip(rhs, f_at_k):
-            acc.add(float(np.sum(weights * vals[idx])))
-        d0 = d1
-    return [left.value - right.value for left, right in zip(lhs, rhs)]
+        lhs = NeumaierSum(f_at_x * log_x)
+        lhs.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
+        residuals.append(lhs.value - _quotient_sum(f, x, c))
+    return residuals
+
+
+def _quotient_sum(f, x: float, c: np.ndarray) -> float:
+    """sum_{k<=x} c(k) F(x/k), with F evaluated in slices of _CHUNK
+    arguments so that its temporaries stay bounded."""
+    xf = int(math.floor(x))
+    acc = NeumaierSum()
+    for lo in range(1, xf + 1, _CHUNK):
+        hi = min(lo + _CHUNK, xf + 1)
+        # float k give the same x / k as int64 k, and they are freed before
+        # F runs, so they add nothing to its peak memory
+        ys = x / np.arange(lo, hi, dtype=np.float64)
+        acc.add(float(np.sum(c[lo:hi] * np.asarray(f(ys)))))
+    return acc.value
 
 
 # ----------------------------------------------------------------------
@@ -180,15 +170,9 @@ def check_f_sum_identity(store: PrefixSums, x: float) -> tuple[float, float]:
     key = float(x)
     if key in sums:
         return sums[key]
-    xf = int(math.floor(x))
-    acc = NeumaierSum()
-    for lo in range(1, xf + 1, _CHUNK):
-        hi = min(lo + _CHUNK, xf + 1)
-        # float n give the same x / n as int64 n, and they are freed before
-        # the lookup, so they add nothing to its peak memory
-        ys = x / np.arange(lo, hi, dtype=np.float64)
-        acc.add(float(np.sum(store.big_f_many(ys))))
-    total = acc.value
+    # weights of one multiply F exactly, so the sum has the bits of sum F(x/n)
+    ones = np.broadcast_to(1.0, (int(math.floor(x)) + 1,))
+    total = _quotient_sum(store.big_f_many, x, ones)
     sums[key] = (total, total - math.log(x))
     return sums[key]
 

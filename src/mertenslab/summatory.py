@@ -194,13 +194,16 @@ class PrefixSums:
                 for kind in kinds}
 
     def _floor_checked(self, x, lo: float = 1.0) -> int:
-        xv = float(x)
+        # exact for integers: float() rounds them above 2^53 and overflows
+        xv = int(x) if isinstance(x, (int, np.integer)) else float(x)
+        if lo <= xv <= self.n_max:
+            return int(math.floor(xv))
+        shown = xv if not isinstance(xv, int) or xv.bit_length() <= 64 else \
+            f"of {xv.bit_length()} bits"    # str() refuses 4 300 digits
         if not (lo <= xv):
-            raise RangeError(f"argument {xv} below admissible minimum {lo}")
-        if xv > self.n_max:
-            raise CapabilityError(
-                f"argument {xv} beyond table cap {self.n_max}", max_usable=self.n_max)
-        return int(math.floor(xv))
+            raise RangeError(f"argument {shown} below admissible minimum {lo}")
+        raise CapabilityError(
+            f"argument {shown} beyond table cap {self.n_max}", max_usable=self.n_max)
 
     def _cum_lookup(self, kind: str, n: int):
         """Value of the running sum at integer n (0 for n = 0).  M is the
@@ -269,28 +272,33 @@ class PrefixSums:
                 out[sel] = win[kind][r]
         return outs
 
-    def _floor_many(self, xs: np.ndarray) -> np.ndarray:
-        """floor(xs) as int64; every x must lie in [1, n_max], as for mertens."""
+    def _floor_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """(xs as float64, floor(xs) as int64); every x must lie in
+        [1, n_max], as for mertens.  An integer too large for a float is
+        beyond the cap."""
+        try:
+            xs = np.asarray(xs, dtype=np.float64)
+        except OverflowError:
+            raise CapabilityError(f"argument beyond table cap {self.n_max}",
+                                  max_usable=self.n_max) from None
         if len(xs):
             self._floor_checked(xs.min())
             self._floor_checked(xs.max())
-        return np.floor(xs).astype(np.int64)
+        return xs, np.floor(xs).astype(np.int64)
 
     def mertens_many(self, xs) -> np.ndarray:
         """Vectorized M(floor(x)) for an array of arguments in [1, n_max]."""
-        ns = self._floor_many(np.asarray(xs, dtype=np.float64))
-        return self._cum_many(("m",), ns)[0]
+        return self._cum_many(("m",), self._floor_many(xs)[1])[0]
 
     def big_f_many(self, ys) -> np.ndarray:
         """Vectorized F(y) for an array of real arguments in [1, n_max]."""
-        ys = np.asarray(ys, dtype=np.float64)
-        m, a = self._cum_many(("m", "a"), self._floor_many(ys))
+        ys, ns = self._floor_many(ys)
+        m, a = self._cum_many(("m", "a"), ns)
         return m.astype(np.float64) * np.log(ys) - a
 
     def psi_many(self, xs) -> np.ndarray:
         """Vectorized psi(x); every x must lie in [1, n_max], as for psi."""
-        xs = np.asarray(xs, dtype=np.float64)
-        ns = self._floor_many(xs)
+        ns = self._floor_many(xs)[1]
         idx = np.searchsorted(self.pp, ns, side="right")
         out = np.zeros(len(ns))
         nz = idx > 0

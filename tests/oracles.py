@@ -200,12 +200,13 @@ def big_f_naive(xs: float, mu: np.ndarray) -> float:
     return float(sum(int(mu[n]) * math.log(xs / n) for n in range(1, top + 1)))
 
 
-def tatuzawa_iseki_pairwise(store, x: float, f, flat_chunk: int = 1 << 21) -> float:
+def tatuzawa_iseki_pairwise(store, x: float, f) -> float:
     """Tatuzawa-Iseki residual with F evaluated at every divisor pair (d, m).
 
     The pair-by-pair form: about x log x arguments of F, each pair's weight
-    mu(d) (log x - log d) computed in place.  Its sums run in the same order
-    as ``identities.tatuzawa_iseki_residual``, so the two agree bit for bit.
+    mu(d) (log x - log d) computed in place, all pairs summed in one flat
+    block.  No convolution: it checks ``identities.tatuzawa_iseki_residual``,
+    which groups the pairs by k = d m first.
     """
     from mertenslab.accum import NeumaierSum
 
@@ -220,28 +221,15 @@ def tatuzawa_iseki_pairwise(store, x: float, f, flat_chunk: int = 1 << 21) -> fl
         lhs.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
 
     mu = store.mobius_range(1, xf + 1)
-    rhs = NeumaierSum()
-    d0 = 1
-    while d0 <= xf:
-        d1 = d0
-        pairs = 0
-        while d1 <= xf and pairs + xf // d1 <= flat_chunk:
-            pairs += xf // d1
-            d1 += 1
-        if d1 == d0:
-            d1 = d0 + 1
-            pairs = xf // d0
-        ds = np.arange(d0, d1, dtype=np.int64)
-        counts = xf // ds
-        starts = np.cumsum(counts) - counts
-        flat_d = np.repeat(ds, counts)
-        flat_m = np.arange(1, pairs + 1, dtype=np.int64) - np.repeat(starts, counts)
-        weights = (mu[flat_d - 1].astype(np.float64)
-                   * (log_x - np.log(flat_d.astype(np.float64))))
-        vals = np.asarray(f(x / (flat_d * flat_m)))
-        rhs.add(float(np.sum(weights * vals)))
-        d0 = d1
-    return lhs.value - rhs.value
+    ds = np.arange(1, xf + 1, dtype=np.int64)
+    counts = xf // ds
+    starts = np.cumsum(counts) - counts
+    flat_d = np.repeat(ds, counts)
+    flat_m = np.arange(1, int(counts.sum()) + 1, dtype=np.int64) - np.repeat(starts, counts)
+    weights = (mu[flat_d - 1].astype(np.float64)
+               * (log_x - np.log(flat_d.astype(np.float64))))
+    vals = np.asarray(f(x / (flat_d * flat_m)))
+    return lhs.value - float(np.sum(weights * vals))
 
 
 def log_square_sum(x) -> tuple[float, float]:

@@ -1,9 +1,9 @@
 """Fault suite: the report run on data with one injected fault.
 
 Each case runs a command at a small size with one fault put into the
-sieve's output by monkeypatching ``sieve.build_segment``, or into the store
-right after its build, and asserts which checks fail and that the report is
-still written.
+sieve's output (a scaled Lambda or a negated mu) by monkeypatching
+``sieve.build_segment``, or into the store right after its build, and
+asserts which checks fail and that the report is still written.
 """
 
 import dataclasses
@@ -40,6 +40,25 @@ def lambda_fault(monkeypatch):
     monkeypatch.setattr(sieve, "build_segment", faulty_segment)
     monkeypatch.setattr(dirichlet, "build_arith_table", counted_table)
     return builds
+
+
+@pytest.fixture
+def mu_fault(request, monkeypatch):
+    """Negate mu(n0), n0 = the fixture's parameter, in the segment that
+    holds it."""
+    n0 = request.param
+    build_segment = sieve.build_segment
+
+    def faulty_segment(lo, hi, primes):
+        seg = build_segment(lo, hi, primes)
+        if lo <= n0 < hi:
+            mu = seg.mu.copy()
+            mu[n0 - lo] *= -1
+            seg = dataclasses.replace(seg, mu=mu)
+        return seg
+
+    monkeypatch.setattr(sieve, "build_segment", faulty_segment)
+    return n0
 
 
 def test_failed_table_cross_check_is_reported(tmp_path, lambda_fault):
@@ -80,6 +99,21 @@ def test_corrupted_checkpoints_fail(tmp_path, monkeypatch, name, failing):
         cp[k:] += 1e-6 * abs(cp[k])
 
     monkeypatch.setattr(summatory.PrefixSums, "_build", faulty_build)
+    out = tmp_path / "report.json"
+    assert cli.main(["report", "--out", str(out)] + SMALL) == cli.EXIT_FAIL
+    checks = json.loads(out.read_text())["checks"]
+    assert {c["name"] for c in checks if c["status"] == "fail"} == failing
+
+
+@pytest.mark.parametrize("mu_fault, failing", [
+    # a prime below the conv_cap: the Selberg table and the weighted
+    # identity see it too
+    (9973, {"f-sum-collapse", "floor-weighted", "lambda2-forms",
+            "mertens-values", "residual-stats", "tatuzawa-iseki"}),
+    # a prime above both the conv_cap and the identity's 1e5 points
+    (99991, {"f-sum-collapse", "floor-weighted", "mertens-values"}),
+], indirect=["mu_fault"])
+def test_flipped_mu_fails(tmp_path, mu_fault, failing):
     out = tmp_path / "report.json"
     assert cli.main(["report", "--out", str(out)] + SMALL) == cli.EXIT_FAIL
     checks = json.loads(out.read_text())["checks"]

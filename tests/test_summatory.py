@@ -60,6 +60,28 @@ class TestMertens:
                 with pytest.raises(RangeError):
                     many(xs)
 
+    @pytest.mark.parametrize("query", ["mertens", "psi", "big_f", "big_f_integral",
+                                       "lambda2_sum", "theta_sum",
+                                       "lambda_over_n_sum"])
+    def test_huge_integers_are_beyond_the_cap(self, store_1e4, query):
+        # exact comparison: no OverflowError, and 2^53 + 1 is not rounded
+        for x, shown in ((10 ** 400, "of 1329 bits"), (10 ** 5000, "of 16610 bits"),
+                         (2 ** 53 + 1, "9007199254740993"),
+                         (np.uint64(2 ** 64 - 1), "18446744073709551615")):
+            with pytest.raises(CapabilityError, match=f"argument {shown} beyond") as err:
+                getattr(store_1e4, query)(x)
+            assert err.value.max_usable == 10 ** 4
+        with pytest.raises(RangeError):
+            getattr(store_1e4, query)(-10 ** 400)
+        assert getattr(store_1e4, query)(10 ** 4) == getattr(store_1e4, query)(1e4)
+
+    @pytest.mark.parametrize("many", ["mertens_many", "big_f_many", "psi_many"])
+    def test_huge_integers_in_batches(self, store_1e4, many):
+        for xs in ([10 ** 400], [2, 10 ** 400]):
+            with pytest.raises(CapabilityError) as err:
+                getattr(store_1e4, many)(xs)
+            assert err.value.max_usable == 10 ** 4
+
 
 class TestSmoothedSum:
     def test_trivial_and_hand_values(self, store_1e5):

@@ -20,20 +20,40 @@ tracer.install(tr)
 print(json.dumps({"installed": tr.installed, "missing": tr.missing}))
 """
 
+# the same install, then the per-layer metrics of an empty trace: a metric
+# whose wrapper is missing is left out of them
+LAYER_METRICS = INSTALL + """
+import run
+metrics = run.layer_metrics({"spans": [], "counters": {}, "installed": tr.installed},
+                            10 ** 7)
+print(json.dumps(sorted(metrics)))
+"""
+
 # scalar query names that the program no longer has; the tracer lists them
 # as missing and needs none of them for a metric
 DEAD_QUERIES = ["summatory.query.mu_log_sum", "summatory.query.h_smoothed",
                 "summatory.query.h_mertens"]
 
 
-def test_tracer_finds_every_live_target():
+def _child(script: str):
+    """The last stdout line of ``script``, run with src and perfbench on the
+    path, as JSON."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), str(ROOT / "perfbench")]))
-    out = subprocess.run([sys.executable, "-c", INSTALL], cwd=ROOT, env=env,
+    out = subprocess.run([sys.executable, "-c", script], cwd=ROOT, env=env,
                          capture_output=True, text=True, check=True, timeout=120)
-    result = json.loads(out.stdout.strip().splitlines()[-1])
+    return json.loads(out.stdout.strip().splitlines()[-1])
+
+
+def test_tracer_finds_every_live_target():
+    result = _child(INSTALL)
     assert result["missing"] == DEAD_QUERIES
     assert len(result["installed"]) == 27
     for label in ("sieve.build_segment", "sieve.mobius", "sieve.lambda",
                   "summatory.build", "summatory.window", "hprofile.stream"):
         assert label in result["installed"], label
+
+
+def test_traced_run_gives_every_layer_metric():
+    declared = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    assert _child(LAYER_METRICS) == sorted(m["name"] for m in declared)
