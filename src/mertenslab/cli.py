@@ -132,6 +132,8 @@ class Context:
     _table: dirichlet.ArithTable | None = None
     _table_error: CrossCheckError | None = None
     _profiles: dict = field(default_factory=dict)
+    # profile kinds the command reads; the first profile walks them together
+    walk_kinds: tuple = ()
 
     @property
     def store(self) -> summatory.PrefixSums:
@@ -159,6 +161,7 @@ class Context:
     def profile(self, kind: str) -> hprofile.HProfile:
         if kind not in self._profiles:
             with self.timings.measure(f"build-profile-{kind}"):
+                hprofile.profile_walk(self.store, (kind, *self.walk_kinds))
                 prof = hprofile.build_profile(
                     self.store, kind,
                     samples_per_decade=self.config.samples_per_decade)
@@ -209,10 +212,8 @@ def check_tatuzawa_iseki(ctx: Context) -> dict:
           "smoothed": identities.f_smoothed(ctx.store)}
     if cfg.f_kind != "all":
         fs = {cfg.f_kind: fs[cfg.f_kind]}
-    # one call per x serves every f; the scan keeps f outer, x inner
-    residuals = np.array([identities.tatuzawa_iseki_residual(ctx.store, float(x),
-                                                             list(fs.values()))
-                          for x in xs])
+    # one call serves every x and f; the scan keeps f outer, x inner
+    residuals = identities.tatuzawa_iseki_residual(ctx.store, xs, list(fs.values()))
     ok, worst = _residual_scan(
         residuals.T.ravel(), cfg.tol_rel * np.tile(xs * np.log(xs) ** 2, len(fs)),
         x=xs.tolist() * len(fs), f=[fname for fname in fs for _ in xs])
@@ -596,6 +597,7 @@ def cmd_iterate(ctx: Context) -> int:
 
 def cmd_report(ctx: Context) -> int:
     cfg = ctx.config
+    ctx.walk_kinds = ("smoothed", "mertens")
     checks = []
     for name in CHECK_NAMES:
         with ctx.timings.measure(f"check-{name}"):

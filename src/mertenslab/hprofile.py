@@ -23,11 +23,13 @@ its checkpoints and mu as the window replay does, so its F(y) is the
 store's.  At every block seam the walk keeps the two integrals there.  It
 records the crossings or zero runs, with the integral of |H| up to each,
 and for mertens the decade sups, over the whole range [1, n_max]; profiles
-take their zeros from it.  A query set (:func:`cumulative_at`) replays only
-the blocks that hold its points, each from its seam and by the walk's own
-per-block code, so every value equals that of a single pass up to the
-largest point.  The two kinds are separate walks: a caller that needs only
-the mertens profile does not pay for the smoothed terms.
+take their zeros from it.  The kinds asked for together share one pass:
+each block's M, logs and Q are built once, and the smoothed terms only
+when the smoothed kind is asked for, so a caller that needs only the
+mertens profile does not pay for them.  A query set
+(:func:`cumulative_at`) replays only the blocks that hold its points, each
+from its seam and by the walk's own per-block code, so every value equals
+that of a single pass up to the largest point.
 
 For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
@@ -108,38 +110,48 @@ def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
     return 0.5 * (lo + hi)
 
 
-class _Window:
+class _Block:
     """The unit steps [n, n + 1), n = k stride + 1 .. hi - 1, of the block
-    that starts at window k.
+    that starts at window k, as both kinds read them: M, the step ends u
+    and their logs, and Q's increments; A only for the smoothed kind."""
 
-    These are the stream's operations, in the stream's order.  The walk and
-    the replay of a query block both build their steps here, from the same
-    carried values, so their sums agree bit for bit.
+    def __init__(self, store: PrefixSums, k: int, hi: int, smoothed: bool):
+        terms = store.window_terms(k, ("m", "log", "a") if smoothed else ("m", "log"), hi)
+        self.lo, self.hi = k * store.stride + 1, hi
+        self.m_cum = terms["m"]
+        self.mf = self.m_cum.astype(np.float64)
+        # step i is [n, n + 1) with n = lo + i; u_all holds both ends
+        self.u_all, self.log_all = terms["u"], terms["log"]
+        q_all = _q_anti(self.u_all, self.log_all)
+        self.q_step = q_all[1:] - q_all[:-1]
+        self.a_cum = store._running(k, "a", terms["a"]) if smoothed else None
+
+
+class _Window:
+    """One kind's steps over a :class:`_Block`, from the integrals where
+    the block starts.
+
+    These are the stream's operations, in the stream's order.  The walk
+    and the replay of a query block both build their steps here, from the
+    same carried values, so their sums agree bit for bit.
     """
 
-    def __init__(self, store: PrefixSums, k: int, hi: int, smoothed: bool,
-                 start_abs: float, start_sig: float):
-        terms = store.window_terms(k, ("m", "log", "a") if smoothed else ("m", "log"), hi)
-        lo = k * store.stride + 1
-        self.lo, self.hi = lo, hi
-        self.m_cum = terms["m"]
+    def __init__(self, block: _Block, smoothed: bool, start_abs: float, start_sig: float):
+        lo = self.lo = block.lo
+        self.hi = block.hi
+        self.m_cum, self.mf, self.u_all = block.m_cum, block.mf, block.u_all
         self.smoothed = smoothed
         self.start_abs, self.start_sig = start_abs, start_sig
         self._pre = None
-        # step i is [n, n + 1) with n = lo + i; u_all holds both ends
-        self.u_all = u_all = terms["u"]
-        log_all = terms["log"]
-        log_n, log_n1 = log_all[:-1], log_all[1:]
-        q_all = _q_anti(u_all, log_all)
-        q_step = q_all[1:] - q_all[:-1]
-        self.mf = mf = self.m_cum.astype(np.float64)
+        mf, q_step = block.mf, block.q_step
 
         if smoothed:
-            self.a_cum = a_cum = store._running(k, "a", terms["a"])
+            self.a_cum = a_cum = block.a_cum
+            u_all, log_all = block.u_all, block.log_all
             p_all = _p_anti(u_all, log_all)
             self.d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
-            g_start = mf * log_n - a_cum
-            g_end = mf * log_n1 - a_cum
+            g_start = mf * log_all[:-1] - a_cum
+            g_end = mf * log_all[1:] - a_cum
             cross = g_start * g_end < 0.0
         else:
             self.a_cum = None
@@ -218,11 +230,10 @@ class ProfileWalk:
 
 
 class _Walker:
-    """Carries the stream across blocks from n = 1 and records its seams,
-    zero events and decade sups in ``walk``."""
+    """Carries one kind's stream across blocks from n = 1 and records its
+    seams, zero events and decade sups in ``walk``."""
 
-    def __init__(self, store: PrefixSums, kind: str):
-        self.store = store
+    def __init__(self, kind: str):
         self.smoothed = kind == "smoothed"
         self.acc_abs = NeumaierSum()
         self.acc_sig = NeumaierSum()
@@ -235,13 +246,12 @@ class _Walker:
         self.walk.zeros_y.append(float(n_pos))
         self.walk.zeros_cum_abs.append(cum_value)
 
-    def step(self, k: int, hi: int) -> None:
-        """Walk the block from window k up to n = hi - 1: its zeros, sups
-        and sums."""
+    def step(self, block: _Block) -> None:
+        """Walk the block: its zeros, sups and sums."""
         walk = self.walk
         walk.seams.append((self.acc_abs.value, self.acc_sig.value))
-        win = _Window(self.store, k, hi, self.smoothed, *walk.seams[-1])
-        lo = win.lo
+        win = _Window(block, self.smoothed, *walk.seams[-1])
+        lo, hi = win.lo, win.hi
         if self.smoothed:
             if win.cross_fix:
                 pre_abs = win.pre()[0]
@@ -291,35 +301,48 @@ class _Walker:
         return self.walk
 
 
-def stream_cumulative(store: PrefixSums, kind: str = "smoothed") -> ProfileWalk:
-    """Walk the store once over [1, n_max] for one kind, in blocks of
-    ``BLOCK`` stride windows.
+def _check_kinds(kinds) -> None:
+    for kind in kinds:
+        if kind not in ("smoothed", "mertens"):
+            raise RangeError(f"unknown profile kind {kind!r}")
+
+
+def stream_cumulative(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, ProfileWalk]:
+    """Walk the store once over [1, n_max] for every kind in ``kinds``, in
+    blocks of ``BLOCK`` stride windows; returns kind -> walk.
 
     Block b holds the n in (b BLOCK stride, (b+1) BLOCK stride]; each of
     its windows k takes M and A from the checkpoints ``store.cp_m[k]`` and
-    ``store.cp_a[k]`` by the window replay's running sums.  The walk
-    records the two integrals at every block seam, the crossings (smoothed)
-    or zero-run boundaries (mertens) with the integral of |H| up to each,
-    and, for mertens, the per-decade sups of |M(n)|/n.  Use :func:`profile_walk`, which walks once per store.
+    ``store.cp_a[k]`` by the window replay's running sums.  Each block is
+    built once (:class:`_Block`: one ``window_terms`` call, one log, one
+    Q) for all the kinds, and A only when the smoothed kind is asked for.
+    Each walk records the two integrals at every block seam, the crossings
+    (smoothed) or zero-run boundaries (mertens) with the integral of |H| up
+    to each, and, for mertens, the per-decade sups of |M(n)|/n.  Use
+    :func:`profile_walk`, which walks each kind once per store.
     """
-    if kind not in ("smoothed", "mertens"):
-        raise RangeError(f"unknown profile kind {kind!r}")
-    walker = _Walker(store, kind)
+    _check_kinds(kinds)
+    walkers = [_Walker(kind) for kind in kinds]
+    smoothed = "smoothed" in kinds
     for k in range(0, (store.n_max - 1) // store.stride + 1, BLOCK):
-        walker.step(k, min((k + BLOCK) * store.stride, store.n_max) + 1)
-    return walker.finish()
+        block = _Block(store, k, min((k + BLOCK) * store.stride, store.n_max) + 1, smoothed)
+        for walker in walkers:
+            walker.step(block)
+    return {kind: walker.finish() for kind, walker in zip(kinds, walkers)}
 
 
 _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def profile_walk(store: PrefixSums, kind: str = "smoothed") -> ProfileWalk:
-    """The store's walk of ``kind``, walked on first use and then kept for
-    as long as the store lives."""
+def profile_walk(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, ProfileWalk]:
+    """The store's walks of ``kinds``, kind -> walk.  The kinds not yet
+    walked are walked together, in one pass, and every walk is then kept
+    for as long as the store lives."""
     walks = _WALKS.setdefault(store, {})
-    if kind not in walks:
-        walks[kind] = stream_cumulative(store, kind)
-    return walks[kind]
+    todo = tuple(kind for kind in dict.fromkeys(kinds) if kind not in walks)
+    if todo:
+        walks.update(stream_cumulative(store, todo))
+    return {kind: walks[kind] for kind in kinds}
 
 
 def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult:
@@ -335,8 +358,7 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
     ``store.big_f_many(ys)`` bitwise.  The zeros and decade sups are the
     walk's (:func:`profile_walk`).
     """
-    if kind not in ("smoothed", "mertens"):
-        raise RangeError(f"unknown profile kind {kind!r}")
+    _check_kinds((kind,))
     ys = np.asarray(ys, dtype=np.float64)
     if not ys.min(initial=1.0) >= 1.0:
         raise RangeError("query points must satisfy y >= 1")
@@ -346,15 +368,16 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
                               max_usable=store.n_max)
     cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
     if len(ys):
-        seams = profile_walk(store, kind).seams
+        seams = profile_walk(store, (kind,))[kind].seams
+        smoothed = kind == "smoothed"
         order = np.argsort(ys, kind="stable")
         ys_sorted = ys[order]
         ns = np.floor(ys_sorted).astype(np.int64)
         bs = (ns - 1) // (BLOCK * store.stride)
         for grp in np.split(np.arange(len(ys)), np.flatnonzero(np.diff(bs)) + 1):
             b = int(bs[grp[0]])
-            win = _Window(store, b * BLOCK, int(ns[grp[-1]]) + 1, kind == "smoothed",
-                          *seams[b])
+            block = _Block(store, b * BLOCK, int(ns[grp[-1]]) + 1, smoothed)
+            win = _Window(block, smoothed, *seams[b])
             for j in grp:
                 q = order[j]
                 cum_abs_q[q], cum_sig_q[q], m_q[q], a_q[q] = win.at(float(ys_sorted[j]))
@@ -449,8 +472,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     start (2.0) yields an empty profile, which downstream consumers must
     treat as the finite-zeros branch rather than an error.
     """
-    if kind not in ("smoothed", "mertens"):
-        raise RangeError(f"unknown profile kind {kind!r}")
+    _check_kinds((kind,))
     if samples_per_decade < 10:
         raise RangeError("samples_per_decade must be >= 10")
     y_max = store.n_max
@@ -471,7 +493,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     ys = np.unique(ys)
 
     res = cumulative_at(store, ys, kind=kind)
-    walk = profile_walk(store, kind)
+    walk = profile_walk(store, (kind,))[kind]
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys
 

@@ -10,8 +10,9 @@ Exact identities (true for every argument; only rounding survives):
 The two right-hand closed forms differ (log x vs log x + psi x): the module
 computes both sums independently and never equates them.
 
-The Tatuzawa-Iseki residual takes a sequence of F and builds its right
-side's weights once per x, by one :func:`dirichlet.convolve_prefix` call.
+The Tatuzawa-Iseki residual takes all its points and a sequence of F, and
+builds its right side's weights for every point from two
+:func:`dirichlet.convolve_prefix` calls.
 The dilated sum is summed once per (store, x) and kept, so a check and a
 remainder series over the same points share it.
 
@@ -99,42 +100,56 @@ def f_smoothed(store: PrefixSums):
     return store.big_f_many
 
 
-def tatuzawa_iseki_residual(store: PrefixSums, x: float, fs) -> list[float]:
-    """Residuals of the exact weighted identity at x, one per F in ``fs``.
+def tatuzawa_iseki_residual(store: PrefixSums, xs, fs) -> np.ndarray:
+    """Residuals of the exact weighted identity, one row per x of ``xs``
+    and one column per F in ``fs``.
 
     Both sides are summed outright: the left side over the prime powers
     carrying Lambda, the right side over the divisor pairs (d, m), d m <= x,
-    grouped by k = d m first.  It is sum_{k<=x} c(k) F(x/k) with c = w * 1
-    and w(d) = mu(d) log(x/d), one :func:`dirichlet.convolve_prefix` call.
-    Each F is evaluated once per k, in slices; one c serves every F, so each
-    residual is the one a call with that F alone would give.  The result is
-    pure rounding noise for any F; tolerances scale with x (log x)^2.
+    grouped by k = d m first.  It is sum_{k<=x} c_x(k) F(x/k) with
+    c_x = w_x * 1 and w_x(d) = mu(d) log(x/d), so c_x = log x E - L with
+    E = mu * 1 and L = (mu log) * 1.  E and L are taken once, up to
+    floor(max xs), by two :func:`dirichlet.convolve_prefix` calls, and each
+    x reads their prefix, so a point's residual does not depend on the
+    others.  Each F is evaluated once per k, in slices.  The result is pure
+    rounding noise for any F; tolerances scale with x (log x)^2.
     """
-    if not 2.0 <= x <= store.n_max:
-        raise RangeError(f"identity check needs 2 <= x <= {store.n_max}, got {x}")
-    xf = int(math.floor(x))
-    log_x = math.log(x)
+    xs = np.asarray(xs, dtype=np.float64)
+    if len(xs) and not (2.0 <= xs.min() and xs.max() <= store.n_max):
+        raise RangeError(f"identity check needs 2 <= x <= {store.n_max}, "
+                         f"got [{xs.min()}, {xs.max()}]")
+    out = np.empty((len(xs), len(fs)))
+    if not len(xs):
+        return out
+    top = int(math.floor(xs.max()))
+    ones = np.broadcast_to(1.0, (top + 1,))
+    mu = np.zeros(top + 1)
+    mu[1:] = store.mobius_range(1, top + 1)
+    e_k = dirichlet.convolve_prefix(mu, ones, top)
+    mu[1:] *= np.log(np.arange(1.0, top + 1.0))
+    l_k = dirichlet.convolve_prefix(mu, ones, top)
+    del mu
 
-    w = np.zeros(xf + 1)
-    w[1:] = store.mobius_range(1, xf + 1) * (log_x - np.log(np.arange(1.0, xf + 1.0)))
-    c = dirichlet.convolve_prefix(w, np.broadcast_to(1.0, (xf + 1,)), xf)
-    del w
+    for r, x in enumerate(xs.tolist()):
+        xf = int(math.floor(x))
+        log_x = math.log(x)
+        c = log_x * e_k[:xf + 1]
+        c -= l_k[:xf + 1]
+        # x >= 2, so the prime power 2 is always among them
+        i = int(np.searchsorted(store.pp, xf, side="right"))
+        pp = store.pp[:i]
+        for j, f in enumerate(fs):
+            f_at_x = float(np.asarray(f(np.array([x])))[0])
+            lhs = NeumaierSum(f_at_x * log_x)
+            lhs.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
+            out[r, j] = lhs.value - _quotient_sum(f, x, c)
+    return out
 
-    # x >= 2, so the prime power 2 is always among them
-    i = int(np.searchsorted(store.pp, xf, side="right"))
-    pp = store.pp[:i]
-    residuals = []
-    for f in fs:
-        f_at_x = float(np.asarray(f(np.array([x])))[0])
-        lhs = NeumaierSum(f_at_x * log_x)
-        lhs.add(float(np.sum(store.pp_lam[:i] * np.asarray(f(x / pp)))))
-        residuals.append(lhs.value - _quotient_sum(f, x, c))
-    return residuals
 
-
-def _quotient_sum(f, x: float, c: np.ndarray) -> float:
+def _quotient_sum(f, x: float, c: np.ndarray | None = None) -> float:
     """sum_{k<=x} c(k) F(x/k), with F evaluated in slices of _CHUNK
-    arguments so that its temporaries stay bounded."""
+    arguments so that its temporaries stay bounded; without c, every
+    weight is one."""
     xf = int(math.floor(x))
     acc = NeumaierSum()
     for lo in range(1, xf + 1, _CHUNK):
@@ -142,7 +157,10 @@ def _quotient_sum(f, x: float, c: np.ndarray) -> float:
         # float k give the same x / k as int64 k, and they are freed before
         # F runs, so they add nothing to its peak memory
         ys = x / np.arange(lo, hi, dtype=np.float64)
-        acc.add(float(np.sum(c[lo:hi] * np.asarray(f(ys)))))
+        vals = np.asarray(f(ys))
+        if c is not None:
+            vals = vals * c[lo:hi]
+        acc.add(float(np.sum(vals)))
     return acc.value
 
 
@@ -170,9 +188,7 @@ def check_f_sum_identity(store: PrefixSums, x: float) -> tuple[float, float]:
     key = float(x)
     if key in sums:
         return sums[key]
-    # weights of one multiply F exactly, so the sum has the bits of sum F(x/n)
-    ones = np.broadcast_to(1.0, (int(math.floor(x)) + 1,))
-    total = _quotient_sum(store.big_f_many, x, ones)
+    total = _quotient_sum(store.big_f_many, x)
     sums[key] = (total, total - math.log(x))
     return sums[key]
 
@@ -264,7 +280,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         normalized = raw / xs
         label = "x"
     elif kind == "lambda_theta_sum":
-        raw = np.array([store.psi(x) + store.theta_sum(x) for x in xs]) - 2.0 * xs
+        raw = store.psi_many(xs) + store.theta_sums(xs) - 2.0 * xs
         normalized = raw * log_xs / xs
         label = "x/log x"
     elif kind == "f_dilated_sum":
@@ -312,7 +328,7 @@ def mertens_tail_sups(store: PrefixSums, k_lo: int = 2,
     """
     if k_hi is None:
         k_hi = int(math.log10(store.n_max))
-    decade_sup = hprofile.profile_walk(store, "mertens").decade_sup
+    decade_sup = hprofile.profile_walk(store, ("mertens",))["mertens"].decade_sup
     sups = {}
     running = 0.0
     for k in sorted(decade_sup, reverse=True):

@@ -6,24 +6,25 @@ piecewise-exact integral I(x) = sum M(n) log((n+1)/n)), plus three arrays
 over the prime powers: ``pp``, their von Mangoldt values ``pp_lam`` and the
 running sum ``pp_cum_lam``, from which psi is read directly.  The
 Selberg-weight sums (sum Lambda*Lambda + Lambda log, its theta form and
-sum Lambda(n)/n) have one route, the prime-power hyperbola, and each lookup
-sums its own slice of ``pp`` and ``pp_lam``.  The build pass is the only
-sieve pass: it keeps mu as one int8 array (1 byte per integer) and the
-prime powers, and the checkpoints are then derived from the stored mu in
-blocks of ``BLOCK`` stride windows, each stride window summed on its own.
-Between checkpoints, M(n) is the checkpoint plus an exact int64 sum of mu
-over the window's prefix, so a scalar M lookup replays nothing.  A and the
-integral are recovered by replaying that prefix of the window from its
-checkpoint with the build's per-window terms, only for the sums asked for
-and only up to the largest offset asked for, so a replay spans at most one
-stride; nothing replayed is kept.  Every running sum, in a replay or in a
-profile walk's block, is summed left to right from its stride window's own
-checkpoint (``_running``), so a prefix has the bits of a full-window
-replay.  Batched lookups group their arguments by window and read every
-running sum asked for (M, A, the integral) from one visit per window.  A
-window's per-integer terms (M, log n, mu(n) log n and M(n) log((n+1)/n))
-are built in one place, ``window_terms``, for the build, the replay and
-the profile walks alike.
+sum Lambda(n)/n) have one route, the prime-power hyperbola: a lookup sums
+its own slice of ``pp`` and ``pp_lam``, and the theta form takes one
+running sum per hyperbola row for all its points at once.  The build pass
+is the only sieve pass: it keeps mu as one int8 array (1 byte per integer)
+and the prime powers, and the checkpoints are then derived from the stored
+mu in blocks of ``BLOCK`` stride windows, each stride window summed on its
+own.  Between checkpoints, M(n) is the checkpoint plus an exact int64 sum
+of mu over the window's prefix, so a scalar M lookup replays nothing.  A
+and the integral are recovered by replaying that prefix of the window from
+its checkpoint with the build's per-window terms, only for the sums asked
+for and only up to the largest offset asked for, so a replay spans at most
+one stride; nothing replayed is kept.  Every running sum, in a replay or in
+a profile walk's block, is summed left to right from its stride window's
+own checkpoint (``_running``), so a prefix has the bits of a full-window
+replay.  Batched lookups look up each run of equal adjacent arguments
+once, group the runs by window and read every running sum asked for (M, A,
+the integral) from one visit per window.  A window's per-integer terms (M,
+log n, mu(n) log n and M(n) log((n+1)/n)) are built in one place,
+``window_terms``, for the build, the replay and the profile walks alike.
 
 Key evaluators built on top of the store:
 
@@ -48,6 +49,7 @@ from .errors import CapabilityError, RangeError
 
 DEFAULT_STRIDE = 1 << 12       # checkpoint spacing: a replay's longest span
 BLOCK = 16                      # stride windows per build or walk block
+_THETA_CHUNK = 1 << 16          # prime powers per step of a theta-sum row
 # Peak bytes of a store per integer: ru_maxrss around PrefixSums(1e7) rose
 # 36.7 MiB, around PrefixSums(1e8) 247.0 MiB and around PrefixSums(1e9)
 # 2141.3 MiB (numpy 2.4, x86-64), so the slopes are 2.45 and 2.21 bytes per
@@ -248,18 +250,28 @@ class PrefixSums:
     # ------------------------------------------------------------------
 
     def _cum_many(self, kinds: tuple[str, ...], ns) -> list[np.ndarray]:
-        """Running sums at integers ns, one array per kind in ``kinds``.
+        """Running sums at integers ns, one array per kind in ``kinds``."""
+        outs, counts = self._cum_runs(kinds, ns)
+        return [np.repeat(out, counts) for out in outs]
 
-        Checkpoint entries are read from cp_m / cp_a / cp_fint; the others
-        are grouped by window, and each window is visited once for all the
-        kinds asked for, in ascending window order.
+    def _cum_runs(self, kinds: tuple[str, ...], ns) -> tuple[list[np.ndarray], np.ndarray]:
+        """Running sums at the head of each run of equal adjacent integers
+        in ns, one array per kind in ``kinds``, and the run lengths.
+
+        The floors x // n of a dilated sum fall into about 2 sqrt(x) runs,
+        so each is looked up once.  Checkpoint entries are read from cp_m /
+        cp_a / cp_fint; the others are grouped by window, and each window is
+        visited once for all the kinds asked for, in ascending window order.
         """
         ns = np.asarray(ns, dtype=np.int64)
         if len(ns) and (ns.min() < 0 or ns.max() > self.n_max):
             bad = ns.min() if ns.min() < 0 else ns.max()
             raise CapabilityError(f"index {bad} outside [0, {self.n_max}]",
                                   max_usable=self.n_max)
-        ks, rs = np.divmod(ns, self.stride)
+        starts = np.flatnonzero(ns[1:] != ns[:-1]) + 1
+        heads = ns[np.concatenate(([0], starts))] if len(ns) else ns
+        counts = np.diff(starts, prepend=0, append=len(ns)) if len(ns) else ns
+        ks, rs = np.divmod(heads, self.stride)
         cps = {"m": self.cp_m, "a": self.cp_a, "fint": self.cp_fint}
         outs = [cps[kind][ks] for kind in kinds]
         off = np.flatnonzero(rs)
@@ -270,7 +282,7 @@ class PrefixSums:
             win = self._window(int(ks[sel[0]]), kinds, int(r.max()) + 1)
             for out, kind in zip(outs, kinds):
                 out[sel] = win[kind][r]
-        return outs
+        return outs, counts
 
     def _floor_many(self, xs) -> tuple[np.ndarray, np.ndarray]:
         """(xs as float64, floor(xs) as int64); every x must lie in
@@ -284,7 +296,7 @@ class PrefixSums:
         if len(xs):
             self._floor_checked(xs.min())
             self._floor_checked(xs.max())
-        return xs, np.floor(xs).astype(np.int64)
+        return xs, xs.astype(np.int64)      # every x >= 1: truncation is floor
 
     def mertens_many(self, xs) -> np.ndarray:
         """Vectorized M(floor(x)) for an array of arguments in [1, n_max]."""
@@ -293,8 +305,13 @@ class PrefixSums:
     def big_f_many(self, ys) -> np.ndarray:
         """Vectorized F(y) for an array of real arguments in [1, n_max]."""
         ys, ns = self._floor_many(ys)
-        m, a = self._cum_many(("m", "a"), ns)
-        return m.astype(np.float64) * np.log(ys) - a
+        (m, a), counts = self._cum_runs(("m", "a"), ns)
+        del ns
+        # M log y - A, with each run's M and A repeated as floats
+        f = np.log(ys)
+        f *= np.repeat(m.astype(np.float64), counts)
+        f -= np.repeat(a, counts)
+        return f
 
     def psi_many(self, xs) -> np.ndarray:
         """Vectorized psi(x); every x must lie in [1, n_max], as for psi."""
@@ -324,8 +341,12 @@ class PrefixSums:
         return self._lambda_conv_sum(n) + self._lamlog_sum(n)
 
     def theta_sum(self, x) -> float:
-        """Sum of (Lambda*Lambda)(n)/log n up to x."""
-        return self._theta_sum_sparse(self._floor_checked(x))
+        """Sum of (Lambda*Lambda)(n)/log n up to x: ``theta_sums`` at x alone."""
+        return float(self._theta_sums(np.array([self._floor_checked(x)]))[0])
+
+    def theta_sums(self, xs) -> np.ndarray:
+        """Sum of (Lambda*Lambda)(n)/log n up to every x of ``xs``."""
+        return self._theta_sums(self._floor_many(xs)[1])
 
     def _pp_upto(self, n: int) -> int:
         return int(np.searchsorted(self.pp, n, side="right"))
@@ -355,26 +376,56 @@ class PrefixSums:
         corner = float(self.pp_cum_lam[i - 1]) ** 2
         return cross - corner
 
-    def _theta_sum_sparse(self, n: int) -> float:
-        """sum_{ab<=n} Lambda(a) Lambda(b) / log(ab) over prime-power pairs."""
-        if n < 4:
-            return 0.0
-        r = math.isqrt(n)
-        i = self._pp_upto(r)
-        if i == 0:
-            return 0.0
+    def _theta_sums(self, ns: np.ndarray) -> np.ndarray:
+        """sum_{ab<=n} Lambda(a) Lambda(b) / log(ab) over prime-power pairs,
+        at every integer n of ``ns``, by the symmetric hyperbola split.
+
+        With R_a the running sum of Lambda(b) / (log a + log b) over the
+        prime powers b, the sum at n is that over the rows a <= sqrt(n) of
+        Lambda(a) (2 R_a(n/a) - R_a(sqrt n)): the rows counted twice, less
+        the corner a, b <= sqrt(n) counted twice.  Each row takes R_a once,
+        up to max ns / a in chunks of ``_THETA_CHUNK`` (each chunk's first
+        term takes the carry, so the chunks add left to right as one
+        ``cumsum`` would), and samples it at every point.  A running sum's
+        prefix does not depend on its length, and each point adds its rows
+        in ascending order of a in its own compensated sum, so a point's
+        value does not depend on the others.
+        """
+        if not len(ns) or ns.max() < 4:
+            return np.zeros(len(ns))
+        n_top = int(ns.max())
+        rows = self._pp_upto(math.isqrt(n_top))
+        a_sq = self.pp[:rows] * self.pp[:rows]
+        n_rows = np.searchsorted(a_sq, ns, side="right")     # rows a <= sqrt(n)
         # b runs up to n/2 at a = 2, the widest row
-        log_pp = self._pp_log(self._pp_upto(n // 2))
-        total = NeumaierSum()
-        for j in range(i):
+        log_pp = self._pp_log(self._pp_upto(n_top // 2))
+        total = np.zeros(len(ns))
+        comp = np.zeros(len(ns))
+        for j in range(rows):
+            a = int(self.pp[j])
             la, lga = float(self.pp_lam[j]), float(log_pp[j])
-            hi = self._pp_upto(n // int(self.pp[j]))
-            total.add(2.0 * la * float(np.sum(
-                self.pp_lam[:hi] / (lga + log_pp[:hi]))))
-        lam_s, log_s = self.pp_lam[:i], log_pp[:i]
-        corner = float(np.sum(
-            (lam_s[:, None] * lam_s[None, :]) / (log_s[:, None] + log_s[None, :])))
-        return total.value - corner
+            live = np.flatnonzero(n_rows > j)
+            # each point samples R_a at n/a and at sqrt(n)
+            idx = np.concatenate((np.searchsorted(self.pp, ns[live] // a, side="right"),
+                                  n_rows[live])) - 1
+            at = np.empty(len(idx))
+            carry = 0.0
+            hi = int(idx.max()) + 1
+            for c0 in range(0, hi, _THETA_CHUNK):
+                c1 = min(c0 + _THETA_CHUNK, hi)
+                run = self.pp_lam[c0:c1] / (lga + log_pp[c0:c1])
+                run[0] += carry
+                np.cumsum(run, out=run)
+                carry = float(run[-1])
+                hit = (idx >= c0) & (idx < c1)
+                at[hit] = run[idx[hit] - c0]
+            v = la * (2.0 * at[:len(live)] - at[len(live):])
+            # NeumaierSum.add, one entry per point
+            s = total[live]
+            t = s + v
+            comp[live] += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
+            total[live] = t
+        return total + comp
 
     # ------------------------------------------------------------------
     # remainder-style sums

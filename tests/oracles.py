@@ -232,6 +232,36 @@ def tatuzawa_iseki_pairwise(store, x: float, f) -> float:
     return lhs.value - float(np.sum(weights * vals))
 
 
+def theta_sum_per_point(store, n: int) -> float:
+    """sum_{ab<=n} Lambda(a) Lambda(b) / log(ab) over prime-power pairs, one
+    point at a time.
+
+    The per-point hyperbola route: each row a <= sqrt(n) sums its own
+    Lambda(b) / (log a + log b), b <= n / a, pairwise, and the rows go into
+    one compensated sum.  It checks ``PrefixSums.theta_sums``, which takes
+    one running sum per row for every point at once.
+    """
+    from mertenslab.accum import NeumaierSum
+
+    if n < 4:
+        return 0.0
+    i = store._pp_upto(math.isqrt(n))
+    if i == 0:
+        return 0.0
+    # b runs up to n/2 at a = 2, the widest row
+    log_pp = store._pp_log(store._pp_upto(n // 2))
+    total = NeumaierSum()
+    for j in range(i):
+        la, lga = float(store.pp_lam[j]), float(log_pp[j])
+        hi = store._pp_upto(n // int(store.pp[j]))
+        total.add(2.0 * la * float(np.sum(
+            store.pp_lam[:hi] / (lga + log_pp[:hi]))))
+    lam_s, log_s = store.pp_lam[:i], log_pp[:i]
+    corner = float(np.sum(
+        (lam_s[:, None] * lam_s[None, :]) / (log_s[:, None] + log_s[None, :])))
+    return total.value - corner
+
+
 def log_square_sum(x) -> tuple[float, float]:
     """(sum_{n<=x} log(x/n)^2, that sum minus 2x), summed term by term.
 

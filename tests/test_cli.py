@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mertenslab import cli, hprofile, sieve, summatory
+from mertenslab import cli, dirichlet, hprofile, sieve, summatory
 from mertenslab.errors import CapabilityError
 
 
@@ -176,10 +176,10 @@ class TestDeterminism:
         assert sum(sieved) == 5000
 
     def test_report_stream_passes(self, tmp_path, monkeypatch):
-        # work ratchet: profile stream passes per report, 2 today (one walk
-        # per profile kind; the profiles, the three stream-based remainder
-        # kinds and the tail sups read the walks); a change that cuts passes
-        # lowers the count, none raises it
+        # work ratchet: profile stream passes per report, 1 today (one walk
+        # for both profile kinds; the profiles, the three stream-based
+        # remainder kinds and the tail sups read it); a change that cuts
+        # passes lowers the count, none raises it
         passes = []
         stream_cumulative = hprofile.stream_cumulative
 
@@ -190,7 +190,23 @@ class TestDeterminism:
         monkeypatch.setattr(hprofile, "stream_cumulative", counted)
         assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
                     "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
-        assert len(passes) == 2
+        assert len(passes) == 1
+
+    def test_report_convolve_prefix_calls(self, tmp_path, monkeypatch):
+        # work ratchet: divisor-pair convolutions per report, 4 today (the
+        # Selberg table's 2 and Tatuzawa-Iseki's 2 for all its points); a
+        # change that cuts calls lowers the count, none raises it
+        calls = []
+        convolve_prefix = dirichlet.convolve_prefix
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return convolve_prefix(*args, **kwargs)
+
+        monkeypatch.setattr(dirichlet, "convolve_prefix", counted)
+        assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
+                    "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
+        assert len(calls) == 4
 
     def test_timings_sidecar_optional(self, tmp_path):
         out = tmp_path / "o.json"

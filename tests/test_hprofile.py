@@ -59,13 +59,13 @@ class TestStreamCumulative:
             assert res.cum_abs[i] == res_sorted.cum_abs[j]
 
     def test_first_smoothed_zero_is_sqrt30(self, store_1e4):
-        walk = hprofile.profile_walk(store_1e4, "smoothed")
+        walk = hprofile.profile_walk(store_1e4, ("smoothed",))["smoothed"]
         assert len(walk.zeros_y) >= 1
         assert walk.zeros_y[0] == pytest.approx(math.sqrt(30.0), rel=1e-10)
 
     def test_mertens_zero_runs(self, store_1e4):
         # M touches zero at 2, then on the run 39..40
-        zs = hprofile.profile_walk(store_1e4, "mertens").zeros_y
+        zs = hprofile.profile_walk(store_1e4, ("mertens",))["mertens"].zeros_y
         assert zs[:3] == [2.0, 39.0, 40.0]
 
     def test_empty_queries(self, store_1e4):
@@ -89,14 +89,13 @@ class TestStreamCumulative:
         ys = np.array([2.5, 39.5, 40.0, 1000.3, 65536.5, float(N_STRIDED)])
         ref = {kind: hprofile.cumulative_at(strided_stores[1 << 16], ys, kind)
                for kind in ("smoothed", "mertens")}
-        ref_walk = {kind: hprofile.profile_walk(strided_stores[1 << 16], kind)
-                    for kind in ("smoothed", "mertens")}
+        ref_walk = hprofile.profile_walk(strided_stores[1 << 16], ("smoothed", "mertens"))
         for stride in (39, 211, 1000, 2845):
             store = strided_stores[stride]
             for kind in ("smoothed", "mertens"):
                 res = hprofile.cumulative_at(store, ys, kind)
                 assert np.allclose(res.cum_abs, ref[kind].cum_abs, rtol=1e-12, atol=0)
-                walk, want = hprofile.profile_walk(store, kind), ref_walk[kind]
+                walk, want = hprofile.profile_walk(store, (kind,))[kind], ref_walk[kind]
                 if kind == "mertens":
                     assert walk.zeros_y == want.zeros_y
                     assert walk.decade_sup == want.decade_sup
@@ -131,7 +130,7 @@ class TestStreamCumulative:
             return window_terms(k, kinds, hi)
 
         monkeypatch.setattr(store, "window_terms", recorded)
-        hprofile.stream_cumulative(store, "mertens")
+        hprofile.stream_cumulative(store, ("mertens",))
         assert len(asked) == 10 and all("a" not in kinds for kinds in asked)
 
     @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
@@ -160,16 +159,45 @@ class TestStreamCumulative:
         # straddles a block seam at stride 2845
         store = strided_stores[stride]
         for kind in ("smoothed", "mertens"):
-            assert_same_events(hprofile.profile_walk(store, kind),
+            assert_same_events(hprofile.profile_walk(store, (kind,))[kind],
                                oracles.stream_single_pass(store, [float(N_STRIDED)], kind))
+
+    @pytest.mark.parametrize("stride", [211, 2845, 1 << 16])
+    def test_joint_walk_matches_separate_walks(self, strided_stores, stride):
+        # one pass for both kinds shares each block's M, logs and Q; every
+        # seam, zero and decade sup is that of the kind's own walk
+        store = strided_stores[stride]
+        joint = hprofile.stream_cumulative(store, ("mertens", "smoothed"))
+        for kind in ("smoothed", "mertens"):
+            alone = hprofile.stream_cumulative(store, (kind,))[kind]
+            assert joint[kind].seams == alone.seams, kind
+            assert joint[kind].zeros_y == alone.zeros_y, kind
+            assert joint[kind].zeros_cum_abs == alone.zeros_cum_abs, kind
+            assert list(joint[kind].decade_sup.items()) == list(alone.decade_sup.items())
+
+    def test_profile_walk_walks_only_new_kinds(self, monkeypatch):
+        store = summatory.PrefixSums(3000, stride=97)
+        walked = []
+        stream_cumulative = hprofile.stream_cumulative
+
+        def counted(store, kinds):
+            walked.append(kinds)
+            return stream_cumulative(store, kinds)
+
+        monkeypatch.setattr(hprofile, "stream_cumulative", counted)
+        hprofile.profile_walk(store, ("mertens",))
+        both = hprofile.profile_walk(store, ("smoothed", "mertens", "smoothed"))
+        assert walked == [("mertens",), ("smoothed",)]
+        assert sorted(both) == ["mertens", "smoothed"]
+        with pytest.raises(RangeError):
+            hprofile.profile_walk(store, ("smooth",))
 
     def test_walks_once_per_store(self, monkeypatch):
         store = summatory.PrefixSums(3000, stride=97)
         ys = [2.0, 100.5, 2999.0]
         first = {kind: hprofile.cumulative_at(store, ys, kind)
                  for kind in ("smoothed", "mertens")}
-        walks = {kind: hprofile.profile_walk(store, kind)
-                 for kind in ("smoothed", "mertens")}
+        walks = hprofile.profile_walk(store, ("smoothed", "mertens"))
 
         def no_walk(*args, **kwargs):
             raise AssertionError("the store was walked again")
@@ -179,7 +207,7 @@ class TestStreamCumulative:
             assert_same_stream(hprofile.cumulative_at(store, ys, kind), first[kind])
             assert_same_stream(hprofile.cumulative_at(store, [50.5], kind),
                                oracles.stream_single_pass(store, [50.5], kind))
-            assert hprofile.profile_walk(store, kind) is walks[kind]
+            assert hprofile.profile_walk(store, (kind,))[kind] is walks[kind]
             hprofile.build_profile(store, kind)
 
     def test_tail_sups_match_single_pass(self, strided_stores):

@@ -19,43 +19,55 @@ def _ti_functions(store):
 class TestTatuzawaIseki:
     def test_zero_function(self, store_1e5):
         f0 = lambda ys: np.zeros_like(np.asarray(ys, dtype=float))
-        assert identities.tatuzawa_iseki_residual(store_1e5, 10.0, [f0]) == [0.0]
+        assert identities.tatuzawa_iseki_residual(store_1e5, [10.0], [f0]).tolist() == [[0.0]]
 
     def test_constant_one_at_4_hand_value(self, store_1e5):
         lhs = math.log(4) + store_1e5.psi(4)
         rhs = 4 * math.log(4) - 2 * LOG2 - math.log(4 / 3)
         assert lhs == pytest.approx(rhs, abs=1e-12)
-        r, = identities.tatuzawa_iseki_residual(store_1e5, 4.0, [identities.f_one])
+        (r,), = identities.tatuzawa_iseki_residual(store_1e5, [4.0], [identities.f_one])
         assert abs(r) < 1e-12
 
     def test_smoothed_at_2(self, store_1e5):
         f = identities.f_smoothed(store_1e5)
-        r, = identities.tatuzawa_iseki_residual(store_1e5, 2.0, [f])
+        (r,), = identities.tatuzawa_iseki_residual(store_1e5, [2.0], [f])
         assert abs(r) < 1e-12
 
     @pytest.mark.parametrize("fname", ["one", "log", "smoothed"])
     def test_residual_sweep(self, store_1e5, fname):
         f = _ti_functions(store_1e5)[fname]
         for x in np.geomspace(2, 10 ** 4, 25):
-            r, = identities.tatuzawa_iseki_residual(store_1e5, float(x), [f])
+            (r,), = identities.tatuzawa_iseki_residual(store_1e5, [float(x)], [f])
             assert abs(r) <= 1e-9 * x * math.log(x) ** 2, (fname, x)
 
     def test_range_error(self, store_1e5):
         fs = list(_ti_functions(store_1e5).values())
         with pytest.raises(RangeError):
-            identities.tatuzawa_iseki_residual(store_1e5, 1.5, fs)
+            identities.tatuzawa_iseki_residual(store_1e5, [1.5], fs)
 
     @pytest.mark.parametrize("fname", ["one", "log", "smoothed"])
     def test_bytes_match_pairwise(self, store_1e5, fname):
-        # one shared call for all three f gives, for each f, the pairwise
-        # form with that f alone, up to the rounding of the regrouped sum
+        # one shared call for all points and all three f gives, for each f,
+        # the pairwise form with that f alone, up to the rounding of the
+        # regrouped sum
         fs = _ti_functions(store_1e5)
         j = list(fs).index(fname)
-        for x in np.geomspace(2, 2e4, 30):
-            got = identities.tatuzawa_iseki_residual(store_1e5, float(x),
-                                                     list(fs.values()))
+        xs = np.geomspace(2, 2e4, 30)
+        got = identities.tatuzawa_iseki_residual(store_1e5, xs, list(fs.values()))
+        for x, row in zip(xs, got):
             want = oracles.tatuzawa_iseki_pairwise(store_1e5, float(x), fs[fname])
-            assert abs(got[j] - want) <= 1e-14 * x * math.log(x) ** 2, (fname, x)
+            assert abs(row[j] - want) <= 1e-14 * x * math.log(x) ** 2, (fname, x)
+
+    def test_residual_does_not_depend_on_companion_points(self, store_1e5):
+        # a point reads the prefix of convolutions taken up to the largest
+        # point; alone, or beside a larger point, it gives the same residual
+        # within the pairwise bound
+        fs = list(_ti_functions(store_1e5).values())
+        for x in (2.0, 97.5, 4096.0, 12345.6):
+            alone = identities.tatuzawa_iseki_residual(store_1e5, [x], fs)[0]
+            paired = identities.tatuzawa_iseki_residual(store_1e5, [x, 9.9e4], fs)[0]
+            bound = 1e-14 * x * math.log(x) ** 2
+            assert np.all(np.abs(alone - paired) <= bound), x
 
     def test_f_evaluated_once_per_k(self, store_1e5):
         sizes = {}
@@ -68,7 +80,7 @@ class TestTatuzawaIseki:
 
         fs = [counted(name, f) for name, f in _ti_functions(store_1e5).items()]
         x = 1e4
-        identities.tatuzawa_iseki_residual(store_1e5, x, fs)
+        identities.tatuzawa_iseki_residual(store_1e5, [x], fs)
         assert sorted(sizes) == ["log", "one", "smoothed"]
         for name, calls in sizes.items():
             assert len(calls) == 3, name

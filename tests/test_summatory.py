@@ -193,6 +193,54 @@ class TestPsiAndWeights:
             assert store_1e5.theta_sum(x) == pytest.approx(dense_th[x - 1], rel=1e-10), x
 
 
+class TestThetaSums:
+    def test_matches_per_point_route(self, store_1e5):
+        # the report's grid: one running sum per row against each point's
+        # own pairwise row sums
+        xs = identities.geometric_grid(100.0, 10.0 ** 5)
+        got = store_1e5.theta_sums(xs)
+        for x, g in zip(xs, got):
+            want = oracles.theta_sum_per_point(store_1e5, int(x))
+            assert abs(g - want) <= 1e-13 * abs(want), x
+
+    def test_point_alone_equals_the_batch(self, store_1e5):
+        # a point's value does not depend on its companion points
+        xs = np.concatenate((identities.geometric_grid(2.0, 10.0 ** 5), [3.0, 4.0, 99_999.5]))
+        got = store_1e5.theta_sums(xs[::-1])[::-1]
+        assert got[0] == 0.0 and got[-3] == 0.0
+        for x, g in zip(xs, got):
+            assert store_1e5.theta_sum(float(x)) == g, x
+        assert len(store_1e5.theta_sums([])) == 0
+
+    def test_rows_match_scalar_compensated_sum(self, store_1e5):
+        # the same row values Lambda(a) (2 R_a(n/a) - R_a(sqrt n)), each R_a
+        # one cumsum, added point by point in a scalar NeumaierSum: equal
+        # bit for bit, so the vectorized compensation is NeumaierSum.add
+        from mertenslab.accum import NeumaierSum
+
+        xs = identities.geometric_grid(100.0, 10.0 ** 5)
+        got = store_1e5.theta_sums(xs)
+        for x, g in zip(xs, got):
+            n = int(x)
+            rows = store_1e5._pp_upto(math.isqrt(n))
+            log_pp = store_1e5._pp_log(store_1e5._pp_upto(n // 2))
+            total = NeumaierSum()
+            for j in range(rows):
+                hi = store_1e5._pp_upto(n // int(store_1e5.pp[j]))
+                run = np.cumsum(store_1e5.pp_lam[:hi] / (float(log_pp[j]) + log_pp[:hi]))
+                total.add(float(store_1e5.pp_lam[j]) * (2.0 * run[hi - 1] - run[rows - 1]))
+            assert g == total.value, x
+
+    def test_chunks_do_not_change_the_bits(self, store_1e5, monkeypatch):
+        # a row's running sum taken in chunks, each chunk's first term
+        # taking the carry, has the bits of one cumsum over the row
+        xs = identities.geometric_grid(100.0, 10.0 ** 5)
+        whole = store_1e5.theta_sums(xs)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(summatory, "_THETA_CHUNK", chunk)
+            assert store_1e5.theta_sums(xs).tobytes() == whole.tobytes(), chunk
+
+
 class TestOneSievePass:
     def test_queries_read_the_stored_mu(self, monkeypatch):
         # every lookup below replays from the stored mu; the sieve is not called
@@ -233,16 +281,39 @@ class TestBatchedLookups:
         return np.concatenate((ns, fixed, ns[:50], fixed))
 
     def test_matches_scalar_lookup(self, store):
-        ns = self._ns(store)
+        # random, dilated x // k (long runs of equal floors), repeated runs
+        # and the same unsorted: one lookup per run, every value bit for bit
+        # that of the scalar lookup
+        rng = np.random.default_rng(11)
+        dilated = 99_991 // np.arange(1, 99_992)
+        runs = np.repeat(rng.integers(0, store.n_max + 1, 40), rng.integers(1, 9, 40))
+        for ns in (self._ns(store), dilated, runs, rng.permutation(dilated),
+                   np.concatenate((runs, dilated[::-1], runs)), np.array([5])):
+            self._check_scalar(store, ns)
+        for out in store._cum_many(("m", "a", "fint"), np.zeros(0, dtype=np.int64)):
+            assert len(out) == 0
+
+    @staticmethod
+    def _check_scalar(store, ns):
         kinds = ("m", "a", "fint")
         outs = store._cum_many(kinds, ns)
         assert len(outs) == 3 and outs[0].dtype == np.int64
+        scalar = {}
         for kind, out in zip(kinds, outs):
             assert len(out) == len(ns)
-            for n, got in zip(ns, out):
-                assert got == store._cum_lookup(kind, int(n)), (kind, n)
-        for out in store._cum_many(kinds, np.zeros(0, dtype=np.int64)):
-            assert len(out) == 0
+            for n, got in zip(ns.tolist(), out.tolist()):
+                if (kind, n) not in scalar:
+                    scalar[kind, n] = store._cum_lookup(kind, n)
+                assert got == scalar[kind, n], (kind, n)
+
+    def test_big_f_many_matches_elementwise_route(self, store):
+        # the dilated arguments x / k of the identity checks: each run's M
+        # and A repeated as floats give M(y) log y - A(y) element by element
+        for x in (99_991.5, 4096.0, 12_345.6):
+            ys = x / np.arange(1.0, math.floor(x) + 1.0)
+            m, a = store._cum_many(("m", "a"), np.floor(ys).astype(np.int64))
+            want = m.astype(np.float64) * np.log(ys) - a
+            assert store.big_f_many(ys).tobytes() == want.tobytes(), x
 
     @pytest.mark.parametrize("kinds", [("m",), ("a",), ("m", "a"), ("m", "a", "fint")])
     def test_one_visit_per_window(self, store, monkeypatch, kinds):
