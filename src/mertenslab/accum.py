@@ -1,9 +1,9 @@
 """Compensated floating-point accumulation helpers.
 
-Long prefix sums are built segment by segment: within a segment numpy's
-pairwise ``sum``/``cumsum`` is already accurate, and the running carry
-across segments is kept in a Neumaier (sum, compensation) pair so the
-cross-segment chain loses nothing to rounding.
+Long sums are built block by block: within a block numpy's pairwise
+``sum`` is already accurate, and the running carry across blocks is kept
+in a Neumaier (sum, compensation) pair so the cross-block chain loses
+nothing to rounding.
 """
 
 from __future__ import annotations
@@ -46,15 +46,3 @@ def kahan_slice_add(out: np.ndarray, comp: np.ndarray, sl, addend: np.ndarray) -
     c -= y
     out[sl] = t
 
-
-def chunked_cumsum(values: np.ndarray, chunk: int = 1 << 16) -> np.ndarray:
-    """Cumulative sum with compensated carries at chunk boundaries."""
-    out = np.empty(len(values), dtype=np.float64)
-    acc = NeumaierSum()
-    for i in range(0, len(values), chunk):
-        block = values[i:i + chunk]
-        np.cumsum(block, out=out[i:i + len(block)])
-        if acc.total != 0.0 or acc.comp != 0.0:
-            out[i:i + len(block)] += acc.value
-        acc.add(float(np.sum(block)))
-    return out

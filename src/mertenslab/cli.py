@@ -222,31 +222,38 @@ def check_tatuzawa_iseki(ctx: Context) -> dict:
             "worst": worst, "tolerance": "tol_rel * x * log(x)^2"}
 
 
-def check_f_sum_collapse(ctx: Context) -> dict:
-    cfg = ctx.config
-    stop = min(1e6, float(cfg.n_max))
-    xs = cfg.grid_points(stop) if cfg.points is not None else \
-        np.concatenate(([2.0, 4.0, 10.0], identities.geometric_grid(100.0, stop)))
-    xs = xs[xs <= cfg.n_max]
-    ok, worst = _residual_scan(
-        [identities.check_f_sum_identity(ctx.store, float(x))[1] for x in xs],
-        cfg.tol_rel * xs, x=xs.tolist())
-    return {"name": "f-sum-collapse", "status": "pass" if ok else "fail",
+def identity_grid(cfg: RunConfig) -> np.ndarray:
+    """The points of f-sum-collapse and floor-weighted up to n_max: --points,
+    or 2, 4, 10 and the geometric grid from 100 to min(1e6, n_max)."""
+    if cfg.points is not None:
+        xs = cfg.grid_points()
+    elif cfg.n_max < 100:
+        raise RangeError(f"n_max must be >= 100 without --points, got {cfg.n_max}")
+    else:
+        xs = np.concatenate(([2.0, 4.0, 10.0], identities.geometric_grid(
+            100.0, min(1e6, float(cfg.n_max)))))
+    return xs[xs <= cfg.n_max]
+
+
+def _identity_check(ctx: Context, name: str, xs: np.ndarray, residual) -> dict:
+    """Scan ``residual(x)`` over the points xs against tol_rel * x."""
+    ok, worst = _residual_scan([residual(float(x)) for x in xs],
+                               ctx.config.tol_rel * xs, x=xs.tolist())
+    return {"name": name, "status": "pass" if ok else "fail",
             "n_points": int(len(xs)), "worst": worst, "tolerance": "tol_rel * x"}
 
 
+def check_f_sum_collapse(ctx: Context) -> dict:
+    return _identity_check(
+        ctx, "f-sum-collapse", identity_grid(ctx.config),
+        lambda x: identities.check_f_sum_identity(ctx.store, x)[1])
+
+
 def check_floor_weighted(ctx: Context) -> dict:
-    cfg = ctx.config
-    stop = min(1e6, float(cfg.n_max))
-    xs = cfg.grid_points(stop) if cfg.points is not None else \
-        np.concatenate(([2.0, 4.0, 10.0], identities.geometric_grid(100.0, stop)))
-    xs = xs[(xs >= 2.0) & (xs <= cfg.n_max)]
-    ok, worst = _residual_scan(
-        [identities.floor_weighted_mu_sum(ctx.store, float(x)).residual for x in xs],
-        cfg.tol_rel * xs, x=xs.tolist())
-    return {"name": "floor-weighted", "status": "pass" if ok else "fail",
-            "n_points": int(len(xs)), "worst": worst,
-            "tolerance": "tol_rel * x"}
+    xs = identity_grid(ctx.config)
+    return _identity_check(
+        ctx, "floor-weighted", xs[xs >= 2.0],
+        lambda x: identities.floor_weighted_mu_sum(ctx.store, x).residual)
 
 
 def _table_failure(name: str, exc: CrossCheckError) -> dict:
@@ -359,19 +366,32 @@ def series_grid(ctx: Context, kind: str) -> np.ndarray:
     if kind in ("h_mean_gap", "mertens_h_mean_gap"):
         x_cap = math.log(cfg.n_max) ** 2
         return identities.geometric_grid(1.0, x_cap, cfg.grid[1])
+    if cfg.n_max < cfg.grid[0]:
+        raise RangeError(f"n_max must be >= {cfg.grid[0]:g} without --points, got {cfg.n_max}")
     if kind in ("f_dilated_sum",):
         return identities.geometric_grid(cfg.grid[0], min(1e6, float(cfg.n_max)),
                                           cfg.grid[1])
     return identities.geometric_grid(cfg.grid[0], float(cfg.n_max), cfg.grid[1])
 
 
+def _refuse_early(ctx: Context, checks=(), kinds=()) -> None:
+    """Raise, before the store is built, the usage errors that these checks
+    and remainder kinds would raise after it."""
+    if {"f-sum-collapse", "floor-weighted"} & set(checks):
+        identity_grid(ctx.config)
+    if "residual-stats" in checks and ctx.config.conv_cap < 2:
+        raise RangeError(f"residual-stats needs conv_cap >= 2, got {ctx.config.conv_cap}")
+    for kind in kinds:
+        series_grid(ctx, kind)
+
+
 def run_remainders(ctx: Context, kinds=None) -> dict:
+    # every grid first: a usage error in one comes before the store is built
+    grids = {kind: series_grid(ctx, kind) for kind in (kinds or identities.SERIES_KINDS)}
     out = {}
-    for kind in (kinds or identities.SERIES_KINDS):
+    for kind, xs in grids.items():
         with ctx.timings.measure(f"remainder-{kind}"):
-            series = identities.remainder_series(ctx.store, kind,
-                                                 series_grid(ctx, kind))
-        out[kind] = series
+            out[kind] = identities.remainder_series(ctx.store, kind, xs)
     return out
 
 
@@ -522,6 +542,7 @@ def cmd_verify(ctx: Context) -> int:
     for name in names:
         if name not in CHECKS:
             raise RangeError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
+    _refuse_early(ctx, checks=names)
     results = []
     for name in names:
         with ctx.timings.measure(f"check-{name}"):
@@ -598,6 +619,7 @@ def cmd_iterate(ctx: Context) -> int:
 def cmd_report(ctx: Context) -> int:
     cfg = ctx.config
     ctx.walk_kinds = ("smoothed", "mertens")
+    _refuse_early(ctx, checks=CHECK_NAMES, kinds=identities.SERIES_KINDS)
     checks = []
     for name in CHECK_NAMES:
         with ctx.timings.measure(f"check-{name}"):

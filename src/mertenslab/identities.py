@@ -276,7 +276,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
 
     log_xs = np.log(xs)
     if kind == "selberg_sum":
-        raw = np.array([store.lambda2_sum(x) for x in xs]) - 2.0 * xs * log_xs
+        raw = store.lambda2_sums(xs) - 2.0 * xs * log_xs
         normalized = raw / xs
         label = "x"
     elif kind == "lambda_theta_sum":
@@ -293,7 +293,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         normalized = raw / norm_div
         label = "(log x)^2"
     elif kind == "lambda_over_n":
-        raw = np.array([store.lambda_over_n_sum(x)[1] for x in xs])
+        raw = store.lambda_over_n_sums(xs) - log_xs
         normalized = raw.copy()
         label = "1"
     else:  # f_self_bound

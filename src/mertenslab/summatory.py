@@ -2,18 +2,18 @@
 
 The store keeps three running sums checkpointed every ``stride`` integers
 (the Mertens function M as exact int64, A(x) = sum mu(n) log n, and the
-piecewise-exact integral I(x) = sum M(n) log((n+1)/n)), plus three arrays
-over the prime powers: ``pp``, their von Mangoldt values ``pp_lam`` and the
-running sum ``pp_cum_lam``, from which psi is read directly.  The
-Selberg-weight sums (sum Lambda*Lambda + Lambda log, its theta form and
-sum Lambda(n)/n) have one route, the prime-power hyperbola: a lookup sums
-its own slice of ``pp`` and ``pp_lam``, and the theta form takes one
-running sum per hyperbola row for all its points at once.  The build pass
-is the only sieve pass: it keeps mu as one int8 array (1 byte per integer)
-and the prime powers, and the checkpoints are then derived from the stored
-mu in blocks of ``BLOCK`` stride windows, each stride window summed on its
-own.  Between checkpoints, M(n) is the checkpoint plus an exact int64 sum
-of mu over the window's prefix, so a scalar M lookup replays nothing.  A
+piecewise-exact integral I(x) = sum M(n) log((n+1)/n)), plus two arrays
+over the prime powers: ``pp`` and their von Mangoldt values ``pp_lam``.
+Every prime-power sum (psi, sum Lambda log n, sum Lambda(n)/n, and the
+Lambda*Lambda and theta forms of the Selberg weight) is one running sum,
+taken in ascending chunks and sampled at every point asked for
+(``_pp_running``); the two hyperbola forms share one loop over the rows
+a <= sqrt(x).  The build pass is the only sieve pass: it keeps mu as one
+int8 array (1 byte per integer) and the prime powers, and the checkpoints
+are then derived from the stored mu in blocks of ``BLOCK`` stride windows,
+each stride window summed on its own.  Between checkpoints, M(n) is the
+checkpoint plus an exact int64 sum of mu over the window's prefix, so a
+scalar M lookup replays nothing.  A
 and the integral are recovered by replaying that prefix of the window from
 its checkpoint with the build's per-window terms, only for the sums asked
 for and only up to the largest offset asked for, so a replay spans at most
@@ -44,12 +44,12 @@ import os
 import numpy as np
 
 from . import sieve
-from .accum import NeumaierSum, chunked_cumsum
+from .accum import NeumaierSum
 from .errors import CapabilityError, RangeError
 
 DEFAULT_STRIDE = 1 << 12       # checkpoint spacing: a replay's longest span
 BLOCK = 16                      # stride windows per build or walk block
-_THETA_CHUNK = 1 << 16          # prime powers per step of a theta-sum row
+_PP_CHUNK = 1 << 16             # prime powers per step of a running sum
 # Peak bytes of a store per integer: ru_maxrss around PrefixSums(1e7) rose
 # 36.7 MiB, around PrefixSums(1e8) 247.0 MiB and around PrefixSums(1e9)
 # 2141.3 MiB (numpy 2.4, x86-64), so the slopes are 2.45 and 2.21 bytes per
@@ -104,7 +104,6 @@ class PrefixSums:
             end += len(seg.pp)
         self.pp = pp[:end]
         self.pp_lam = pp_lam[:end]
-        self.pp_cum_lam = chunked_cumsum(self.pp_lam)
 
         # checkpoint k holds the running sums at n = k * stride; the build
         # takes BLOCK stride windows per window_terms call, sums each window
@@ -226,11 +225,6 @@ class PrefixSums:
         """M(floor(x)) as an exact integer, 1 <= x <= n_max."""
         return int(self._cum_lookup("m", self._floor_checked(x)))
 
-    def psi(self, x) -> float:
-        """Chebyshev psi(x) = sum of von Mangoldt values up to x."""
-        idx = self._pp_upto(self._floor_checked(x))
-        return float(self.pp_cum_lam[idx - 1]) if idx else 0.0
-
     def big_f(self, x) -> float:
         """Smoothed Mertens sum F(x) = M(|x|) log x - A(|x|), x >= 1."""
         n = self._floor_checked(x)
@@ -313,15 +307,6 @@ class PrefixSums:
         f -= np.repeat(a, counts)
         return f
 
-    def psi_many(self, xs) -> np.ndarray:
-        """Vectorized psi(x); every x must lie in [1, n_max], as for psi."""
-        ns = self._floor_many(xs)[1]
-        idx = np.searchsorted(self.pp, ns, side="right")
-        out = np.zeros(len(ns))
-        nz = idx > 0
-        out[nz] = self.pp_cum_lam[idx[nz] - 1]
-        return out
-
     def mobius_range(self, lo: int, hi: int) -> np.ndarray:
         """Dense mu values for n in [lo, hi), copied from the stored mu."""
         if lo < 1 or hi <= lo or hi - 1 > self.n_max:
@@ -329,114 +314,138 @@ class PrefixSums:
         return self.mu[lo - 1:hi - 1].copy()
 
     # ------------------------------------------------------------------
-    # Selberg-weight prefix sums by prime-power hyperbola enumeration.  A
-    # lookup sums its own slice of pp and pp_lam in one fresh float64
-    # temporary; log p^k is np.log of pp, which at a prime has the bits of
-    # pp_lam.
+    # prime-power sums.  Each is a running sum over pp, taken by
+    # _pp_running in ascending chunks and sampled at every point asked for;
+    # a scalar query is its batched form at one point.  log p^k is np.log
+    # of pp, which at a prime has the bits of pp_lam.
     # ------------------------------------------------------------------
 
+    def psi(self, x) -> float:
+        """Chebyshev psi(x): ``psi_many`` at x alone."""
+        return float(self.psi_many([self._floor_checked(x)])[0])
+
+    def psi_many(self, xs) -> np.ndarray:
+        """psi(x), the sum of Lambda(n) up to x, at every x of ``xs``; every
+        x must lie in [1, n_max], as for psi."""
+        return self._pp_running(self._lam, self._floor_many(xs)[1])
+
     def lambda2_sum(self, x) -> float:
-        """Sum of the Selberg weight (Lambda*Lambda + Lambda log) up to x."""
-        n = self._floor_checked(x)
-        return self._lambda_conv_sum(n) + self._lamlog_sum(n)
+        """Sum of the Selberg weight up to x: ``lambda2_sums`` at x alone."""
+        return float(self.lambda2_sums([self._floor_checked(x)])[0])
+
+    def lambda2_sums(self, xs) -> np.ndarray:
+        """Sum of the Selberg weight (Lambda*Lambda + Lambda log) up to every
+        x of ``xs``.  Every hyperbola row of Lambda*Lambda sums psi, so one
+        running sum serves every (row, point)."""
+        def psi_rows(points):
+            at = self._pp_running(self._lam, np.concatenate(points))
+            return np.split(at, np.cumsum([len(p) for p in points])[:-1])
+
+        ns = self._floor_many(xs)[1]
+        return self._hyperbola(ns, psi_rows) + self._pp_running(self._lam_log, ns)
 
     def theta_sum(self, x) -> float:
         """Sum of (Lambda*Lambda)(n)/log n up to x: ``theta_sums`` at x alone."""
-        return float(self._theta_sums(np.array([self._floor_checked(x)]))[0])
+        return float(self.theta_sums([self._floor_checked(x)])[0])
 
     def theta_sums(self, xs) -> np.ndarray:
-        """Sum of (Lambda*Lambda)(n)/log n up to every x of ``xs``."""
-        return self._theta_sums(self._floor_many(xs)[1])
+        """Sum of (Lambda*Lambda)(n)/log n up to every x of ``xs``.  Row a
+        takes its own running sum of Lambda(b) / (log a + log b), b up to
+        max xs / a."""
+        ns = self._floor_many(xs)[1]
+        # b runs up to n/2 at a = 2, the widest row
+        log_pp = self._pp_log(0, self._pp_upto(int(ns.max(initial=0)) // 2))
+
+        def theta_rows(points):
+            for j, p in enumerate(points):
+                lga = float(log_pp[j])
+                yield self._pp_running(
+                    lambda c0, c1: self.pp_lam[c0:c1] / (lga + log_pp[c0:c1]), p)
+        return self._hyperbola(ns, theta_rows)
+
+    def lambda_over_n_sum(self, x) -> tuple[float, float]:
+        """(sum_{n<=x} Lambda(n)/n, its gap to log x); 2 <= x <= n_max."""
+        val = float(self.lambda_over_n_sums([self._floor_checked(x, lo=2.0)])[0])
+        return val, val - math.log(float(x))
+
+    def lambda_over_n_sums(self, xs) -> np.ndarray:
+        """sum_{n<=x} Lambda(n)/n at every x of ``xs``."""
+        return self._pp_running(self._lam_over_n, self._floor_many(xs)[1])
 
     def _pp_upto(self, n: int) -> int:
         return int(np.searchsorted(self.pp, n, side="right"))
 
-    def _pp_log(self, i: int) -> np.ndarray:
-        """log p^k for the first i prime powers, as a fresh float64 array."""
-        t = self.pp[:i].astype(np.float64)
+    def _pp_log(self, c0: int, c1: int) -> np.ndarray:
+        """log p^k for the prime powers pp[c0:c1], as a fresh float64 array."""
+        t = self.pp[c0:c1].astype(np.float64)
         return np.log(t, out=t)
 
-    def _lamlog_sum(self, n: int) -> float:
-        i = self._pp_upto(n)
-        t = self._pp_log(i)
-        t *= self.pp_lam[:i]
-        return float(np.sum(t))
+    # the terms of the running sums over pp[c0:c1], each a fresh array
+    def _lam(self, c0: int, c1: int) -> np.ndarray:
+        return self.pp_lam[c0:c1].copy()
 
-    def _lambda_conv_sum(self, n: int) -> float:
-        """sum_{ab<=n} Lambda(a) Lambda(b) by the symmetric hyperbola split."""
-        if n < 4:
-            return 0.0
-        r = math.isqrt(n)
-        i = self._pp_upto(r)
-        if i == 0:
-            return 0.0
-        a = self.pp[:i]
-        psi_at = self.psi_many(n // a)
-        cross = 2.0 * float(np.sum(self.pp_lam[:i] * psi_at))
-        corner = float(self.pp_cum_lam[i - 1]) ** 2
-        return cross - corner
+    def _lam_log(self, c0: int, c1: int) -> np.ndarray:
+        t = self._pp_log(c0, c1)
+        t *= self.pp_lam[c0:c1]
+        return t
 
-    def _theta_sums(self, ns: np.ndarray) -> np.ndarray:
-        """sum_{ab<=n} Lambda(a) Lambda(b) / log(ab) over prime-power pairs,
-        at every integer n of ``ns``, by the symmetric hyperbola split.
+    def _lam_over_n(self, c0: int, c1: int) -> np.ndarray:
+        return self.pp_lam[c0:c1] / self.pp[c0:c1]
 
-        With R_a the running sum of Lambda(b) / (log a + log b) over the
-        prime powers b, the sum at n is that over the rows a <= sqrt(n) of
-        Lambda(a) (2 R_a(n/a) - R_a(sqrt n)): the rows counted twice, less
-        the corner a, b <= sqrt(n) counted twice.  Each row takes R_a once,
-        up to max ns / a in chunks of ``_THETA_CHUNK`` (each chunk's first
-        term takes the carry, so the chunks add left to right as one
-        ``cumsum`` would), and samples it at every point.  A running sum's
-        prefix does not depend on its length, and each point adds its rows
-        in ascending order of a in its own compensated sum, so a point's
-        value does not depend on the others.
+    def _pp_running(self, terms, ns) -> np.ndarray:
+        """The running sum of ``terms`` over the prime powers up to every
+        integer n of ``ns``; terms(c0, c1) gives the terms of pp[c0:c1] as a
+        fresh array.  The sum runs up to the largest count of prime powers
+        asked for, in chunks of ``_PP_CHUNK``, and each chunk's first term
+        takes the carry, so the chunks add left to right as one ``cumsum``
+        would, whatever the chunk size and the other points."""
+        counts = np.searchsorted(self.pp, ns, side="right")
+        out = np.zeros(len(counts))
+        order = np.argsort(counts)
+        ascending = counts[order]
+        carry = 0.0
+        top = int(ascending[-1]) if len(counts) else 0
+        for c0 in range(0, top, _PP_CHUNK):
+            c1 = min(c0 + _PP_CHUNK, top)
+            run = terms(c0, c1)
+            run[0] += carry
+            np.cumsum(run, out=run)
+            carry = float(run[-1])
+            lo, hi = np.searchsorted(ascending, (c0 + 1, c1 + 1))
+            sel = order[lo:hi]
+            out[sel] = run[counts[sel] - c0 - 1]
+        return out
+
+    def _hyperbola(self, ns: np.ndarray, row_sums) -> np.ndarray:
+        """sum_{ab<=n} Lambda(a) Lambda(b) w(a, b) over prime-power pairs, at
+        every integer n of ``ns``, by the symmetric hyperbola split.
+
+        With R_a the running sum of Lambda(b) w(a, b) over the prime powers
+        b, the sum at n is that over the rows a <= sqrt(n) of Lambda(a)
+        (2 R_a(n/a) - R_a(sqrt n)): the rows counted twice, less the corner
+        a, b <= sqrt(n) counted twice.  ``row_sums`` maps, for each row, the
+        integers n/a and then the largest prime powers <= sqrt(n) at the
+        points that have the row, to R_a at them, row by row.  Each point
+        adds its rows in ascending a in its own compensated sum, so its value
+        does not depend on the others.
         """
-        if not len(ns) or ns.max() < 4:
-            return np.zeros(len(ns))
-        n_top = int(ns.max())
-        rows = self._pp_upto(math.isqrt(n_top))
-        a_sq = self.pp[:rows] * self.pp[:rows]
-        n_rows = np.searchsorted(a_sq, ns, side="right")     # rows a <= sqrt(n)
-        # b runs up to n/2 at a = 2, the widest row
-        log_pp = self._pp_log(self._pp_upto(n_top // 2))
         total = np.zeros(len(ns))
+        if not len(ns) or ns.max() < 4:
+            return total
+        rows = self._pp_upto(math.isqrt(int(ns.max())))
+        n_rows = np.searchsorted(self.pp[:rows] * self.pp[:rows], ns, side="right")
+        lives = [np.flatnonzero(n_rows > j) for j in range(rows)]
+        points = [np.concatenate((ns[live] // self.pp[j], self.pp[n_rows[live] - 1]))
+                  for j, live in enumerate(lives)]
         comp = np.zeros(len(ns))
-        for j in range(rows):
-            a = int(self.pp[j])
-            la, lga = float(self.pp_lam[j]), float(log_pp[j])
-            live = np.flatnonzero(n_rows > j)
-            # each point samples R_a at n/a and at sqrt(n)
-            idx = np.concatenate((np.searchsorted(self.pp, ns[live] // a, side="right"),
-                                  n_rows[live])) - 1
-            at = np.empty(len(idx))
-            carry = 0.0
-            hi = int(idx.max()) + 1
-            for c0 in range(0, hi, _THETA_CHUNK):
-                c1 = min(c0 + _THETA_CHUNK, hi)
-                run = self.pp_lam[c0:c1] / (lga + log_pp[c0:c1])
-                run[0] += carry
-                np.cumsum(run, out=run)
-                carry = float(run[-1])
-                hit = (idx >= c0) & (idx < c1)
-                at[hit] = run[idx[hit] - c0]
-            v = la * (2.0 * at[:len(live)] - at[len(live):])
+        for j, (live, at) in enumerate(zip(lives, row_sums(points))):
+            v = float(self.pp_lam[j]) * (2.0 * at[:len(live)] - at[len(live):])
             # NeumaierSum.add, one entry per point
             s = total[live]
             t = s + v
             comp[live] += np.where(np.abs(s) >= np.abs(v), (s - t) + v, (v - t) + s)
             total[live] = t
         return total + comp
-
-    # ------------------------------------------------------------------
-    # remainder-style sums
-    # ------------------------------------------------------------------
-
-    def lambda_over_n_sum(self, x) -> tuple[float, float]:
-        """(sum_{n<=x} Lambda(n)/n, its gap to log x); 2 <= x <= n_max."""
-        n = self._floor_checked(x, lo=2.0)
-        i = self._pp_upto(n)
-        val = float(np.sum(np.divide(self.pp_lam[:i], self.pp[:i])))
-        return val, val - math.log(float(x))
 
 
 def log_square_sums(xs) -> np.ndarray:

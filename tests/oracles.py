@@ -232,6 +232,44 @@ def tatuzawa_iseki_pairwise(store, x: float, f) -> float:
     return lhs.value - float(np.sum(weights * vals))
 
 
+def psi_per_point(store, n: int) -> float:
+    """psi(n) as one pairwise ``np.sum`` of the point's own prefix of the
+    von Mangoldt values.  It checks ``PrefixSums.psi_many``, which takes one
+    running sum for every point at once."""
+    return float(np.sum(store.pp_lam[:store._pp_upto(n)]))
+
+
+def lamlog_sum_per_point(store, n: int) -> float:
+    """sum_{m<=n} Lambda(m) log m as one pairwise ``np.sum`` of the point's
+    own prefix of the prime powers."""
+    i = store._pp_upto(n)
+    return float(np.sum(np.log(store.pp[:i].astype(np.float64)) * store.pp_lam[:i]))
+
+
+def lambda_over_n_per_point(store, n: int) -> float:
+    """sum_{m<=n} Lambda(m)/m as one pairwise ``np.sum`` of the point's own
+    prefix of the prime powers."""
+    i = store._pp_upto(n)
+    return float(np.sum(np.divide(store.pp_lam[:i], store.pp[:i])))
+
+
+def lambda2_sum_per_point(store, n: int) -> float:
+    """sum_{m<=n} (Lambda*Lambda + Lambda log)(m), one point at a time.
+
+    Lambda*Lambda by the symmetric hyperbola split: twice the rows
+    a <= sqrt(n) of Lambda(a) psi(n/a), each psi its own pairwise sum, less
+    the corner psi(sqrt n)^2.  It checks ``PrefixSums.lambda2_sums``, which
+    reads every row's psi from one running sum.
+    """
+    conv = 0.0
+    if n >= 4:
+        i = store._pp_upto(math.isqrt(n))
+        psi_at = np.array([psi_per_point(store, n // int(a)) for a in store.pp[:i]])
+        conv = 2.0 * float(np.sum(store.pp_lam[:i] * psi_at)) \
+            - psi_per_point(store, math.isqrt(n)) ** 2
+    return conv + lamlog_sum_per_point(store, n)
+
+
 def theta_sum_per_point(store, n: int) -> float:
     """sum_{ab<=n} Lambda(a) Lambda(b) / log(ab) over prime-power pairs, one
     point at a time.
@@ -249,7 +287,7 @@ def theta_sum_per_point(store, n: int) -> float:
     if i == 0:
         return 0.0
     # b runs up to n/2 at a = 2, the widest row
-    log_pp = store._pp_log(store._pp_upto(n // 2))
+    log_pp = store._pp_log(0, store._pp_upto(n // 2))
     total = NeumaierSum()
     for j in range(i):
         la, lga = float(store.pp_lam[j]), float(log_pp[j])

@@ -77,6 +77,25 @@ class TestCommands:
             summatory.PrefixSums(10 ** 12)
         assert err.value.max_usable < 10 ** 12
 
+    @pytest.mark.parametrize("argv, bound", [
+        (["verify", "--n-max", "50"], "n_max must be >= 100"),
+        (["report", "--n-max", "99"], "n_max must be >= 100"),
+        (["remainders", "--n-max", "50"], "n_max must be >= 100"),
+        (["verify", "--n-max", "5000", "--conv-cap", "1"], "conv_cap >= 2"),
+        (["report", "--n-max", "5000", "--conv-cap", "1"], "conv_cap >= 2"),
+    ])
+    def test_bounds_refused_before_the_store(self, argv, bound, tmp_path,
+                                             monkeypatch, capsys):
+        # a grid that starts above n_max, or a conv_cap below residual-stats'
+        # x >= 2, is a usage error named before any work
+        def no_build(*args, **kwargs):
+            raise AssertionError("the store began to build")
+
+        monkeypatch.setattr(sieve, "base_primes", no_build)
+        assert run(argv + ["--out", str(tmp_path / "o.json")]) == 2
+        assert bound in capsys.readouterr().err
+        assert not (tmp_path / "o.json").exists()
+
     def test_unknown_check_usage_error(self):
         status = run(["verify", "--which", "bogus"] + BASE)
         assert status == 2
@@ -207,6 +226,28 @@ class TestDeterminism:
         assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
                     "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 4
+
+    # prime-power terms summed per report, over len(store.pp): 13.62 at
+    # the defaults of the run below; this ceiling may be lowered, never
+    # raised
+    PP_TERMS_PER_PP = 14
+
+    def test_report_prime_power_terms(self, tmp_path, monkeypatch):
+        # work ratchet: every prime-power sum goes through _pp_running, so
+        # a per-point pass that came back would multiply this count
+        summed = []
+        pp_running = summatory.PrefixSums._pp_running
+
+        def counted(self, terms, ns):
+            def counted_terms(c0, c1):
+                summed.append(c1 - c0)
+                return terms(c0, c1)
+            return pp_running(self, counted_terms, ns)
+
+        monkeypatch.setattr(summatory.PrefixSums, "_pp_running", counted)
+        assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
+                    "--out", str(tmp_path / "r.json")]) == 0
+        assert sum(summed) <= self.PP_TERMS_PER_PP * len(summatory.PrefixSums(5000).pp)
 
     def test_timings_sidecar_optional(self, tmp_path):
         out = tmp_path / "o.json"

@@ -75,7 +75,8 @@ class TestMertens:
             getattr(store_1e4, query)(-10 ** 400)
         assert getattr(store_1e4, query)(10 ** 4) == getattr(store_1e4, query)(1e4)
 
-    @pytest.mark.parametrize("many", ["mertens_many", "big_f_many", "psi_many"])
+    @pytest.mark.parametrize("many", ["mertens_many", "big_f_many", "psi_many",
+                                      "lambda2_sums", "theta_sums", "lambda_over_n_sums"])
     def test_huge_integers_in_batches(self, store_1e4, many):
         for xs in ([10 ** 400], [2, 10 ** 400]):
             with pytest.raises(CapabilityError) as err:
@@ -173,7 +174,17 @@ class TestPsiAndWeights:
         assert 0.9 <= store_1e5.psi(10 ** 5) / 10 ** 5 <= 1.1
 
     def test_psi_nondecreasing_checkpoints(self, store_1e5):
-        assert np.all(np.diff(store_1e5.pp_cum_lam) >= 0)
+        psi = store_1e5.psi_many(np.arange(1.0, 10 ** 5 + 1.0))
+        assert psi[0] == 0.0 and np.all(np.diff(psi) >= 0)
+
+    def test_scalar_is_the_batch_at_one_point(self, store_1e5):
+        xs = np.concatenate((identities.geometric_grid(2.0, 10.0 ** 5), [99_999.5]))
+        for scalar, many in (("psi", "psi_many"), ("lambda2_sum", "lambda2_sums"),
+                             ("theta_sum", "theta_sums")):
+            got = getattr(store_1e5, many)(xs)
+            assert [getattr(store_1e5, scalar)(x) for x in xs] == got.tolist(), scalar
+        got = store_1e5.lambda_over_n_sums(xs)
+        assert [store_1e5.lambda_over_n_sum(x)[0] for x in xs] == got.tolist()
 
     def test_lambda2_sum_hand_value(self, store_1e5):
         got = store_1e5.lambda2_sum(10)
@@ -193,25 +204,56 @@ class TestPsiAndWeights:
             assert store_1e5.theta_sum(x) == pytest.approx(dense_th[x - 1], rel=1e-10), x
 
 
-class TestThetaSums:
-    def test_matches_per_point_route(self, store_1e5):
-        # the report's grid: one running sum per row against each point's
-        # own pairwise row sums
-        xs = identities.geometric_grid(100.0, 10.0 ** 5)
-        got = store_1e5.theta_sums(xs)
-        for x, g in zip(xs, got):
-            want = oracles.theta_sum_per_point(store_1e5, int(x))
-            assert abs(g - want) <= 1e-13 * abs(want), x
+# the prime-power sums: each batched route (a point set of integers) and its
+# per-point reference in oracles
+PP_SUMS = {
+    "psi": (lambda store, ns: store.psi_many(ns), oracles.psi_per_point),
+    "lambda_log": (lambda store, ns: store._pp_running(store._lam_log, ns),
+                   oracles.lamlog_sum_per_point),
+    "lambda_over_n": (lambda store, ns: store.lambda_over_n_sums(ns),
+                      oracles.lambda_over_n_per_point),
+    "lambda2": (lambda store, ns: store.lambda2_sums(ns), oracles.lambda2_sum_per_point),
+    "theta": (lambda store, ns: store.theta_sums(ns), oracles.theta_sum_per_point),
+}
 
-    def test_point_alone_equals_the_batch(self, store_1e5):
+
+@pytest.mark.parametrize("kind", list(PP_SUMS))
+class TestPrimePowerSums:
+    def test_matches_per_point_route(self, store_1e5, kind):
+        # the report's grid and the smallest points (where theta and
+        # Lambda*Lambda are 0): one running sum for every point against each
+        # point's own pairwise sums
+        batched, per_point = PP_SUMS[kind]
+        ns = np.concatenate((identities.geometric_grid(2.0, 10.0 ** 5),
+                             [1.0, 3.0, 4.0])).astype(np.int64)
+        got = batched(store_1e5, ns)
+        for n, g in zip(ns.tolist(), got):
+            want = per_point(store_1e5, n)
+            assert abs(g - want) <= 1e-13 * abs(want), n
+
+    def test_point_alone_equals_the_batch(self, store_1e5, kind):
         # a point's value does not depend on its companion points
-        xs = np.concatenate((identities.geometric_grid(2.0, 10.0 ** 5), [3.0, 4.0, 99_999.5]))
-        got = store_1e5.theta_sums(xs[::-1])[::-1]
-        assert got[0] == 0.0 and got[-3] == 0.0
-        for x, g in zip(xs, got):
-            assert store_1e5.theta_sum(float(x)) == g, x
-        assert len(store_1e5.theta_sums([])) == 0
+        batched, _ = PP_SUMS[kind]
+        ns = np.concatenate((identities.geometric_grid(2.0, 10.0 ** 5),
+                             [1.0, 3.0, 4.0, 99_999.5])).astype(np.int64)
+        got = batched(store_1e5, ns[::-1])[::-1]
+        assert got[-4] == 0.0
+        for n, g in zip(ns, got):
+            assert batched(store_1e5, [n])[0] == g, n
+        assert len(batched(store_1e5, np.zeros(0, dtype=np.int64))) == 0
 
+    def test_chunks_do_not_change_the_bits(self, store_1e5, monkeypatch, kind):
+        # a running sum taken in chunks, each chunk's first term taking the
+        # carry, has the bits of one cumsum
+        batched, _ = PP_SUMS[kind]
+        ns = identities.geometric_grid(100.0, 10.0 ** 5).astype(np.int64)
+        whole = batched(store_1e5, ns)
+        for chunk in (1, 7, 1000):
+            monkeypatch.setattr(summatory, "_PP_CHUNK", chunk)
+            assert batched(store_1e5, ns).tobytes() == whole.tobytes(), chunk
+
+
+class TestThetaSums:
     def test_rows_match_scalar_compensated_sum(self, store_1e5):
         # the same row values Lambda(a) (2 R_a(n/a) - R_a(sqrt n)), each R_a
         # one cumsum, added point by point in a scalar NeumaierSum: equal
@@ -223,22 +265,13 @@ class TestThetaSums:
         for x, g in zip(xs, got):
             n = int(x)
             rows = store_1e5._pp_upto(math.isqrt(n))
-            log_pp = store_1e5._pp_log(store_1e5._pp_upto(n // 2))
+            log_pp = store_1e5._pp_log(0, store_1e5._pp_upto(n // 2))
             total = NeumaierSum()
             for j in range(rows):
                 hi = store_1e5._pp_upto(n // int(store_1e5.pp[j]))
                 run = np.cumsum(store_1e5.pp_lam[:hi] / (float(log_pp[j]) + log_pp[:hi]))
                 total.add(float(store_1e5.pp_lam[j]) * (2.0 * run[hi - 1] - run[rows - 1]))
             assert g == total.value, x
-
-    def test_chunks_do_not_change_the_bits(self, store_1e5, monkeypatch):
-        # a row's running sum taken in chunks, each chunk's first term
-        # taking the carry, has the bits of one cumsum over the row
-        xs = identities.geometric_grid(100.0, 10.0 ** 5)
-        whole = store_1e5.theta_sums(xs)
-        for chunk in (1, 7, 1000):
-            monkeypatch.setattr(summatory, "_THETA_CHUNK", chunk)
-            assert store_1e5.theta_sums(xs).tobytes() == whole.tobytes(), chunk
 
 
 class TestOneSievePass:
@@ -530,7 +563,7 @@ class TestConstructionDeterminism:
         # the Selberg-weight sums take log p^k as np.log of pp; at a prime
         # that has the bits of Lambda, so only the p^k, k >= 2, differ
         store = summatory.PrefixSums(10 ** 6)
-        log_pp = store._pp_log(len(store.pp))
+        log_pp = store._pp_log(0, len(store.pp))
         assert log_pp.tobytes() == np.log(store.pp.astype(np.float64)).tobytes()
         differ = log_pp != store.pp_lam
         assert np.count_nonzero(differ) == 236
@@ -539,16 +572,16 @@ class TestConstructionDeterminism:
         assert np.array_equal(differ, ~is_prime)
 
     def test_store_keeps_three_prime_power_arrays(self):
-        # pp, pp_lam and pp_cum_lam are all the store keeps per prime power;
-        # this count may be lowered, never raised
+        # pp and pp_lam are all the store keeps per prime power; this count,
+        # 2, may be lowered, never raised
         store = summatory.PrefixSums(10 ** 5)
         n_pp = len(store.pp)
         held = [name for name, v in vars(store).items()
                 if isinstance(v, np.ndarray) and len(v) == n_pp]
-        assert sorted(held) == ["pp", "pp_cum_lam", "pp_lam"]
+        assert sorted(held) == ["pp", "pp_lam"]
 
     def test_store_matches_reference_kernel(self, monkeypatch):
-        names = ("mu", "pp", "pp_lam", "pp_cum_lam", "cp_m", "cp_a", "cp_fint")
+        names = ("mu", "pp", "pp_lam", "cp_m", "cp_a", "cp_fint")
         store = summatory.PrefixSums(2 * 10 ** 5, stride=2 ** 10)
         monkeypatch.setattr(sieve, "build_segment", oracles.build_segment_reference)
         ref = summatory.PrefixSums(2 * 10 ** 5, stride=2 ** 10)
