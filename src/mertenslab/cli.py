@@ -87,20 +87,6 @@ class RunConfig:
         if self.fmt not in ("csv", "json"):
             raise RangeError(f"unknown format {self.fmt!r}")
 
-    def grid_points(self, stop: float | None = None) -> np.ndarray:
-        if self.points is not None:
-            pts = np.unique(np.asarray(self.points, dtype=np.float64))
-            if len(pts) == 0:
-                raise RangeError("empty sample grid")
-            return pts
-        start, ratio, count = self.grid
-        if count is not None:
-            pts = start * np.power(float(ratio), np.arange(int(count)))
-            return np.unique(pts)
-        if stop is None:
-            stop = float(self.n_max)
-        return identities.geometric_grid(start, stop, ratio)
-
 
 class Timings:
     def __init__(self):
@@ -175,16 +161,10 @@ class Context:
 # checks
 # ----------------------------------------------------------------------
 
-def check_mertens_values(ctx: Context) -> dict:
-    cfg = ctx.config
-    rows = []
-    ok = True
-    for k, expect in sorted(MERTENS_POWERS_OF_TEN.items()):
-        if 10 ** k > cfg.n_max:
-            continue
-        got = ctx.store.mertens(10 ** k)
-        rows.append({"x": 10 ** k, "M": got, "expected": expect})
-        ok &= got == expect
+def check_mertens_values(ctx: Context, xs) -> dict:
+    expected = {10 ** k: m for k, m in MERTENS_POWERS_OF_TEN.items()}
+    rows = [{"x": x, "M": ctx.store.mertens(x), "expected": expected[x]} for x in xs]
+    ok = all(row["M"] == row["expected"] for row in rows)
     return {"name": "mertens-values", "status": "pass" if ok else "fail",
             "values": rows}
 
@@ -202,12 +182,8 @@ def _residual_scan(residuals, tols, **at) -> tuple[bool, dict]:
     return bool(np.all(size <= tols)), worst
 
 
-def check_tatuzawa_iseki(ctx: Context) -> dict:
+def check_tatuzawa_iseki(ctx: Context, xs) -> dict:
     cfg = ctx.config
-    if cfg.points is not None:
-        xs = cfg.grid_points()
-    else:
-        xs = np.geomspace(2.0, min(1e5, cfg.n_max), 200)
     fs = {"one": identities.f_one, "log": identities.f_log,
           "smoothed": identities.f_smoothed(ctx.store)}
     if cfg.f_kind != "all":
@@ -222,38 +198,21 @@ def check_tatuzawa_iseki(ctx: Context) -> dict:
             "worst": worst, "tolerance": "tol_rel * x * log(x)^2"}
 
 
-def identity_grid(cfg: RunConfig) -> np.ndarray:
-    """The points of f-sum-collapse and floor-weighted up to n_max: --points,
-    or 2, 4, 10 and the geometric grid from 100 to min(1e6, n_max)."""
-    if cfg.points is not None:
-        xs = cfg.grid_points()
-    elif cfg.n_max < 100:
-        raise RangeError(f"n_max must be >= 100 without --points, got {cfg.n_max}")
-    else:
-        xs = np.concatenate(([2.0, 4.0, 10.0], identities.geometric_grid(
-            100.0, min(1e6, float(cfg.n_max)))))
-    return xs[xs <= cfg.n_max]
-
-
-def _identity_check(ctx: Context, name: str, xs: np.ndarray, residual) -> dict:
-    """Scan ``residual(x)`` over the points xs against tol_rel * x."""
-    ok, worst = _residual_scan([residual(float(x)) for x in xs],
-                               ctx.config.tol_rel * xs, x=xs.tolist())
+def _identity_check(ctx: Context, name: str, xs: np.ndarray, residuals) -> dict:
+    """Scan the residuals at the points xs against tol_rel * x."""
+    ok, worst = _residual_scan(residuals, ctx.config.tol_rel * xs, x=xs.tolist())
     return {"name": name, "status": "pass" if ok else "fail",
             "n_points": int(len(xs)), "worst": worst, "tolerance": "tol_rel * x"}
 
 
-def check_f_sum_collapse(ctx: Context) -> dict:
-    return _identity_check(
-        ctx, "f-sum-collapse", identity_grid(ctx.config),
-        lambda x: identities.check_f_sum_identity(ctx.store, x)[1])
+def check_f_sum_collapse(ctx: Context, xs) -> dict:
+    return _identity_check(ctx, "f-sum-collapse", xs,
+                           identities.check_f_sum_identity(ctx.store, xs)[1])
 
 
-def check_floor_weighted(ctx: Context) -> dict:
-    xs = identity_grid(ctx.config)
-    return _identity_check(
-        ctx, "floor-weighted", xs[xs >= 2.0],
-        lambda x: identities.floor_weighted_mu_sum(ctx.store, x).residual)
+def check_floor_weighted(ctx: Context, xs) -> dict:
+    return _identity_check(ctx, "floor-weighted", xs,
+                           identities.floor_weighted_mu_sum(ctx.store, xs)[1])
 
 
 def _table_failure(name: str, exc: CrossCheckError) -> dict:
@@ -263,7 +222,7 @@ def _table_failure(name: str, exc: CrossCheckError) -> dict:
             "worst_n": exc.worst_n, "discrepancy": exc.discrepancy}
 
 
-def check_lambda2_forms(ctx: Context) -> dict:
+def check_lambda2_forms(ctx: Context, _=None) -> dict:
     cfg = ctx.config
     try:
         table = ctx.table
@@ -288,32 +247,25 @@ def check_lambda2_forms(ctx: Context) -> dict:
             "anchors": anchors, "cap": table.n_max}
 
 
-def check_dual_route(ctx: Context) -> dict:
-    cfg = ctx.config
-    n_random = DUAL_ROUTE_POINTS
+def check_dual_route(ctx: Context, _=None) -> dict:
+    # the seeded points are drawn here, not in grid_for: numpy.random,
+    # loaded before the store and the table, adds 6.4 MB to the report's peak
     rng = np.random.default_rng(DUAL_ROUTE_SEED)
-    xs = np.sort(rng.uniform(1.0, float(cfg.n_max), n_random))
-    ns = np.floor(xs).astype(np.int64)
-    # one visit per window: m and a at n, fint at n - 1 (xs >= 1, so n >= 1)
-    m, a, fint = ctx.store._cum_many(("m", "a", "fint"), np.concatenate((ns, ns - 1)))
-    m = m[:n_random].astype(np.float64)
-    f_sum = m * np.log(xs) - a[:n_random]
-    fint_base = fint[n_random:]
-    frac = xs / ns
-    f_int = fint_base + np.where(frac > 1.0, m * np.log(np.maximum(frac, 1.0)), 0.0)
+    xs = np.sort(rng.uniform(1.0, float(ctx.config.n_max), DUAL_ROUTE_POINTS))
+    f_sum, f_int = ctx.store.big_f_routes(xs)
     gap = np.abs(f_sum - f_int)
     budget = 1e-8 * (1.0 + np.abs(f_sum) + np.log(xs))
     ok = bool(np.all(gap <= budget))
     worst = int(np.argmax(gap / budget))
     return {"name": "dual-route", "status": "pass" if ok else "fail",
-            "n_points": int(n_random), "seed": DUAL_ROUTE_SEED,
+            "n_points": int(len(xs)), "seed": DUAL_ROUTE_SEED,
             "max_gap": float(gap.max()),
             "worst": {"x": float(xs[worst]), "gap": float(gap[worst]),
                       "budget": float(budget[worst])},
             "tolerance": "1e-8 * (1 + |F| + log x)"}
 
 
-def check_h_bound(ctx: Context) -> dict:
+def check_h_bound(ctx: Context, _=None) -> dict:
     cfg = ctx.config
     prof = ctx.profile("smoothed")
     if len(prof.h_values) == 0:
@@ -325,9 +277,8 @@ def check_h_bound(ctx: Context) -> dict:
             "tolerance": "1 + tol_abs"}
 
 
-def check_residual_stats(ctx: Context) -> dict:
-    cfg = ctx.config
-    x = float(min(cfg.conv_cap, 10 ** 6))
+def check_residual_stats(ctx: Context, xs) -> dict:
+    x = float(xs[0])
     try:
         table = ctx.table
     except CrossCheckError as exc:
@@ -356,44 +307,78 @@ CHECK_NAMES = tuple(CHECKS)
 
 
 # ----------------------------------------------------------------------
-# remainder and profile payloads
+# the grid table: every check's and remainder kind's points, before the store
 # ----------------------------------------------------------------------
 
-def series_grid(ctx: Context, kind: str) -> np.ndarray:
-    cfg = ctx.config
+def grid_for(cfg: RunConfig, name: str):
+    """The points of the check or remainder kind ``name``, or of the
+    ``mertens`` command, from the configuration alone; lambda2-forms,
+    dual-route and h-bound take none from it (None).
+
+    --points serves every name that samples a grid.  Without it, the
+    identity checks (f-sum-collapse, floor-weighted) take 2, 4, 10 and the
+    geometric grid from 100 to min(1e6, n_max); the remainder kinds and
+    ``mertens`` take the --grid start and ratio, up to n_max (1e6 for
+    f_dilated_sum and ``mertens``), or --grid's count of points; the
+    mean-gap kinds start at 1 and stop at log(n_max)^2.  A command takes
+    every grid it needs before the store is built, so each usage error
+    raised here comes before any work.
+    """
+    n_max = float(cfg.n_max)
+    if name == "mertens-values":
+        return [10 ** k for k in sorted(MERTENS_POWERS_OF_TEN) if 10 ** k <= cfg.n_max]
+    if name == "residual-stats":
+        if cfg.conv_cap < 2:
+            raise RangeError(f"residual-stats needs conv_cap >= 2, got {cfg.conv_cap}")
+        return np.array([float(min(cfg.conv_cap, 10 ** 6))])
+    if name in ("lambda2-forms", "dual-route", "h-bound"):
+        return None
     if cfg.points is not None:
-        return cfg.grid_points()
-    if kind in ("h_mean_gap", "mertens_h_mean_gap"):
-        x_cap = math.log(cfg.n_max) ** 2
-        return identities.geometric_grid(1.0, x_cap, cfg.grid[1])
-    if cfg.n_max < cfg.grid[0]:
-        raise RangeError(f"n_max must be >= {cfg.grid[0]:g} without --points, got {cfg.n_max}")
-    if kind in ("f_dilated_sum",):
-        return identities.geometric_grid(cfg.grid[0], min(1e6, float(cfg.n_max)),
-                                          cfg.grid[1])
-    return identities.geometric_grid(cfg.grid[0], float(cfg.n_max), cfg.grid[1])
+        xs = np.unique(np.asarray(cfg.points, dtype=np.float64))
+    elif name == "tatuzawa-iseki":
+        return np.geomspace(2.0, min(1e5, n_max), 200)
+    elif name in ("f-sum-collapse", "floor-weighted"):
+        if cfg.n_max < 100:
+            raise RangeError(f"n_max must be >= 100 without --points, got {cfg.n_max}")
+        xs = np.concatenate(([2.0, 4.0, 10.0],
+                             identities.geometric_grid(100.0, min(1e6, n_max))))
+    else:
+        start, ratio, count = cfg.grid
+        if name in ("h_mean_gap", "mertens_h_mean_gap"):
+            start, stop = 1.0, math.log(cfg.n_max) ** 2
+        elif cfg.n_max < start:
+            raise RangeError(f"n_max must be >= {start:g} without --points, got {cfg.n_max}")
+        else:
+            stop = min(1e6, n_max) if name in ("mertens", "f_dilated_sum") else n_max
+        if count is None:
+            return identities.geometric_grid(start, stop, ratio)
+        xs = np.unique(start * np.power(float(ratio), np.arange(int(count))))
+    if name == "f-sum-collapse":
+        return xs[xs <= n_max]
+    if name == "floor-weighted":
+        return xs[(xs >= 2.0) & (xs <= n_max)]
+    return xs
 
 
-def _refuse_early(ctx: Context, checks=(), kinds=()) -> None:
-    """Raise, before the store is built, the usage errors that these checks
-    and remainder kinds would raise after it."""
-    if {"f-sum-collapse", "floor-weighted"} & set(checks):
-        identity_grid(ctx.config)
-    if "residual-stats" in checks and ctx.config.conv_cap < 2:
-        raise RangeError(f"residual-stats needs conv_cap >= 2, got {ctx.config.conv_cap}")
-    for kind in kinds:
-        series_grid(ctx, kind)
-
-
-def run_remainders(ctx: Context, kinds=None) -> dict:
-    # every grid first: a usage error in one comes before the store is built
-    grids = {kind: series_grid(ctx, kind) for kind in (kinds or identities.SERIES_KINDS)}
+def evaluate(ctx: Context, names) -> dict:
+    """name -> the result of each check and remainder kind of ``names``, in
+    that order.  Every grid is taken first, so a usage error in any comes
+    before the store is built."""
+    grids = {name: grid_for(ctx.config, name) for name in names}
     out = {}
-    for kind, xs in grids.items():
-        with ctx.timings.measure(f"remainder-{kind}"):
-            out[kind] = identities.remainder_series(ctx.store, kind, xs)
+    for name, xs in grids.items():
+        if name in CHECKS:
+            with ctx.timings.measure(f"check-{name}"):
+                out[name] = CHECKS[name](ctx, xs)
+        else:
+            with ctx.timings.measure(f"remainder-{name}"):
+                out[name] = identities.remainder_series(ctx.store, name, xs)
     return out
 
+
+# ----------------------------------------------------------------------
+# remainder and profile payloads
+# ----------------------------------------------------------------------
 
 def remainder_growth_report(series_map: dict, n_max: int) -> dict:
     """Per-decade sup growth for the three decade-bounded sum kinds."""
@@ -527,7 +512,7 @@ def cmd_table(ctx: Context) -> int:
 
 def cmd_mertens(ctx: Context) -> int:
     cfg = ctx.config
-    xs = cfg.grid_points(float(min(cfg.n_max, 10 ** 6)))
+    xs = grid_for(cfg, "mertens")
     rows = [{"x": float(x), "M": ctx.store.mertens(x)} for x in xs]
     if cfg.fmt == "csv":
         _emit_csv(cfg, ["x", "M"], rows, "mertens.csv")
@@ -542,11 +527,7 @@ def cmd_verify(ctx: Context) -> int:
     for name in names:
         if name not in CHECKS:
             raise RangeError(f"unknown check {name!r}; choose from {CHECK_NAMES}")
-    _refuse_early(ctx, checks=names)
-    results = []
-    for name in names:
-        with ctx.timings.measure(f"check-{name}"):
-            results.append(CHECKS[name](ctx))
+    results = list(evaluate(ctx, names).values())
     payload = {"tool": {"name": "mertenslab", "version": __version__},
                "checks": results}
     _emit(cfg, payload, "verify.json")
@@ -559,7 +540,7 @@ def cmd_remainders(ctx: Context) -> int:
     for kind in kinds:
         if kind not in identities.SERIES_KINDS:
             raise RangeError(f"unknown remainder kind {kind!r}")
-    series_map = run_remainders(ctx, kinds)
+    series_map = evaluate(ctx, kinds)
     rows = []
     for kind in kinds:
         s = series_map[kind]
@@ -619,13 +600,9 @@ def cmd_iterate(ctx: Context) -> int:
 def cmd_report(ctx: Context) -> int:
     cfg = ctx.config
     ctx.walk_kinds = ("smoothed", "mertens")
-    _refuse_early(ctx, checks=CHECK_NAMES, kinds=identities.SERIES_KINDS)
-    checks = []
-    for name in CHECK_NAMES:
-        with ctx.timings.measure(f"check-{name}"):
-            checks.append(CHECKS[name](ctx))
-
-    series_map = run_remainders(ctx)
+    results = evaluate(ctx, CHECK_NAMES + identities.SERIES_KINDS)
+    checks = [results[name] for name in CHECK_NAMES]
+    series_map = {kind: results[kind] for kind in identities.SERIES_KINDS}
     checks.append(remainder_growth_report(series_map, cfg.n_max))
 
     with ctx.timings.measure("check-mertens-tail-ratio"):

@@ -13,8 +13,11 @@ computes both sums independently and never equates them.
 The Tatuzawa-Iseki residual takes all its points and a sequence of F, and
 builds its right side's weights for every point from two
 :func:`dirichlet.convolve_prefix` calls.
-The dilated sum is summed once per (store, x) and kept, so a check and a
-remainder series over the same points share it.
+Both readings of the dilated sum take all their points at once and return
+one value and one residual per point, each x summed in its own order.  The
+collapse keeps each x's sum per store, so a check and a remainder series
+over the same points share it; the floor-weighted reading reads psi at
+every point from one pass.
 
 Asymptotic claims are materialized as :class:`RemainderSeries`: sampled
 values of (computed sum - main term), with the claim's own normalizer, so
@@ -171,55 +174,59 @@ def _quotient_sum(f, x: float, c: np.ndarray | None = None) -> float:
 _F_SUMS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
-def check_f_sum_identity(store: PrefixSums, x: float) -> tuple[float, float]:
-    """(sum_{n<=x} F(x/n), that sum minus log x).
+def check_f_sum_identity(store: PrefixSums, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_{n<=x} F(x/n), that sum minus log x) at every x of ``xs``.
 
     The sum collapses to log x exactly by Moebius inversion; the residual is
-    rounding only.  Each x is summed once per store and then kept for as
-    long as the store lives: the f-sum-collapse check and the
+    rounding only.  Each x is summed on its own, once per store, and then
+    kept for as long as the store lives: the f-sum-collapse check and the
     ``f_dilated_sum`` remainder kind ask for the same points.
     """
-    if x < 1.0:
-        raise RangeError(f"need x >= 1, got {x}")
-    if x > store.n_max:
-        raise CapabilityError(f"x = {x} beyond cap {store.n_max}",
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.all(xs >= 1.0):
+        raise RangeError(f"need x >= 1, got {xs.min()}")
+    if np.any(xs > store.n_max):
+        raise CapabilityError(f"x = {xs.max()} beyond cap {store.n_max}",
                               max_usable=store.n_max)
     sums = _F_SUMS.setdefault(store, {})
-    key = float(x)
-    if key in sums:
-        return sums[key]
-    total = _quotient_sum(store.big_f_many, x)
-    sums[key] = (total, total - math.log(x))
-    return sums[key]
+    for x in xs.tolist():
+        if x not in sums:
+            total = _quotient_sum(store.big_f_many, x)
+            sums[x] = (total, total - math.log(x))
+    pairs = np.array([sums[x] for x in xs.tolist()]).reshape(len(xs), 2)
+    return pairs[:, 0], pairs[:, 1]
 
 
-@dataclass(frozen=True)
-class FloorWeightedSum:
-    """sum mu(n) floor(x/n) log(x/n) against its closed form log x + psi(x)."""
+def floor_weighted_mu_sum(store: PrefixSums, xs) -> tuple[np.ndarray, np.ndarray]:
+    """(sum_{n<=x} mu(n) floor(x/n) log(x/n), that sum minus its closed form
+    log x + psi(x)) at every x of ``xs``, 2 <= x <= n_max.
 
-    value: float
-    log_x: float
-    psi_x: float
-    residual: float
-
-
-def floor_weighted_mu_sum(store: PrefixSums, x: float) -> FloorWeightedSum:
-    """Evaluate the floor-weighted reading of the dilated-sum identity."""
-    if not 2.0 <= x <= store.n_max:
-        raise RangeError(f"need 2 <= x <= {store.n_max}, got {x}")
-    xf = int(math.floor(x))
-    log_x = math.log(x)
-    acc = NeumaierSum()
-    for lo in range(1, xf + 1, _CHUNK):
-        hi = min(lo + _CHUNK, xf + 1)
-        ns = np.arange(lo, hi, dtype=np.int64)
-        mu = store.mobius_range(lo, hi).astype(np.float64)
-        terms = mu * (xf // ns) * (log_x - np.log(ns.astype(np.float64)))
-        acc.add(float(np.sum(terms)))
-    value = acc.value
-    psi_x = store.psi(x)
-    return FloorWeightedSum(value=value, log_x=log_x, psi_x=psi_x,
-                            residual=value - (log_x + psi_x))
+    Each x takes its dense terms in chunks of its own; one ``psi_many``
+    pass serves every x.
+    """
+    xs = np.asarray(xs, dtype=np.float64)
+    if not np.all((xs >= 2.0) & (xs <= store.n_max)):
+        raise RangeError(f"need 2 <= x <= {store.n_max}, got [{xs.min()}, {xs.max()}]")
+    values = np.empty(len(xs))
+    residuals = np.empty(len(xs))
+    for i, (x, psi_x) in enumerate(zip(xs.tolist(), store.psi_many(xs).tolist())):
+        xf = int(math.floor(x))
+        log_x = math.log(x)
+        acc = NeumaierSum()
+        for lo in range(1, xf + 1, _CHUNK):
+            hi = min(lo + _CHUNK, xf + 1)
+            ns = np.arange(lo, hi, dtype=np.int64)
+            # mu(n) floor(x/n) (log x - log n), in place, so that fewer
+            # chunk-sized temporaries live at once
+            log_xn = np.log(ns.astype(np.float64))
+            np.subtract(log_x, log_xn, out=log_xn)
+            terms = store.mobius_range(lo, hi).astype(np.float64)
+            terms *= xf // ns
+            terms *= log_xn
+            acc.add(float(np.sum(terms)))
+        values[i] = acc.value
+        residuals[i] = acc.value - (log_x + psi_x)
+    return values, residuals
 
 
 # ----------------------------------------------------------------------
@@ -284,7 +291,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
         normalized = raw * log_xs / xs
         label = "x/log x"
     elif kind == "f_dilated_sum":
-        raw = np.array([check_f_sum_identity(store, x)[0] for x in xs])
+        raw = check_f_sum_identity(store, xs)[0]
         normalized = np.where(log_xs > 0, raw / np.where(log_xs > 0, log_xs, 1.0), 0.0)
         label = "log x"
     elif kind == "log_square_sum":

@@ -307,6 +307,19 @@ class PrefixSums:
         f -= np.repeat(a, counts)
         return f
 
+    def big_f_routes(self, xs) -> tuple[np.ndarray, np.ndarray]:
+        """F at every x of ``xs`` in [1, n_max] by both routes: (M log x - A,
+        the integral of M(y)/y), as ``big_f`` and ``big_f_integral`` give
+        them.  M and A at floor(x) and the integral at floor(x) - 1 come
+        from one visit per window."""
+        xs, ns = self._floor_many(xs)
+        n = len(ns)
+        m, a, fint = self._cum_many(("m", "a", "fint"), np.concatenate((ns, ns - 1)))
+        m = m[:n].astype(np.float64)
+        frac = xs / ns
+        f_int = fint[n:] + np.where(frac > 1.0, m * np.log(np.maximum(frac, 1.0)), 0.0)
+        return m * np.log(xs) - a[:n], f_int
+
     def mobius_range(self, lo: int, hi: int) -> np.ndarray:
         """Dense mu values for n in [lo, hi), copied from the stored mu."""
         if lo < 1 or hi <= lo or hi - 1 > self.n_max:

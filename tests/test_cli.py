@@ -227,10 +227,10 @@ class TestDeterminism:
                     "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
         assert len(calls) == 4
 
-    # prime-power terms summed per report, over len(store.pp): 13.62 at
-    # the defaults of the run below; this ceiling may be lowered, never
-    # raised
-    PP_TERMS_PER_PP = 14
+    # prime-power terms summed per report, over len(store.pp): 8.28 at
+    # the defaults of the run below (13.62 while floor-weighted took one
+    # psi pass per point); this ceiling may be lowered, never raised
+    PP_TERMS_PER_PP = 9
 
     def test_report_prime_power_terms(self, tmp_path, monkeypatch):
         # work ratchet: every prime-power sum goes through _pp_running, so
@@ -325,6 +325,17 @@ def test_grid_with_count(tmp_path):
     assert status == 0
     lines = out.read_text().strip().splitlines()
     assert lines[1:] == ["1,1", "10,-1", "100,1"]
+
+
+def test_grid_count_holds_for_remainder_kinds(tmp_path):
+    # the count of --grid start:ratio:count gives that many samples, not the
+    # geometric grid up to n_max
+    out = tmp_path / "r.csv"
+    assert run(["remainders", "--which", "selberg_sum", "--grid", "100:2:3",
+                "--n-max", "100000", "--format", "csv", "--out", str(out)]) == 0
+    lines = out.read_text().strip().splitlines()
+    assert [line.split(",")[:2] for line in lines[1:]] == [
+        ["selberg_sum", "100"], ["selberg_sum", "200"], ["selberg_sum", "400"]]
 
 
 def test_failing_check_exits_one(tmp_path):

@@ -89,32 +89,70 @@ class TestTatuzawaIseki:
 
 class TestDilatedSumReadings:
     def test_trivial_point(self, store_1e5):
-        total, resid = identities.check_f_sum_identity(store_1e5, 1.0)
+        (total,), (resid,) = identities.check_f_sum_identity(store_1e5, [1.0])
         assert total == 0.0 and resid == 0.0
 
     def test_hand_values(self, store_1e5):
-        total, resid = identities.check_f_sum_identity(store_1e5, 2.0)
-        assert total == pytest.approx(LOG2, abs=1e-14)
-        total, resid = identities.check_f_sum_identity(store_1e5, 4.0)
-        assert total == pytest.approx(math.log(4), abs=1e-14)
-        assert abs(resid) < 1e-14
+        totals, resids = identities.check_f_sum_identity(store_1e5, [2.0, 4.0])
+        assert totals[0] == pytest.approx(LOG2, abs=1e-14)
+        assert totals[1] == pytest.approx(math.log(4), abs=1e-14)
+        assert abs(resids[1]) < 1e-14
 
     def test_collapse_over_grid(self, store_1e5):
-        for x in np.geomspace(2, 10 ** 5, 30):
-            _, resid = identities.check_f_sum_identity(store_1e5, float(x))
+        xs = np.geomspace(2, 10 ** 5, 30)
+        _, resids = identities.check_f_sum_identity(store_1e5, xs)
+        for x, resid in zip(xs, resids):
             assert abs(resid) <= 1e-9 * x, x
 
     def test_floor_weighted_hand_values(self, store_1e5):
-        fw = identities.floor_weighted_mu_sum(store_1e5, 2.0)
-        assert fw.value == pytest.approx(2 * LOG2, abs=1e-14)
-        assert fw.residual == pytest.approx(0.0, abs=1e-14)
-        fw = identities.floor_weighted_mu_sum(store_1e5, 4.0)
-        assert fw.value == pytest.approx(math.log(4) + store_1e5.psi(4), abs=1e-13)
+        values, residuals = identities.floor_weighted_mu_sum(store_1e5, [2.0, 4.0])
+        assert values[0] == pytest.approx(2 * LOG2, abs=1e-14)
+        assert residuals[0] == pytest.approx(0.0, abs=1e-14)
+        assert values[1] == pytest.approx(math.log(4) + store_1e5.psi(4), abs=1e-13)
 
     def test_floor_weighted_grid(self, store_1e5):
-        for x in np.geomspace(10, 10 ** 5, 20):
-            fw = identities.floor_weighted_mu_sum(store_1e5, float(x))
-            assert abs(fw.residual) <= 1e-9 * x, x
+        xs = np.geomspace(10, 10 ** 5, 20)
+        _, residuals = identities.floor_weighted_mu_sum(store_1e5, xs)
+        for x, residual in zip(xs, residuals):
+            assert abs(residual) <= 1e-9 * x, x
+
+    BATCH = [2.0, 3.5, 97.5, 1234.5, 4096.0, 5000.0]
+
+    def test_collapse_point_alone_equals_the_batch(self):
+        # each x is summed in its own order: in a batch, or alone on a store
+        # that keeps no sum yet, it has the same bits
+        batch = identities.check_f_sum_identity(summatory.PrefixSums(5000), self.BATCH)
+        store = summatory.PrefixSums(5000)
+        for i, x in enumerate(self.BATCH):
+            alone = identities.check_f_sum_identity(store, [x])
+            for got, want in zip(batch, alone):
+                assert got[i].tobytes() == want[0].tobytes(), x
+
+    def test_floor_weighted_point_alone_equals_the_batch(self, store_1e4, monkeypatch):
+        psi_calls = []
+        psi_many = store_1e4.psi_many
+
+        def counted(xs):
+            psi_calls.append(len(xs))
+            return psi_many(xs)
+
+        monkeypatch.setattr(store_1e4, "psi_many", counted)
+        batch = identities.floor_weighted_mu_sum(store_1e4, self.BATCH)
+        # one psi pass serves every point
+        assert psi_calls == [len(self.BATCH)]
+        for i, x in enumerate(self.BATCH):
+            alone = identities.floor_weighted_mu_sum(store_1e4, [x])
+            for got, want in zip(batch, alone):
+                assert got[i].tobytes() == want[0].tobytes(), x
+
+    def test_batched_readings_refuse_points_out_of_range(self, store_1e4):
+        with pytest.raises(RangeError):
+            identities.check_f_sum_identity(store_1e4, [2.0, 0.5])
+        with pytest.raises(CapabilityError):
+            identities.check_f_sum_identity(store_1e4, [2.0, 2e4])
+        for xs in ([1.5, 10.0], [10.0, 2e4]):
+            with pytest.raises(RangeError):
+                identities.floor_weighted_mu_sum(store_1e4, xs)
 
     def test_second_call_reads_the_kept_sum(self, monkeypatch):
         store = summatory.PrefixSums(5000)
@@ -126,17 +164,17 @@ class TestDilatedSumReadings:
             return big_f_many(ys)
 
         monkeypatch.setattr(store, "big_f_many", counted)
-        first = identities.check_f_sum_identity(store, 1234.5)
+        first = identities.check_f_sum_identity(store, [1234.5])
         assert len(calls) == 1
-        again = identities.check_f_sum_identity(store, np.float64(1234.5))
-        assert again == first and len(calls) == 1
+        again = identities.check_f_sum_identity(store, [np.float64(1234.5)])
+        assert np.array_equal(again, first) and len(calls) == 1
 
     def test_report_grid_summed_once(self, monkeypatch):
         # f-sum-collapse sums every point of the f_dilated_sum grid, so the
         # remainder series that follows makes no lookup of its own
         ctx = cli.Context(config=cli.RunConfig(n_max=10 ** 5, conv_cap=10 ** 4))
         store = ctx.store
-        cli.check_f_sum_collapse(ctx)
+        cli.check_f_sum_collapse(ctx, cli.grid_for(ctx.config, "f-sum-collapse"))
         calls = []
         big_f_many = store.big_f_many
 
@@ -146,14 +184,14 @@ class TestDilatedSumReadings:
 
         monkeypatch.setattr(store, "big_f_many", counted)
         series = identities.remainder_series(
-            store, "f_dilated_sum", cli.series_grid(ctx, "f_dilated_sum"))
+            store, "f_dilated_sum", cli.grid_for(ctx.config, "f_dilated_sum"))
         assert len(series.xs) > 30 and calls == []
 
     def test_two_readings_differ_by_psi(self, store_1e5):
         x = 1000.0
-        total, _ = identities.check_f_sum_identity(store_1e5, x)
-        fw = identities.floor_weighted_mu_sum(store_1e5, x)
-        assert fw.value - total == pytest.approx(store_1e5.psi(x), rel=1e-9)
+        (total,), _ = identities.check_f_sum_identity(store_1e5, [x])
+        (value,), _ = identities.floor_weighted_mu_sum(store_1e5, [x])
+        assert value - total == pytest.approx(store_1e5.psi(x), rel=1e-9)
 
 
 class TestSelfBound:
@@ -231,9 +269,9 @@ class TestRemainderSeries:
         # sums to another route: the same x gives the same bits
         ctx = cli.Context(config=cli.RunConfig(n_max=10 ** 5, conv_cap=10 ** 4))
         kinds = ["selberg_sum", "lambda_theta_sum"]
-        before = cli.run_remainders(ctx, kinds)
+        before = cli.evaluate(ctx, kinds)
         assert ctx.table.n_max == 10 ** 4
-        after = cli.run_remainders(ctx, kinds)
+        after = cli.evaluate(ctx, kinds)
         for kind in kinds:
             assert before[kind].raw.tobytes() == after[kind].raw.tobytes(), kind
             assert before[kind].summary() == after[kind].summary(), kind
