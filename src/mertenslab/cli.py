@@ -118,14 +118,17 @@ class Context:
     _table: dirichlet.ArithTable | None = None
     _table_error: CrossCheckError | None = None
     _profiles: dict = field(default_factory=dict)
-    # profile kinds the command reads; the first profile walks them together
+    # profile kinds the command reads; the store's build walks them
     walk_kinds: tuple = ()
 
     @property
     def store(self) -> summatory.PrefixSums:
         if self._store is None:
+            walk = hprofile.Walk(self.walk_kinds) if self.walk_kinds else None
             with self.timings.measure("build-prefix-sums"):
-                self._store = summatory.PrefixSums(self.config.n_max)
+                self._store = summatory.PrefixSums(self.config.n_max, walk=walk)
+            if walk is not None:
+                self.timings.entries.append(("build-prefix-sums/walks", walk.seconds))
         return self._store
 
     @property
@@ -147,7 +150,6 @@ class Context:
     def profile(self, kind: str) -> hprofile.HProfile:
         if kind not in self._profiles:
             with self.timings.measure(f"build-profile-{kind}"):
-                hprofile.profile_walk(self.store, (kind, *self.walk_kinds))
                 prof = hprofile.build_profile(
                     self.store, kind,
                     samples_per_decade=self.config.samples_per_decade)
@@ -320,9 +322,13 @@ def grid_for(cfg: RunConfig, name: str):
     geometric grid from 100 to min(1e6, n_max); the remainder kinds and
     ``mertens`` take the --grid start and ratio, up to n_max (1e6 for
     f_dilated_sum and ``mertens``), or --grid's count of points; the
-    mean-gap kinds start at 1 and stop at log(n_max)^2.  A command takes
-    every grid it needs before the store is built, so each usage error
-    raised here comes before any work.
+    mean-gap kinds start at 1 and stop at log(n_max)^2.  Every point must
+    lie in its name's domain: x >= 1 for ``mertens`` and log_square_sum,
+    x > 0 for the mean-gap kinds, x >= 2 for the rest (a usage error
+    below), and x at most n_max, or log(n_max)^2 for the mean-gap kinds
+    (a capability error above).  A command takes every grid it needs
+    before the store is built, so each error raised here comes before any
+    work.
     """
     n_max = float(cfg.n_max)
     if name == "mertens-values":
@@ -333,10 +339,11 @@ def grid_for(cfg: RunConfig, name: str):
         return np.array([float(min(cfg.conv_cap, 10 ** 6))])
     if name in ("lambda2-forms", "dual-route", "h-bound"):
         return None
+    mean_gap = name in ("h_mean_gap", "mertens_h_mean_gap")
     if cfg.points is not None:
         xs = np.unique(np.asarray(cfg.points, dtype=np.float64))
     elif name == "tatuzawa-iseki":
-        return np.geomspace(2.0, min(1e5, n_max), 200)
+        xs = np.geomspace(2.0, min(1e5, n_max), 200)
     elif name in ("f-sum-collapse", "floor-weighted"):
         if cfg.n_max < 100:
             raise RangeError(f"n_max must be >= 100 without --points, got {cfg.n_max}")
@@ -344,19 +351,25 @@ def grid_for(cfg: RunConfig, name: str):
                              identities.geometric_grid(100.0, min(1e6, n_max))))
     else:
         start, ratio, count = cfg.grid
-        if name in ("h_mean_gap", "mertens_h_mean_gap"):
+        if mean_gap:
             start, stop = 1.0, math.log(cfg.n_max) ** 2
         elif cfg.n_max < start:
             raise RangeError(f"n_max must be >= {start:g} without --points, got {cfg.n_max}")
         else:
             stop = min(1e6, n_max) if name in ("mertens", "f_dilated_sum") else n_max
         if count is None:
-            return identities.geometric_grid(start, stop, ratio)
-        xs = np.unique(start * np.power(float(ratio), np.arange(int(count))))
-    if name == "f-sum-collapse":
-        return xs[xs <= n_max]
-    if name == "floor-weighted":
-        return xs[(xs >= 2.0) & (xs <= n_max)]
+            xs = identities.geometric_grid(start, stop, ratio)
+        else:
+            xs = np.unique(start * np.power(float(ratio), np.arange(int(count))))
+    if not len(xs):
+        raise RangeError("empty sample grid")
+    lo = 0.0 if mean_gap else 1.0 if name in ("mertens", "log_square_sum") else 2.0
+    if not (xs.min() > lo if mean_gap else xs.min() >= lo):
+        raise RangeError(f"{name} needs x {'>' if mean_gap else '>='} {lo:g}, "
+                         f"got {xs.min():g}")
+    cap = math.log(cfg.n_max) ** 2 if mean_gap else cfg.n_max
+    if xs.max() > cap:
+        raise CapabilityError(f"{name}: x = {xs.max():g} beyond cap {cap:g}", max_usable=cap)
     return xs
 
 
@@ -557,6 +570,7 @@ def cmd_remainders(ctx: Context) -> int:
 
 def cmd_h_profile(ctx: Context) -> int:
     cfg = ctx.config
+    ctx.walk_kinds = (cfg.profile_kind,)
     prof = ctx.profile(cfg.profile_kind)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -571,6 +585,7 @@ def cmd_h_profile(ctx: Context) -> int:
 
 def cmd_intervals(ctx: Context) -> int:
     cfg = ctx.config
+    ctx.walk_kinds = (cfg.profile_kind,)
     prof = ctx.profile(cfg.profile_kind)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)

@@ -17,16 +17,17 @@ Absolute-value integrals split a step only where the linear-in-log factor
 changes sign; that root is also a zero of the continuous F, which is how
 zero crossings are located and then refined by bisection.
 
-Each kind is walked once per store (:func:`profile_walk`): one pass over
-the store in blocks of ``BLOCK`` stride windows, taking M(n) and A(n) from
-its checkpoints and mu as the window replay does, so its F(y) is the
-store's.  At every block seam the walk keeps the two integrals there.  It
+Each kind is walked once per store (:class:`Walk`, :func:`profile_walk`):
+one pass over [1, n_max] in blocks of ``BLOCK`` stride windows, taking
+M(n) and A(n) from the store's checkpoints and mu as the window replay
+does, so its F(y) is the store's.  The walk rides in the store's build
+when the build is given it, and otherwise walks the built store
+(:func:`stream_cumulative`); both hand the same per-block code the same
+terms.  At every block seam the walk keeps the two integrals there.  It
 records the crossings or zero runs, with the integral of |H| up to each,
-and for mertens the decade sups, over the whole range [1, n_max]; profiles
-take their zeros from it.  The kinds asked for together share one pass:
-each block's M, logs and Q are built once, and the smoothed terms only
-when the smoothed kind is asked for, so a caller that needs only the
-mertens profile does not pay for them.  A query set
+and for mertens the decade sups, over the whole range; profiles take their
+zeros from it.  The kinds walked together share each block's M, logs and
+Q, and A is built only for the smoothed kind.  A query set
 (:func:`cumulative_at`) replays only the blocks that hold its points, each
 from its seam and by the walk's own per-block code, so every value equals
 that of a single pass up to the largest point.
@@ -44,6 +45,7 @@ the constants read it without asking which kind of profile they hold.
 from __future__ import annotations
 
 import math
+import time
 import weakref
 from dataclasses import dataclass, field
 from typing import Callable
@@ -112,19 +114,40 @@ def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
 
 class _Block:
     """The unit steps [n, n + 1), n = k stride + 1 .. hi - 1, of the block
-    that starts at window k, as both kinds read them: M, the step ends u
-    and their logs, and Q's increments; A only for the smoothed kind."""
+    that starts at window k, as both kinds read them, from its
+    ``window_terms``: M, the step ends u, and the increments of 2 Q (the
+    exact factor 2 of every step's integral); the logs and A's running
+    sums only for the smoothed kind, and without it Q takes the logs'
+    place."""
 
-    def __init__(self, store: PrefixSums, k: int, hi: int, smoothed: bool):
-        terms = store.window_terms(k, ("m", "log", "a") if smoothed else ("m", "log"), hi)
-        self.lo, self.hi = k * store.stride + 1, hi
+    # the window_terms read without and with the smoothed kind
+    TERMS = {False: ("m", "log"), True: ("m", "log", "a")}
+
+    def __init__(self, store: PrefixSums, k: int, terms: dict, smoothed: bool):
         self.m_cum = terms["m"]
-        self.mf = self.m_cum.astype(np.float64)
+        self.lo = k * store.stride + 1
+        self.hi = self.lo + len(self.m_cum)
         # step i is [n, n + 1) with n = lo + i; u_all holds both ends
-        self.u_all, self.log_all = terms["u"], terms["log"]
-        q_all = _q_anti(self.u_all, self.log_all)
-        self.q_step = q_all[1:] - q_all[:-1]
-        self.a_cum = store._running(k, "a", terms["a"]) if smoothed else None
+        self.u_all = terms["u"]
+        if smoothed:
+            self.log_all = terms["log"]
+            self.a_cum = store._running(k, "a", terms["a"])
+            q2 = self.log_all + 1.0
+        else:
+            q2 = terms["log"]
+            q2 += 1.0
+        q2 *= -2.0
+        q2 /= self.u_all
+        self.q2_step = q2[1:] - q2[:-1]
+
+
+def _exclusive(d: np.ndarray, start: float, top: int) -> np.ndarray:
+    """start plus the running sum of d before each of the first top steps."""
+    pre = np.empty(top)
+    pre[0] = start
+    np.cumsum(d[:top - 1], out=pre[1:])
+    pre[1:] += start
+    return pre
 
 
 class _Window:
@@ -139,23 +162,27 @@ class _Window:
     def __init__(self, block: _Block, smoothed: bool, start_abs: float, start_sig: float):
         lo = self.lo = block.lo
         self.hi = block.hi
-        self.m_cum, self.mf, self.u_all = block.m_cum, block.mf, block.u_all
+        # M stays int64: every product with it casts it exactly to float64
+        self.m_cum = m_cum = block.m_cum
+        self.u_all = block.u_all
         self.smoothed = smoothed
         self.start_abs, self.start_sig = start_abs, start_sig
         self._pre = None
-        mf, q_step = block.mf, block.q_step
 
         if smoothed:
             self.a_cum = a_cum = block.a_cum
-            u_all, log_all = block.u_all, block.log_all
-            p_all = _p_anti(u_all, log_all)
-            self.d_sig = 2.0 * (mf * (p_all[1:] - p_all[:-1]) - a_cum * q_step)
-            g_start = mf * log_all[:-1] - a_cum
-            g_end = mf * log_all[1:] - a_cum
+            log_all = block.log_all
+            p_all = _p_anti(block.u_all, log_all)
+            # 2 (M dP - A dQ), with the factor 2 of dQ taken by the block
+            self.d_sig = m_cum * (p_all[1:] - p_all[:-1])
+            self.d_sig *= 2.0
+            self.d_sig -= a_cum * block.q2_step
+            g_start = m_cum * log_all[:-1] - a_cum
+            g_end = m_cum * log_all[1:] - a_cum
             cross = g_start * g_end < 0.0
         else:
             self.a_cum = None
-            self.d_sig = 2.0 * mf * q_step
+            self.d_sig = m_cum * block.q2_step
         self.d_abs = np.abs(self.d_sig)
 
         # crossings of the continuous smoothed sum (rare); fix the step's
@@ -163,7 +190,7 @@ class _Window:
         self.cross_fix = {}
         if smoothed:
             for i in np.flatnonzero(cross):
-                m_i = float(mf[i])
+                m_i = float(m_cum[i])
                 a_i = float(a_cum[i])
                 step_n = lo + int(i)
                 u_star = _refine_crossing(m_i, a_i, step_n)
@@ -172,28 +199,15 @@ class _Window:
                 self.d_abs[i] = left + right
                 self.cross_fix[i] = (u_star, left)
 
-    def pre(self) -> tuple[np.ndarray, np.ndarray]:
-        """Exclusive local prefix: the cumulative values just before each
-        step, built on first use (the walk needs them only for events)."""
-        if self._pre is None:
-            size = self.hi - self.lo
-            pre_abs = np.empty(size)
-            pre_sig = np.empty(size)
-            pre_abs[0] = self.start_abs
-            pre_sig[0] = self.start_sig
-            if size > 1:
-                np.cumsum(self.d_abs[:-1], out=pre_abs[1:])
-                pre_abs[1:] += self.start_abs
-                np.cumsum(self.d_sig[:-1], out=pre_sig[1:])
-                pre_sig[1:] += self.start_sig
-            self._pre = pre_abs, pre_sig
-        return self._pre
-
     def at(self, yq: float) -> tuple[float, float, float, float]:
         """(cum_abs, cum_signed, M, A) at a query point yq in this block."""
-        pre_abs, pre_sig = self.pre()
+        if self._pre is None:
+            size = self.hi - self.lo
+            self._pre = (_exclusive(self.d_abs, self.start_abs, size),
+                         _exclusive(self.d_sig, self.start_sig, size))
+        pre_abs, pre_sig = self._pre
         i = int(yq) - self.lo
-        m_i = float(self.mf[i])
+        m_i = float(self.m_cum[i])
         a_i = float(self.a_cum[i]) if self.smoothed else 0.0
         step_n = self.lo + i
         if yq > step_n:
@@ -254,20 +268,22 @@ class _Walker:
         lo, hi = win.lo, win.hi
         if self.smoothed:
             if win.cross_fix:
-                pre_abs = win.pre()[0]
+                pre_abs = _exclusive(win.d_abs, win.start_abs, max(win.cross_fix) + 1)
                 for i in sorted(win.cross_fix):
                     walk.zeros_y.append(win.cross_fix[i][0])
                     walk.zeros_cum_abs.append(float(pre_abs[i]) + win.cross_fix[i][1])
         else:
-            # maximal runs of M == 0: zeros at the run's first and last step
-            z = win.m_cum == 0
-            if self.run_open and not z[0]:
+            # maximal runs of M == 0: zeros at the run's first and last step;
+            # M moves by one per step, so a block without a sign change of M
+            # holds none
+            top, bottom = int(win.m_cum.max()), int(win.m_cum.min())
+            idx = np.flatnonzero(win.m_cum == 0) if bottom <= 0 <= top else []
+            if self.run_open and not (len(idx) and idx[0] == 0):
                 if self.last_zero_n > self.run_start_n:
                     self._emit_step_zero(self.last_zero_n, self.acc_abs.value)
                 self.run_open = False
-            if z.any():
-                pre_abs = win.pre()[0]
-                idx = np.flatnonzero(z)
+            if len(idx):
+                pre_abs = _exclusive(win.d_abs, win.start_abs, int(idx[-1]) + 1)
                 gaps = np.flatnonzero(np.diff(idx) > 1)
                 starts = idx[np.concatenate(([0], gaps + 1))]
                 ends = idx[np.concatenate((gaps, [len(idx) - 1]))]
@@ -277,22 +293,26 @@ class _Walker:
                     if not continued:
                         self._emit_step_zero(n_s, float(pre_abs[s_i]))
                         self.run_start_n = n_s
-                    if e_i == len(z) - 1:
+                    if n_e == hi - 1:
                         self.run_open = True
                         self.last_zero_n = n_e
                     else:
                         self.run_open = False
                         if n_e > self.run_start_n:
                             self._emit_step_zero(n_e, float(pre_abs[e_i]))
-            ratios = np.abs(win.mf) / win.u_all[:-1]
             for dec in range(len(str(lo)) - 1, len(str(hi - 1))):
                 a_edge = max(lo, 10 ** dec)
-                b_edge = min(hi - 1, 10 ** (dec + 1) - 1)
-                sup = float(ratios[a_edge - lo:b_edge - lo + 1].max())
-                walk.decade_sup[dec] = max(walk.decade_sup.get(dec, 0.0), sup)
+                cut = slice(a_edge - lo, min(hi - 1, 10 ** (dec + 1) - 1) - lo + 1)
+                sup = walk.decade_sup.setdefault(dec, 0.0)
+                # division rounds correctly, so no |M(n)|/n in the slice
+                # exceeds the block's max |M| / a_edge: the slice is skipped
+                # when that is no more than the sup
+                if float(max(top, -bottom)) / a_edge > sup:
+                    ratios = np.divide(np.abs(win.m_cum[cut]), win.u_all[cut])
+                    walk.decade_sup[dec] = max(sup, float(ratios.max()))
 
-        self.acc_abs.add(float(np.sum(win.d_abs)))
-        self.acc_sig.add(float(np.sum(win.d_sig)))
+        self.acc_abs.add(float(win.d_abs.sum()))
+        self.acc_sig.add(float(win.d_sig.sum()))
 
     def finish(self) -> ProfileWalk:
         """Close a zero run that reaches n_max; the walk is then complete."""
@@ -307,31 +327,52 @@ def _check_kinds(kinds) -> None:
             raise RangeError(f"unknown profile kind {kind!r}")
 
 
-def stream_cumulative(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, ProfileWalk]:
-    """Walk the store once over [1, n_max] for every kind in ``kinds``, in
-    blocks of ``BLOCK`` stride windows; returns kind -> walk.
-
-    Block b holds the n in (b BLOCK stride, (b+1) BLOCK stride]; each of
-    its windows k takes M and A from the checkpoints ``store.cp_m[k]`` and
-    ``store.cp_a[k]`` by the window replay's running sums.  Each block is
-    built once (:class:`_Block`: one ``window_terms`` call, one log, one
-    Q) for all the kinds, and A only when the smoothed kind is asked for.
-    Each walk records the two integrals at every block seam, the crossings
-    (smoothed) or zero-run boundaries (mertens) with the integral of |H| up
-    to each, and, for mertens, the per-decade sups of |M(n)|/n.  Use
-    :func:`profile_walk`, which walks each kind once per store.
-    """
-    _check_kinds(kinds)
-    walkers = [_Walker(kind) for kind in kinds]
-    smoothed = "smoothed" in kinds
-    for k in range(0, (store.n_max - 1) // store.stride + 1, BLOCK):
-        block = _Block(store, k, min((k + BLOCK) * store.stride, store.n_max) + 1, smoothed)
-        for walker in walkers:
-            walker.step(block)
-    return {kind: walker.finish() for kind, walker in zip(kinds, walkers)}
-
-
 _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
+
+
+class Walk:
+    """The walks of ``kinds`` from n = 1: the store's build
+    (``PrefixSums(n_max, walk=Walk(kinds))``) or :func:`stream_cumulative`
+    hands :meth:`step` the ``window_terms`` of ``terms`` of every block in
+    order.  Each block's M, logs and Q serve all the kinds (:class:`_Block`),
+    and A is built only for the smoothed kind.  ``seconds`` is the time the
+    steps took."""
+
+    def __init__(self, kinds: tuple[str, ...]):
+        _check_kinds(kinds)
+        self.kinds = kinds
+        self.smoothed = "smoothed" in kinds
+        self.terms = _Block.TERMS[self.smoothed]
+        self.walkers = [_Walker(kind) for kind in kinds]
+        self.seconds = 0.0
+
+    def step(self, store: PrefixSums, k: int, terms: dict) -> None:
+        t0 = time.perf_counter()
+        block = _Block(store, k, terms, self.smoothed)
+        for walker in self.walkers:
+            walker.step(block)
+        self.seconds += time.perf_counter() - t0
+
+    def finish(self, store: PrefixSums) -> dict[str, ProfileWalk]:
+        """kind -> walk, each complete, and kept for as long as the store
+        lives (:func:`profile_walk`)."""
+        walks = {kind: walker.finish() for kind, walker in zip(self.kinds, self.walkers)}
+        _WALKS.setdefault(store, {}).update(walks)
+        return walks
+
+
+def stream_cumulative(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, ProfileWalk]:
+    """Walk the built store once over [1, n_max] for every kind in
+    ``kinds``, block by block as a build that carries the walks does, and
+    keep the walks; returns kind -> walk.  Each walk records the two
+    integrals at every block seam, the crossings (smoothed) or zero-run
+    boundaries (mertens) with the integral of |H| up to each, and, for
+    mertens, the per-decade sups of |M(n)|/n.  Use :func:`profile_walk`,
+    which walks each kind once per store."""
+    walk = Walk(kinds)
+    for k, terms in store._blocks(walk.terms):
+        walk.step(store, k, terms)
+    return walk.finish(store)
 
 
 def profile_walk(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, ProfileWalk]:
@@ -341,7 +382,7 @@ def profile_walk(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, Profile
     walks = _WALKS.setdefault(store, {})
     todo = tuple(kind for kind in dict.fromkeys(kinds) if kind not in walks)
     if todo:
-        walks.update(stream_cumulative(store, todo))
+        stream_cumulative(store, todo)
     return {kind: walks[kind] for kind in kinds}
 
 
@@ -376,7 +417,8 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
         bs = (ns - 1) // (BLOCK * store.stride)
         for grp in np.split(np.arange(len(ys)), np.flatnonzero(np.diff(bs)) + 1):
             b = int(bs[grp[0]])
-            block = _Block(store, b * BLOCK, int(ns[grp[-1]]) + 1, smoothed)
+            terms = store.window_terms(b * BLOCK, _Block.TERMS[smoothed], int(ns[grp[-1]]) + 1)
+            block = _Block(store, b * BLOCK, terms, smoothed)
             win = _Window(block, smoothed, *seams[b])
             for j in grp:
                 q = order[j]

@@ -9,22 +9,22 @@ Lambda*Lambda and theta forms of the Selberg weight) is one running sum,
 taken in ascending chunks and sampled at every point asked for
 (``_pp_running``); the two hyperbola forms share one loop over the rows
 a <= sqrt(x).  The build pass is the only sieve pass: it keeps mu as one
-int8 array (1 byte per integer) and the prime powers, and the checkpoints
-are then derived from the stored mu in blocks of ``BLOCK`` stride windows,
-each stride window summed on its own.  Between checkpoints, M(n) is the
-checkpoint plus an exact int64 sum of mu over the window's prefix, so a
-scalar M lookup replays nothing.  A
-and the integral are recovered by replaying that prefix of the window from
-its checkpoint with the build's per-window terms, only for the sums asked
-for and only up to the largest offset asked for, so a replay spans at most
-one stride; nothing replayed is kept.  Every running sum, in a replay or in
-a profile walk's block, is summed left to right from its stride window's
-own checkpoint (``_running``), so a prefix has the bits of a full-window
-replay.  Batched lookups look up each run of equal adjacent arguments
-once, group the runs by window and read every running sum asked for (M, A,
-the integral) from one visit per window.  A window's per-integer terms (M,
-log n, mu(n) log n and M(n) log((n+1)/n)) are built in one place,
-``window_terms``, for the build, the replay and the profile walks alike.
+int8 array (1 byte per integer) and the prime powers, then derives the
+checkpoints from the stored mu in blocks of ``BLOCK`` stride windows, each
+stride window summed on its own.  A profile walk (``hprofile.Walk``) can
+ride in that loop: each block's terms, once its checkpoints are set, also
+go to the walk, so one pass over [1, n_max] serves both.  M(n) is a
+checkpoint plus an exact int64 sum of mu, so a scalar M lookup replays
+nothing.  A and the integral are recovered by replaying a window's prefix
+from its checkpoint, only for the sums asked for and only up to the
+largest offset asked for, and nothing replayed is kept.  Every running
+sum, in a replay or in a walk's block, is summed left to right from its
+stride window's own checkpoint (``_running``), so a prefix has the bits of
+a full-window replay.  Batched lookups look up each run of equal adjacent
+arguments once, group the runs by window and read every running sum asked
+for from one visit per window.  A window's per-integer terms (M, log n,
+mu(n) log n and M(n) log((n+1)/n)) are built in one place,
+``window_terms``, for the build, the walks and the replays alike.
 
 Key evaluators built on top of the store:
 
@@ -65,7 +65,8 @@ def max_usable(bytes_per_int: int) -> int:
 class PrefixSums:
     """Checkpointed running sums over [1, n_max] with exact window replay."""
 
-    def __init__(self, n_max: int, stride: int = DEFAULT_STRIDE):
+    def __init__(self, n_max: int, stride: int = DEFAULT_STRIDE, walk=None):
+        """``walk`` (an ``hprofile.Walk``), if given, rides in the build."""
         if n_max < 1:
             raise RangeError(f"n_max must be >= 1, got {n_max}")
         if n_max > sieve.INT_LIMIT:
@@ -79,13 +80,13 @@ class PrefixSums:
         self.n_max = int(n_max)
         self.stride = int(stride)
         self.primes = sieve.base_primes(math.isqrt(self.n_max))
-        self._build()
+        self._build(walk)
 
     # ------------------------------------------------------------------
     # construction
     # ------------------------------------------------------------------
 
-    def _build(self) -> None:
+    def _build(self, walk) -> None:
         self.mu = np.empty(self.n_max, dtype=np.int8)
         # pp and pp_lam are filled in place.  Their size bounds the primes by
         # pi(x) < 1.25506 x / ln x for x > 1 (Rosser and Schoenfeld) and adds
@@ -106,27 +107,30 @@ class PrefixSums:
         self.pp_lam = pp_lam[:end]
 
         # checkpoint k holds the running sums at n = k * stride; the build
-        # takes BLOCK stride windows per window_terms call, sums each window
-        # once and carries the sums in compensated sums
+        # sums each full stride window of a block once and carries the sums
+        # in compensated sums; a walk steps through every block, the tail
+        # window's too, once the block's checkpoints are set
         n_cp = self.n_max // self.stride
         self.cp_m = np.zeros(n_cp + 1, dtype=np.int64)
         self.cp_a = np.zeros(n_cp + 1, dtype=np.float64)
         self.cp_fint = np.zeros(n_cp + 1, dtype=np.float64)
         acc_a = NeumaierSum()
         acc_f = NeumaierSum()
-        for k in range(0, n_cp, BLOCK):
+        for k, terms in self._blocks(("m", "a", "fint") + (walk.terms if walk else ())):
             w = min(BLOCK, n_cp - k)
-            terms = self.window_terms(k, ("m", "a", "fint"), (k + w) * self.stride + 1)
             self.cp_m[k + 1:k + w + 1] = terms["m"][self.stride - 1::self.stride]
-            sums_a = terms["a"].reshape(w, self.stride).sum(axis=1)
-            sums_f = terms["fint"].reshape(w, self.stride).sum(axis=1)
+            sums_a = terms["a"][:w * self.stride].reshape(w, self.stride).sum(axis=1)
+            sums_f = terms["fint"][:w * self.stride].reshape(w, self.stride).sum(axis=1)
             for j in range(w):
                 acc_a.add(float(sums_a[j]))
                 acc_f.add(float(sums_f[j]))
                 self.cp_a[k + j + 1] = acc_a.value
                 self.cp_fint[k + j + 1] = acc_f.value
-        self.mertens_at_n_max = int(self.cp_m[n_cp]) + int(
-            np.sum(self.mu[n_cp * self.stride:], dtype=np.int64))
+            if walk is not None:
+                walk.step(self, k, terms)
+        self.mertens_at_n_max = int(terms["m"][-1])
+        if walk is not None:
+            walk.finish(self)
 
     # ------------------------------------------------------------------
     # window replay
@@ -139,8 +143,8 @@ class PrefixSums:
         "a" mu(n) log n and "fint" M(n) log((n+1)/n), over the n in [lo, hi)
         with lo = k stride + 1 and hi at most n_max + 1; by default hi is
         window k's end, min((k+1) stride, n_max) + 1.  The build and the
-        profile walks ask for a block of up to BLOCK windows, a replay for
-        a prefix of one window.
+        profile walks ask for a block of up to BLOCK windows (``_blocks``),
+        a replay for a prefix of one window.
 
         "fint" also builds "m", and "log" and "a" share one ``np.log``.  The
         build sums these terms into the checkpoints, and ``_window`` and the
@@ -170,6 +174,13 @@ class PrefixSums:
             out["a"] = a_terms = np.log(u, out=u)[:-1]
             a_terms *= mu
         return out
+
+    def _blocks(self, kinds: tuple[str, ...]):
+        """(k, the ``window_terms`` of ``kinds``) for every block of BLOCK
+        stride windows over [1, n_max], in ascending order: block k holds
+        the n in (k stride, min((k + BLOCK) stride, n_max)]."""
+        for k in range(0, (self.n_max - 1) // self.stride + 1, BLOCK):
+            yield k, self.window_terms(k, kinds, min((k + BLOCK) * self.stride, self.n_max) + 1)
 
     def _running(self, k: int, kind: str, run: np.ndarray) -> np.ndarray:
         """Turn the "a" or "fint" terms ``run`` that start at window k into

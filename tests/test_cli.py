@@ -83,16 +83,34 @@ class TestCommands:
         (["remainders", "--n-max", "50"], "n_max must be >= 100"),
         (["verify", "--n-max", "5000", "--conv-cap", "1"], "conv_cap >= 2"),
         (["report", "--n-max", "5000", "--conv-cap", "1"], "conv_cap >= 2"),
+        (["remainders", "--which", "selberg_sum", "--grid", "100:10:5", "--n-max", "1000"],
+         "selberg_sum: x = 1e+06 beyond cap 1000"),
+        (["verify", "--which", "tatuzawa-iseki", "--points", "1.5", "--n-max", "1000"],
+         "tatuzawa-iseki needs x >= 2"),
+        (["verify", "--which", "floor-weighted", "--points", "1.5", "--n-max", "1000"],
+         "floor-weighted needs x >= 2"),
+        (["verify", "--which", "floor-weighted", "--points", "4,2000", "--n-max", "1000"],
+         "floor-weighted: x = 2000 beyond cap 1000"),
+        (["verify", "--which", "f-sum-collapse", "--points", "1.5,4", "--n-max", "1000"],
+         "f-sum-collapse needs x >= 2"),
+        (["verify", "--which", "f-sum-collapse", "--points", "2000", "--n-max", "1000"],
+         "f-sum-collapse: x = 2000 beyond cap 1000"),
+        (["remainders", "--which", "h_mean_gap", "--points", "0,5", "--n-max", "1000"],
+         "h_mean_gap needs x > 0"),
     ])
     def test_bounds_refused_before_the_store(self, argv, bound, tmp_path,
                                              monkeypatch, capsys):
-        # a grid that starts above n_max, or a conv_cap below residual-stats'
-        # x >= 2, is a usage error named before any work
+        # a grid that starts above n_max, a point outside its check's or
+        # remainder kind's domain, or a conv_cap below residual-stats' x >= 2
+        # is named before any work: a point beyond a cap is a capability
+        # error (exit 3), any other bound a usage error (exit 2); no point
+        # is dropped in silence
         def no_build(*args, **kwargs):
             raise AssertionError("the store began to build")
 
         monkeypatch.setattr(sieve, "base_primes", no_build)
-        assert run(argv + ["--out", str(tmp_path / "o.json")]) == 2
+        status = cli.EXIT_CAPABILITY if "beyond" in bound else cli.EXIT_USAGE
+        assert run(argv + ["--out", str(tmp_path / "o.json")]) == status
         assert bound in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
 
@@ -195,10 +213,10 @@ class TestDeterminism:
         assert sum(sieved) == 5000
 
     def test_report_stream_passes(self, tmp_path, monkeypatch):
-        # work ratchet: profile stream passes per report, 1 today (one walk
-        # for both profile kinds; the profiles, the three stream-based
-        # remainder kinds and the tail sups read it); a change that cuts
-        # passes lowers the count, none raises it
+        # work ratchet: profile stream passes per report outside the store
+        # build, 0 today (both profile kinds walk in the build; the
+        # profiles, the three stream-based remainder kinds and the tail
+        # sups read those walks); no change raises it
         passes = []
         stream_cumulative = hprofile.stream_cumulative
 
@@ -209,7 +227,30 @@ class TestDeterminism:
         monkeypatch.setattr(hprofile, "stream_cumulative", counted)
         assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
                     "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
-        assert len(passes) == 1
+        assert len(passes) == 0
+
+    # integers visited by PrefixSums.window_terms per report, over n_max:
+    # 71.30 at the defaults of the run below (72.12 while the profile walks
+    # made their own pass after the build); this ceiling may be lowered,
+    # never raised
+    WINDOW_TERMS_PER_N_MAX = 71.4
+
+    def test_report_window_terms_visits(self, tmp_path, monkeypatch):
+        # work ratchet: the build, the walks that ride in it and every
+        # replay take their terms from window_terms, so a second pass over
+        # [1, n_max] that came back would add n_max to this count
+        visited = []
+        window_terms = summatory.PrefixSums.window_terms
+
+        def counted(self, k, kinds, hi=None):
+            top = min((k + 1) * self.stride, self.n_max) + 1 if hi is None else hi
+            visited.append(top - (k * self.stride + 1))
+            return window_terms(self, k, kinds, hi)
+
+        monkeypatch.setattr(summatory.PrefixSums, "window_terms", counted)
+        assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
+                    "--out", str(tmp_path / "r.json")]) == 0
+        assert sum(visited) <= self.WINDOW_TERMS_PER_N_MAX * 5000
 
     def test_report_convolve_prefix_calls(self, tmp_path, monkeypatch):
         # work ratchet: divisor-pair convolutions per report, 4 today (the
@@ -265,6 +306,9 @@ def test_report_timings_label_tail_sups_and_total(tmp_path):
     labels = json.loads(side.read_text())
     assert "check-mertens-tail-ratio" in labels
     assert labels["total"] >= max(v for k, v in labels.items() if k != "total")
+    # the walks ride in the store build, and their time shows inside it
+    assert 0.0 < labels["build-prefix-sums/walks"] <= labels["build-prefix-sums"]
+    assert "build-prefix-sums" not in (tmp_path / "r.json").read_text()
 
 
 def test_timings_label_import(tmp_path):

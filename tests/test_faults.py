@@ -92,8 +92,8 @@ def test_corrupted_checkpoints_fail(tmp_path, monkeypatch, name, failing):
     # 1e-6 |cp[k]|, as if one window's sum were off
     build = summatory.PrefixSums._build
 
-    def faulty_build(self):
-        build(self)
+    def faulty_build(self, *args):
+        build(self, *args)
         cp = getattr(self, name)
         k = len(cp) // 2
         cp[k:] += 1e-6 * abs(cp[k])

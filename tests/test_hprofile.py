@@ -175,6 +175,60 @@ class TestStreamCumulative:
             assert joint[kind].zeros_cum_abs == alone.zeros_cum_abs, kind
             assert list(joint[kind].decade_sup.items()) == list(alone.decade_sup.items())
 
+    @pytest.mark.parametrize("stride", [211, 2845, 1 << 16])
+    def test_walks_in_the_build_match_stream_and_single_pass(self, strided_stores,
+                                                             stride, monkeypatch):
+        # a build that carries the walks hands each block's terms to them
+        # once its checkpoints are set: the checkpoints are those of a build
+        # without walks, and every walk is that of stream_cumulative and of
+        # one pass over [1, n_max], bit for bit, the tail window included
+        plain = strided_stores[stride]
+        for kinds in (("mertens",), ("smoothed", "mertens")):
+            walk = hprofile.Walk(kinds)
+            store = summatory.PrefixSums(N_STRIDED, stride=stride, walk=walk)
+            assert walk.seconds > 0.0
+            for name in ("cp_m", "cp_a", "cp_fint"):
+                assert getattr(store, name).tolist() == getattr(plain, name).tolist(), name
+            assert store.mertens_at_n_max == plain.mertens_at_n_max
+            streamed = hprofile.stream_cumulative(plain, kinds)
+            with monkeypatch.context() as m:
+                m.setattr(hprofile, "stream_cumulative", None)
+                walks = hprofile.profile_walk(store, kinds)
+                ys = [2.5, 39.5, 1000.3, 45520.5, float(N_STRIDED)]
+                for kind in kinds:
+                    assert walks[kind].seams == streamed[kind].seams, kind
+                    assert_same_events(walks[kind], oracles.stream_single_pass(
+                        plain, [float(N_STRIDED)], kind))
+                    assert_same_stream(hprofile.cumulative_at(store, ys, kind),
+                                       oracles.stream_single_pass(plain, ys, kind))
+
+    def test_build_walks_a_tail_window_alone(self):
+        # 16 full windows fill the first block, so the last five integers
+        # make a block of their own, which only the walks read
+        n_max = summatory.BLOCK * 64 + 5
+        walk = hprofile.Walk(("smoothed", "mertens"))
+        store = summatory.PrefixSums(n_max, stride=64, walk=walk)
+        plain = summatory.PrefixSums(n_max, stride=64)
+        assert store.mertens_at_n_max == plain.mertens_at_n_max
+        for kind in ("smoothed", "mertens"):
+            walked = hprofile.profile_walk(store, (kind,))[kind]
+            assert len(walked.seams) == 2
+            assert_same_events(walked, oracles.stream_single_pass(plain, [float(n_max)], kind))
+
+    def test_decade_sup_deep_inside_a_block(self, strided_stores):
+        # at stride 211, sup |M(n)|/n over [10^4, 10^5) lies at n = 11 773,
+        # 1 644 steps into the block that starts at 10 129; that block's
+        # first ratio and the sup of the decade's earlier blocks lie below
+        # it, so only max |M| over the block may decide to skip its division
+        store = strided_stores[211]
+        mertens = oracles.mertens_dense(10 ** 5)
+        want = max(abs(int(mertens[n])) / n for n in range(10 ** 4, 10 ** 5))
+        assert want == abs(store.mertens(11773)) / 11773
+        assert (11773 - 1) // (summatory.BLOCK * 211) == (10129 - 1) // (summatory.BLOCK * 211)
+        earlier = max(abs(int(mertens[n])) / n for n in range(10 ** 4, 10129))
+        assert abs(store.mertens(10129)) / 10129 < earlier < want
+        assert hprofile.profile_walk(store, ("mertens",))["mertens"].decade_sup[4] == want
+
     def test_profile_walk_walks_only_new_kinds(self, monkeypatch):
         store = summatory.PrefixSums(3000, stride=97)
         walked = []

@@ -88,6 +88,7 @@ def test_traced_report_gives_strict_json(tmp_path):
     json.dumps(metrics, allow_nan=False)
     assert all(math.isfinite(v) for v in metrics.values())
     assert result["missing"] == DEAD_QUERIES
-    assert metrics["hprofile.stream_passes"] == 1
+    # both profile walks ride in the store build, not in stream_cumulative
+    assert metrics["hprofile.stream_passes"] == 0
     # the Selberg table's 2 and Tatuzawa-Iseki's 2 for all its points
     assert metrics["dirichlet.convolve_prefix_calls"] == 4
