@@ -86,6 +86,8 @@ class RunConfig:
             raise RangeError("sample points must be finite")
         if self.fmt not in ("csv", "json"):
             raise RangeError(f"unknown format {self.fmt!r}")
+        if self.steps < 1:
+            raise RangeError("steps must be >= 1")
 
 
 class Timings:
@@ -118,13 +120,13 @@ class Context:
     _table: dirichlet.ArithTable | None = None
     _table_error: CrossCheckError | None = None
     _profiles: dict = field(default_factory=dict)
-    # profile kinds the command reads; the store's build walks them
-    walk_kinds: tuple = ()
+    # profile kind -> the points the command reads, answered in the build
+    walk_plan: dict = field(default_factory=dict)
 
     @property
     def store(self) -> summatory.PrefixSums:
         if self._store is None:
-            walk = hprofile.Walk(self.walk_kinds) if self.walk_kinds else None
+            walk = hprofile.Walk(self.walk_plan) if self.walk_plan else None
             with self.timings.measure("build-prefix-sums"):
                 self._store = summatory.PrefixSums(self.config.n_max, walk=walk)
             if walk is not None:
@@ -146,6 +148,13 @@ class Context:
                     self._table_error = exc
                     raise
         return self._table
+
+    def plan(self, kind: str, ys=None) -> None:
+        """Have the store's build answer the points ys of the profile kind,
+        by default the profile's samples."""
+        if ys is None:
+            ys = hprofile.sample_ys(self.config.n_max, self.config.samples_per_decade)
+        self.walk_plan[kind] = np.concatenate((self.walk_plan.get(kind, []), ys))
 
     def profile(self, kind: str) -> hprofile.HProfile:
         if kind not in self._profiles:
@@ -376,8 +385,14 @@ def grid_for(cfg: RunConfig, name: str):
 def evaluate(ctx: Context, names) -> dict:
     """name -> the result of each check and remainder kind of ``names``, in
     that order.  Every grid is taken first, so a usage error in any comes
-    before the store is built."""
+    before the store is built, and the profile points they read are
+    planned for the build."""
     grids = {name: grid_for(ctx.config, name) for name in names}
+    for name, xs in grids.items():
+        if name == "h-bound":
+            ctx.plan("smoothed")
+        elif points := identities.profile_points(name, xs):
+            ctx.plan(*points)
     out = {}
     for name, xs in grids.items():
         if name in CHECKS:
@@ -515,9 +530,17 @@ def cmd_sieve(ctx: Context) -> int:
 
 def cmd_table(ctx: Context) -> int:
     cfg = ctx.config
-    table = ctx.table
-    ns = cfg.points if cfg.points is not None else range(1, table.n_max + 1)
-    rows = dirichlet.table_rows(table, [int(n) for n in ns])
+    ns = range(1, cfg.conv_cap + 1)
+    if cfg.points is not None:
+        # every row is named before the store and the table are built
+        ns = [int(n) for n in cfg.points]
+        for x, n in zip(cfg.points, ns):
+            if x != n or n < 1:
+                raise RangeError(f"table rows must be integers >= 1, got {x:g}")
+        if max(ns) > cfg.conv_cap:
+            raise CapabilityError(f"table: row {max(ns)} beyond conv_cap {cfg.conv_cap}",
+                                  max_usable=cfg.conv_cap)
+    rows = dirichlet.table_rows(ctx.table, ns)
     _emit_csv(cfg, ["n", "mu", "lambda", "lambda2", "lambda2_minus", "theta"],
               rows, "table.csv")
     return EXIT_PASS
@@ -570,7 +593,7 @@ def cmd_remainders(ctx: Context) -> int:
 
 def cmd_h_profile(ctx: Context) -> int:
     cfg = ctx.config
-    ctx.walk_kinds = (cfg.profile_kind,)
+    ctx.plan(cfg.profile_kind)
     prof = ctx.profile(cfg.profile_kind)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -585,7 +608,7 @@ def cmd_h_profile(ctx: Context) -> int:
 
 def cmd_intervals(ctx: Context) -> int:
     cfg = ctx.config
-    ctx.walk_kinds = (cfg.profile_kind,)
+    ctx.plan(cfg.profile_kind)
     prof = ctx.profile(cfg.profile_kind)
     out_dir = cfg.out or "."
     os.makedirs(out_dir, exist_ok=True)
@@ -614,7 +637,8 @@ def cmd_iterate(ctx: Context) -> int:
 
 def cmd_report(ctx: Context) -> int:
     cfg = ctx.config
-    ctx.walk_kinds = ("smoothed", "mertens")
+    ctx.plan("smoothed")
+    ctx.plan("mertens")
     results = evaluate(ctx, CHECK_NAMES + identities.SERIES_KINDS)
     checks = [results[name] for name in CHECK_NAMES]
     series_map = {kind: results[kind] for kind in identities.SERIES_KINDS}

@@ -22,15 +22,14 @@ one pass over [1, n_max] in blocks of ``BLOCK`` stride windows, taking
 M(n) and A(n) from the store's checkpoints and mu as the window replay
 does, so its F(y) is the store's.  The walk rides in the store's build
 when the build is given it, and otherwise walks the built store
-(:func:`stream_cumulative`); both hand the same per-block code the same
-terms.  At every block seam the walk keeps the two integrals there.  It
+(:func:`stream_cumulative`), by the same per-block code.  It answers the
+query points it is planned (kind -> points y) in the block that holds each
+floor, so every answer is that of a single pass up to the point, and it
 records the crossings or zero runs, with the integral of |H| up to each,
-and for mertens the decade sups, over the whole range; profiles take their
-zeros from it.  The kinds walked together share each block's M, logs and
-Q, and A is built only for the smoothed kind.  A query set
-(:func:`cumulative_at`) replays only the blocks that hold its points, each
-from its seam and by the walk's own per-block code, so every value equals
-that of a single pass up to the largest point.
+and for mertens the decade sups, over the whole range.  The kinds walked
+together share each block's M, logs and Q, and A is built only for the
+smoothed kind.  :func:`cumulative_at` reads the answers, and walks once
+more for points that no walk was given.
 
 For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
@@ -123,13 +122,13 @@ class _Block:
     # the window_terms read without and with the smoothed kind
     TERMS = {False: ("m", "log"), True: ("m", "log", "a")}
 
-    def __init__(self, store: PrefixSums, k: int, terms: dict, smoothed: bool):
+    def __init__(self, store: PrefixSums, k: int, terms: dict):
         self.m_cum = terms["m"]
         self.lo = k * store.stride + 1
         self.hi = self.lo + len(self.m_cum)
         # step i is [n, n + 1) with n = lo + i; u_all holds both ends
         self.u_all = terms["u"]
-        if smoothed:
+        if "a" in terms:        # the smoothed kind reads A
             self.log_all = terms["log"]
             self.a_cum = store._running(k, "a", terms["a"])
             q2 = self.log_all + 1.0
@@ -150,94 +149,15 @@ def _exclusive(d: np.ndarray, start: float, top: int) -> np.ndarray:
     return pre
 
 
-class _Window:
-    """One kind's steps over a :class:`_Block`, from the integrals where
-    the block starts.
-
-    These are the stream's operations, in the stream's order.  The walk
-    and the replay of a query block both build their steps here, from the
-    same carried values, so their sums agree bit for bit.
-    """
-
-    def __init__(self, block: _Block, smoothed: bool, start_abs: float, start_sig: float):
-        lo = self.lo = block.lo
-        self.hi = block.hi
-        # M stays int64: every product with it casts it exactly to float64
-        self.m_cum = m_cum = block.m_cum
-        self.u_all = block.u_all
-        self.smoothed = smoothed
-        self.start_abs, self.start_sig = start_abs, start_sig
-        self._pre = None
-
-        if smoothed:
-            self.a_cum = a_cum = block.a_cum
-            log_all = block.log_all
-            p_all = _p_anti(block.u_all, log_all)
-            # 2 (M dP - A dQ), with the factor 2 of dQ taken by the block
-            self.d_sig = m_cum * (p_all[1:] - p_all[:-1])
-            self.d_sig *= 2.0
-            self.d_sig -= a_cum * block.q2_step
-            g_start = m_cum * log_all[:-1] - a_cum
-            g_end = m_cum * log_all[1:] - a_cum
-            cross = g_start * g_end < 0.0
-        else:
-            self.a_cum = None
-            self.d_sig = m_cum * block.q2_step
-        self.d_abs = np.abs(self.d_sig)
-
-        # crossings of the continuous smoothed sum (rare); fix the step's
-        # absolute increment before prefix sums are taken
-        self.cross_fix = {}
-        if smoothed:
-            for i in np.flatnonzero(cross):
-                m_i = float(m_cum[i])
-                a_i = float(a_cum[i])
-                step_n = lo + int(i)
-                u_star = _refine_crossing(m_i, a_i, step_n)
-                left = abs(_piece_smoothed(m_i, a_i, step_n, u_star))
-                right = abs(_piece_smoothed(m_i, a_i, u_star, step_n + 1))
-                self.d_abs[i] = left + right
-                self.cross_fix[i] = (u_star, left)
-
-    def at(self, yq: float) -> tuple[float, float, float, float]:
-        """(cum_abs, cum_signed, M, A) at a query point yq in this block."""
-        if self._pre is None:
-            size = self.hi - self.lo
-            self._pre = (_exclusive(self.d_abs, self.start_abs, size),
-                         _exclusive(self.d_sig, self.start_sig, size))
-        pre_abs, pre_sig = self._pre
-        i = int(yq) - self.lo
-        m_i = float(self.m_cum[i])
-        a_i = float(self.a_cum[i]) if self.smoothed else 0.0
-        step_n = self.lo + i
-        if yq > step_n:
-            if self.smoothed:
-                part_sig = _piece_smoothed(m_i, a_i, step_n, yq)
-                if i in self.cross_fix and self.cross_fix[i][0] < yq:
-                    u_star, left_abs = self.cross_fix[i]
-                    part_abs = left_abs + abs(_piece_smoothed(m_i, a_i, u_star, yq))
-                else:
-                    part_abs = abs(part_sig)
-            else:
-                part_sig = _piece_mertens(m_i, step_n, yq)
-                part_abs = abs(part_sig)
-        else:
-            part_sig = part_abs = 0.0
-        return (float(pre_abs[i]) + part_abs, float(pre_sig[i]) + part_sig,
-                m_i, a_i)
-
-
 @dataclass
 class ProfileWalk:
-    """One walk of a profile kind over all of [1, n_max].
+    """One walk of a profile kind over all of [1, n_max]: ``answers`` maps
+    each point y it was given to the integrals of |H| and of H up to
+    x = (log y)^2, M(floor(y)) and A(floor(y)) (0.0 for mertens); the
+    zeros, the integral of |H| up to each and the decade sups (mertens:
+    decade -> sup |M(n)|/n) are those of the whole range."""
 
-    ``seams[b]`` holds the two integrals, of |H| and of H, where block b
-    (window b BLOCK) starts; the zeros, the integral of |H| up to each zero
-    and the decade sups (mertens: decade -> sup |M(n)|/n) are those of the
-    whole range.
-    """
-
-    seams: list = field(default_factory=list)
+    answers: dict = field(default_factory=dict)
     zeros_y: list = field(default_factory=list)
     zeros_cum_abs: list = field(default_factory=list)
     decade_sup: dict = field(default_factory=dict)
@@ -245,10 +165,14 @@ class ProfileWalk:
 
 class _Walker:
     """Carries one kind's stream across blocks from n = 1 and records its
-    seams, zero events and decade sups in ``walk``."""
+    zero events, decade sups and the answers at its points in ``walk``."""
 
-    def __init__(self, kind: str):
+    def __init__(self, kind: str, ys):
         self.smoothed = kind == "smoothed"
+        ys = np.unique(np.asarray(ys, dtype=np.float64))
+        if not ys.min(initial=1.0) >= 1.0:
+            raise RangeError("query points must satisfy y >= 1")
+        self.ys = ys.tolist()[::-1]     # the points not yet answered, largest first
         self.acc_abs = NeumaierSum()
         self.acc_sig = NeumaierSum()
         self.run_open = False           # an M == 0 run reaches the seam
@@ -261,29 +185,58 @@ class _Walker:
         self.walk.zeros_cum_abs.append(cum_value)
 
     def step(self, block: _Block) -> None:
-        """Walk the block: its zeros, sups and sums."""
+        """Walk the block from the integrals where it starts: its zeros,
+        sups, points and sums, in the stream's order."""
         walk = self.walk
-        walk.seams.append((self.acc_abs.value, self.acc_sig.value))
-        win = _Window(block, self.smoothed, *walk.seams[-1])
-        lo, hi = win.lo, win.hi
+        lo, hi = block.lo, block.hi
+        # M stays int64: every product with it casts it exactly to float64
+        m_cum = block.m_cum
+        start_abs, start_sig = self.acc_abs.value, self.acc_sig.value
         if self.smoothed:
-            if win.cross_fix:
-                pre_abs = _exclusive(win.d_abs, win.start_abs, max(win.cross_fix) + 1)
-                for i in sorted(win.cross_fix):
-                    walk.zeros_y.append(win.cross_fix[i][0])
-                    walk.zeros_cum_abs.append(float(pre_abs[i]) + win.cross_fix[i][1])
+            a_cum = block.a_cum
+            log_all = block.log_all
+            p_all = _p_anti(block.u_all, log_all)
+            # 2 (M dP - A dQ), with the factor 2 of dQ taken by the block
+            d_sig = m_cum * (p_all[1:] - p_all[:-1])
+            d_sig *= 2.0
+            d_sig -= a_cum * block.q2_step
+            g_start = m_cum * log_all[:-1] - a_cum
+            g_end = m_cum * log_all[1:] - a_cum
+            cross = g_start * g_end < 0.0
+        else:
+            d_sig = m_cum * block.q2_step
+        d_abs = np.abs(d_sig)
+
+        # crossings of the continuous smoothed sum (rare); fix the step's
+        # absolute increment before prefix sums are taken
+        cross_fix = {}
+        if self.smoothed:
+            for i in np.flatnonzero(cross):
+                m_i = float(m_cum[i])
+                a_i = float(a_cum[i])
+                step_n = lo + int(i)
+                u_star = _refine_crossing(m_i, a_i, step_n)
+                left = abs(_piece_smoothed(m_i, a_i, step_n, u_star))
+                right = abs(_piece_smoothed(m_i, a_i, u_star, step_n + 1))
+                d_abs[i] = left + right
+                cross_fix[i] = (u_star, left)
+            if cross_fix:
+                pre_abs = _exclusive(d_abs, start_abs, max(cross_fix) + 1)
+                for i in sorted(cross_fix):
+                    walk.zeros_y.append(cross_fix[i][0])
+                    walk.zeros_cum_abs.append(float(pre_abs[i]) + cross_fix[i][1])
         else:
             # maximal runs of M == 0: zeros at the run's first and last step;
             # M moves by one per step, so a block without a sign change of M
             # holds none
-            top, bottom = int(win.m_cum.max()), int(win.m_cum.min())
-            idx = np.flatnonzero(win.m_cum == 0) if bottom <= 0 <= top else []
+            top, bottom = int(m_cum.max()), int(m_cum.min())
+            idx = np.flatnonzero(m_cum == 0) if bottom <= 0 <= top else []
             if self.run_open and not (len(idx) and idx[0] == 0):
                 if self.last_zero_n > self.run_start_n:
-                    self._emit_step_zero(self.last_zero_n, self.acc_abs.value)
+                    self._emit_step_zero(self.last_zero_n, start_abs)
                 self.run_open = False
             if len(idx):
-                pre_abs = _exclusive(win.d_abs, win.start_abs, int(idx[-1]) + 1)
+                pre_abs = _exclusive(d_abs, start_abs, int(idx[-1]) + 1)
                 gaps = np.flatnonzero(np.diff(idx) > 1)
                 starts = idx[np.concatenate(([0], gaps + 1))]
                 ends = idx[np.concatenate((gaps, [len(idx) - 1]))]
@@ -308,11 +261,36 @@ class _Walker:
                 # exceeds the block's max |M| / a_edge: the slice is skipped
                 # when that is no more than the sup
                 if float(max(top, -bottom)) / a_edge > sup:
-                    ratios = np.divide(np.abs(win.m_cum[cut]), win.u_all[cut])
+                    ratios = np.divide(np.abs(m_cum[cut]), block.u_all[cut])
                     walk.decade_sup[dec] = max(sup, float(ratios.max()))
 
-        self.acc_abs.add(float(win.d_abs.sum()))
-        self.acc_sig.add(float(win.d_sig.sum()))
+        # the points whose floor lies in this block, in ascending order
+        points = []
+        while self.ys and self.ys[-1] < hi:
+            points.append(self.ys.pop())
+        if points:
+            pre_abs = _exclusive(d_abs, start_abs, int(points[-1]) - lo + 1)
+            pre_sig = _exclusive(d_sig, start_sig, int(points[-1]) - lo + 1)
+            for yq in points:
+                i = int(yq) - lo
+                m_i = float(m_cum[i])
+                a_i = float(a_cum[i]) if self.smoothed else 0.0
+                step_n = lo + i
+                part_sig = part_abs = 0.0
+                if yq > step_n:
+                    if self.smoothed:
+                        part_sig = _piece_smoothed(m_i, a_i, step_n, yq)
+                    else:
+                        part_sig = _piece_mertens(m_i, step_n, yq)
+                    part_abs = abs(part_sig)
+                    if i in cross_fix and cross_fix[i][0] < yq:
+                        u_star, left_abs = cross_fix[i]
+                        part_abs = left_abs + abs(_piece_smoothed(m_i, a_i, u_star, yq))
+                walk.answers[yq] = (float(pre_abs[i]) + part_abs,
+                                    float(pre_sig[i]) + part_sig, m_i, a_i)
+
+        self.acc_abs.add(float(d_abs.sum()))
+        self.acc_sig.add(float(d_sig.sum()))
 
     def finish(self) -> ProfileWalk:
         """Close a zero run that reaches n_max; the walk is then complete."""
@@ -331,45 +309,44 @@ _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
 
 
 class Walk:
-    """The walks of ``kinds`` from n = 1: the store's build
-    (``PrefixSums(n_max, walk=Walk(kinds))``) or :func:`stream_cumulative`
-    hands :meth:`step` the ``window_terms`` of ``terms`` of every block in
-    order.  Each block's M, logs and Q serve all the kinds (:class:`_Block`),
-    and A is built only for the smoothed kind.  ``seconds`` is the time the
-    steps took."""
+    """The walks of ``plan``'s kinds from n = 1, each answering its points
+    (kind -> points y) in the block that holds the point's floor; a point
+    past n_max goes unanswered.  The store's build (``PrefixSums(n_max,
+    walk=Walk(plan))``) or :func:`stream_cumulative` hands :meth:`step` the
+    ``window_terms`` of ``terms`` of every block in order; each block's M,
+    logs and Q serve all the kinds (:class:`_Block`), A the smoothed kind
+    alone.  ``seconds`` is the time the steps took."""
 
-    def __init__(self, kinds: tuple[str, ...]):
-        _check_kinds(kinds)
-        self.kinds = kinds
-        self.smoothed = "smoothed" in kinds
-        self.terms = _Block.TERMS[self.smoothed]
-        self.walkers = [_Walker(kind) for kind in kinds]
+    def __init__(self, plan: dict):
+        _check_kinds(plan)
+        self.terms = _Block.TERMS["smoothed" in plan]
+        self.walkers = {kind: _Walker(kind, ys) for kind, ys in plan.items()}
         self.seconds = 0.0
 
     def step(self, store: PrefixSums, k: int, terms: dict) -> None:
         t0 = time.perf_counter()
-        block = _Block(store, k, terms, self.smoothed)
-        for walker in self.walkers:
+        block = _Block(store, k, terms)
+        for walker in self.walkers.values():
             walker.step(block)
         self.seconds += time.perf_counter() - t0
 
     def finish(self, store: PrefixSums) -> dict[str, ProfileWalk]:
-        """kind -> walk, each complete, and kept for as long as the store
-        lives (:func:`profile_walk`)."""
-        walks = {kind: walker.finish() for kind, walker in zip(self.kinds, self.walkers)}
-        _WALKS.setdefault(store, {}).update(walks)
+        """kind -> walk, each complete.  The store keeps one walk per kind
+        for as long as it lives (:func:`profile_walk`); the answers of a
+        later walk of a kept kind join the kept walk's."""
+        walks = {kind: walker.finish() for kind, walker in self.walkers.items()}
+        kept = _WALKS.setdefault(store, {})
+        for kind, walk in walks.items():
+            kept.setdefault(kind, walk).answers.update(walk.answers)
         return walks
 
 
-def stream_cumulative(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, ProfileWalk]:
-    """Walk the built store once over [1, n_max] for every kind in
-    ``kinds``, block by block as a build that carries the walks does, and
-    keep the walks; returns kind -> walk.  Each walk records the two
-    integrals at every block seam, the crossings (smoothed) or zero-run
-    boundaries (mertens) with the integral of |H| up to each, and, for
-    mertens, the per-decade sups of |M(n)|/n.  Use :func:`profile_walk`,
-    which walks each kind once per store."""
-    walk = Walk(kinds)
+def stream_cumulative(store: PrefixSums, plan: dict) -> dict[str, ProfileWalk]:
+    """Walk the built store once over [1, n_max] for ``plan`` as a build
+    that carries ``Walk(plan)`` does, and keep the walks; returns kind ->
+    walk.  Use :func:`profile_walk` and :func:`cumulative_at`, which walk
+    only for what no walk of the store has done."""
+    walk = Walk(plan)
     for k, terms in store._blocks(walk.terms):
         walk.step(store, k, terms)
     return walk.finish(store)
@@ -380,7 +357,7 @@ def profile_walk(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, Profile
     walked are walked together, in one pass, and every walk is then kept
     for as long as the store lives."""
     walks = _WALKS.setdefault(store, {})
-    todo = tuple(kind for kind in dict.fromkeys(kinds) if kind not in walks)
+    todo = {kind: () for kind in kinds if kind not in walks}
     if todo:
         stream_cumulative(store, todo)
     return {kind: walks[kind] for kind in kinds}
@@ -392,41 +369,28 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
     ``ys`` must be >= 1 with floor(y) <= ``store.n_max``; results come back
     in the caller's order.  ``cum_abs[i]`` is the x-domain integral of |H|
     from 0 up to x = (log ys[i])^2, ``cum_signed`` likewise without the
-    absolute value, and ``f_at`` the profile's numerator at ys[i].  Each
-    block of ``BLOCK`` stride windows holding a query is replayed from the
-    walk's seam up to its largest floor(y), so every value is the one a
-    single pass up to max ys gives; off the stride grid ``f_at`` equals
-    ``store.big_f_many(ys)`` bitwise.  The zeros and decade sups are the
-    walk's (:func:`profile_walk`).
+    absolute value, and ``f_at`` the profile's numerator at ys[i].  These
+    are the answers of the store's walk of ``kind``; points that no walk
+    was given, in the build or since, are answered by one more walk
+    (:func:`stream_cumulative`).  Every value is the one a single pass up
+    to max ys gives; off the stride grid ``f_at`` equals
+    ``store.big_f_many(ys)`` bitwise.
     """
     _check_kinds((kind,))
     ys = np.asarray(ys, dtype=np.float64)
-    if not ys.min(initial=1.0) >= 1.0:
-        raise RangeError("query points must satisfy y >= 1")
     y_top = float(ys.max(initial=0.0))
     if y_top >= store.n_max + 1:
         raise CapabilityError(f"query point {y_top} beyond store cap {store.n_max}",
                               max_usable=store.n_max)
-    cum_abs_q, cum_sig_q, m_q, a_q = np.zeros((4, len(ys)))
-    if len(ys):
-        seams = profile_walk(store, (kind,))[kind].seams
-        smoothed = kind == "smoothed"
-        order = np.argsort(ys, kind="stable")
-        ys_sorted = ys[order]
-        ns = np.floor(ys_sorted).astype(np.int64)
-        bs = (ns - 1) // (BLOCK * store.stride)
-        for grp in np.split(np.arange(len(ys)), np.flatnonzero(np.diff(bs)) + 1):
-            b = int(bs[grp[0]])
-            terms = store.window_terms(b * BLOCK, _Block.TERMS[smoothed], int(ns[grp[-1]]) + 1)
-            block = _Block(store, b * BLOCK, terms, smoothed)
-            win = _Window(block, smoothed, *seams[b])
-            for j in grp:
-                q = order[j]
-                cum_abs_q[q], cum_sig_q[q], m_q[q], a_q[q] = win.at(float(ys_sorted[j]))
-
-    return StreamResult(
-        cum_abs=cum_abs_q, cum_signed=cum_sig_q,
-        f_at=m_q * np.log(ys) - a_q if kind == "smoothed" else m_q)
+    keys = ys.tolist()
+    walk = _WALKS.get(store, {}).get(kind)
+    todo = [y for y in keys if walk is None or y not in walk.answers]
+    if todo:
+        stream_cumulative(store, {kind: todo})
+        walk = _WALKS[store][kind]
+    cum_abs, cum_sig, m, a = np.array([walk.answers[y] for y in keys]).reshape(-1, 4).T
+    return StreamResult(cum_abs=cum_abs, cum_signed=cum_sig,
+                        f_at=m * np.log(ys) - a if kind == "smoothed" else m)
 
 
 # ----------------------------------------------------------------------
@@ -504,43 +468,41 @@ class HProfile:
         return len(self.zeros) < 2
 
 
-def build_profile(store: PrefixSums, kind: str = "smoothed",
-                  samples_per_decade: int = 32) -> HProfile:
-    """Sample H on a geometric y-grid over the store's whole range [1, n_max]
-    and attach exact cumulative integrals, the walk's zeros and ``deriv_sup``.
-
-    The samples run from y = 2 to y = n_max; a profile of [1, y] is the
-    profile of ``PrefixSums(y, stride)``.  A store with n_max below the grid
-    start (2.0) yields an empty profile, which downstream consumers must
-    treat as the finite-zeros branch rather than an error.
-    """
-    _check_kinds((kind,))
+def sample_ys(n_max: int, samples_per_decade: int = 32) -> np.ndarray:
+    """The profile's sample points: a geometric y-grid of
+    ``samples_per_decade`` points a decade from y = 2 to y = n_max, empty
+    when n_max lies below the grid start (2.0)."""
     if samples_per_decade < 10:
         raise RangeError("samples_per_decade must be >= 10")
-    y_max = store.n_max
+    if n_max < Y_GRID_START:
+        return np.zeros(0)
+    n_pts = max(int(math.ceil(samples_per_decade * math.log10(n_max / Y_GRID_START))), 1) + 1
+    ys = np.geomspace(Y_GRID_START, float(n_max), n_pts)
+    ys[-1] = float(n_max)
+    return np.unique(ys)
 
-    if y_max < Y_GRID_START:
-        empty = np.zeros(0)
-        return HProfile(kind=kind, x_samples=empty,
-                        y_samples=empty, h_values=empty,
-                        cumulative_abs_integral=empty,
-                        cumulative_signed_integral=empty,
-                        zeros=empty, cum_abs_at_zeros=empty,
-                        zeros_are_step_boundaries=(kind == "mertens"),
-                        deriv_sup=0.0, h_continuous=_make_h_eval(store, kind))
 
-    n_pts = max(int(math.ceil(samples_per_decade * math.log10(y_max / Y_GRID_START))), 1) + 1
-    ys = np.geomspace(Y_GRID_START, float(y_max), n_pts)
-    ys[-1] = float(y_max)
-    ys = np.unique(ys)
+def build_profile(store: PrefixSums, kind: str = "smoothed",
+                  samples_per_decade: int = 32) -> HProfile:
+    """Sample H at the points :func:`sample_ys` over the store's whole range
+    [1, n_max] and attach exact cumulative integrals, the walk's zeros and
+    ``deriv_sup``.
 
+    A profile of [1, y] is the profile of ``PrefixSums(y, stride)``.  A
+    store with n_max below the grid start yields a profile without samples
+    (``deriv_sup`` 0), which downstream consumers must treat as the
+    finite-zeros branch rather than an error.
+    """
+    _check_kinds((kind,))
+    ys = sample_ys(store.n_max, samples_per_decade)
     res = cumulative_at(store, ys, kind=kind)
     walk = profile_walk(store, (kind,))[kind]
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys
 
     # sup |H'| over a geometric grid four times as dense as the samples
-    yd = np.minimum(np.maximum(np.geomspace(ys[0], ys[-1], 4 * len(ys)), 1.0), y_max)
+    yd = np.geomspace(Y_GRID_START, store.n_max, 4 * len(ys))
+    yd = np.minimum(np.maximum(yd, 1.0), store.n_max)
     if kind == "smoothed":
         h_prime = h_derivative_many(store, yd)
     else:
@@ -556,7 +518,7 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
         zeros=np.log(zeros_y) ** 2,
         cum_abs_at_zeros=np.array(walk.zeros_cum_abs, dtype=np.float64),
         zeros_are_step_boundaries=(kind == "mertens"),
-        deriv_sup=float(np.abs(h_prime).max()),
+        deriv_sup=float(np.abs(h_prime).max(initial=0.0)),
         h_continuous=_make_h_eval(store, kind),
         decade_sups=dict(walk.decade_sup) or None)
 

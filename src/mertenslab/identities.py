@@ -245,6 +245,18 @@ def geometric_grid(start: float, stop: float, ratio: float = 1.25) -> np.ndarray
     return np.array(pts)
 
 
+def profile_points(kind: str, xs) -> tuple[str, np.ndarray] | None:
+    """(profile kind, the points y it is read at) of the remainder kind
+    ``kind`` on the grid ``xs``: y = x for f_self_bound, y = exp(sqrt(x))
+    for the mean-gap kinds; None for the kinds that read no profile."""
+    xs = np.asarray(xs, dtype=np.float64)
+    if kind == "f_self_bound":
+        return "smoothed", xs
+    if kind in ("h_mean_gap", "mertens_h_mean_gap"):
+        return ("smoothed" if kind == "h_mean_gap" else "mertens"), np.exp(np.sqrt(xs))
+    return None
+
+
 def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
     """Sampled (raw, normalized) residuals for one asymptotic claim.
 
@@ -266,8 +278,7 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
             raise CapabilityError(
                 f"x = {xs.max():g} needs exp(sqrt(x)) > n_max; max usable x is "
                 f"{x_cap:.6g}", max_usable=x_cap)
-        pk = "smoothed" if kind == "h_mean_gap" else "mertens"
-        ys = np.exp(np.sqrt(xs))
+        pk, ys = profile_points(kind, xs)
         res = hprofile.cumulative_at(store, ys, kind=pk)
         xg = np.maximum(xs, hprofile.X_MIN_GUARD)
         raw = np.abs(res.f_at) / ys - res.cum_abs / xg
@@ -306,7 +317,8 @@ def remainder_series(store: PrefixSums, kind: str, xs) -> RemainderSeries:
     else:  # f_self_bound
         # c(x) = (|F(x)| log^2 x - 2 int_1^x |F(x/t)| log(x/t) dt) / (x log x);
         # the t-integral is x int_1^x |F(u)| log(u)/u^2 du = x cum_abs / 2
-        res = hprofile.cumulative_at(store, xs, kind="smoothed")
+        pk, ys = profile_points(kind, xs)
+        res = hprofile.cumulative_at(store, ys, kind=pk)
         raw = np.abs(res.f_at) * log_xs ** 2 - xs * res.cum_abs
         normalized = raw / (xs * log_xs)
         label = "x log x"

@@ -13,7 +13,7 @@ int8 array (1 byte per integer) and the prime powers, then derives the
 checkpoints from the stored mu in blocks of ``BLOCK`` stride windows, each
 stride window summed on its own.  A profile walk (``hprofile.Walk``) can
 ride in that loop: each block's terms, once its checkpoints are set, also
-go to the walk, so one pass over [1, n_max] serves both.  M(n) is a
+go to the walk, which answers its points: one pass serves both.  M(n) is a
 checkpoint plus an exact int64 sum of mu, so a scalar M lookup replays
 nothing.  A and the integral are recovered by replaying a window's prefix
 from its checkpoint, only for the sums asked for and only up to the

@@ -351,11 +351,14 @@ class SinglePass:
 def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     """The profile stream as one pass over [1, floor(max ys)] per query set.
 
-    The form ``hprofile.cumulative_at`` and ``hprofile.profile_walk``
-    replace: it walks every block of ``summatory.BLOCK`` stride windows up to
-    the largest query and answers the queries on the way, with the same
-    operations in the same order, so the values agree bit for bit.  A is
-    summed window by window, each window from its own checkpoint.
+    The reference for ``hprofile.Walk``, which answers its planned points
+    the same way on its one pass over all of [1, n_max], in the store's
+    build or through ``hprofile.stream_cumulative``: this pass walks every
+    block of ``summatory.BLOCK`` stride windows up to the largest query and
+    answers the queries on the way, with the same operations in the same
+    order, so the values agree bit for bit, though the walk's last block
+    runs past the largest query.  A is summed window by window, each window
+    from its own checkpoint.
 
     ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
     x = (log ys[i])^2; the zero events are those of [1, floor(max ys)], and

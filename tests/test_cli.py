@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from mertenslab import cli, dirichlet, hprofile, sieve, summatory
+from mertenslab import cli, dirichlet, hprofile, identities, sieve, summatory
 from mertenslab.errors import CapabilityError
 
 
@@ -97,12 +97,23 @@ class TestCommands:
          "f-sum-collapse: x = 2000 beyond cap 1000"),
         (["remainders", "--which", "h_mean_gap", "--points", "0,5", "--n-max", "1000"],
          "h_mean_gap needs x > 0"),
+        (["report", "--n-max", "200000", "--conv-cap", "20000", "--samples-per-decade", "5"],
+         "samples_per_decade must be >= 10"),
+        (["report", "--n-max", "5000", "--steps", "0"], "steps must be >= 1"),
+        (["table", "--n-max", "1000", "--conv-cap", "100", "--points", "1,2.7"],
+         "table rows must be integers >= 1, got 2.7"),
+        (["table", "--n-max", "1000", "--conv-cap", "100", "--points", "4,0"],
+         "table rows must be integers >= 1, got 0"),
+        (["table", "--n-max", "1000", "--conv-cap", "100", "--points", "4,200"],
+         "table: row 200 beyond conv_cap 100"),
     ])
     def test_bounds_refused_before_the_store(self, argv, bound, tmp_path,
                                              monkeypatch, capsys):
         # a grid that starts above n_max, a point outside its check's or
-        # remainder kind's domain, or a conv_cap below residual-stats' x >= 2
-        # is named before any work: a point beyond a cap is a capability
+        # remainder kind's domain, a conv_cap below residual-stats' x >= 2,
+        # too few profile samples a decade, no iteration steps, or a table
+        # row that is not an integer in [1, conv_cap] is named before any
+        # work: a point beyond a cap is a capability
         # error (exit 3), any other bound a usage error (exit 2); no point
         # is dropped in silence
         def no_build(*args, **kwargs):
@@ -213,10 +224,12 @@ class TestDeterminism:
         assert sum(sieved) == 5000
 
     def test_report_stream_passes(self, tmp_path, monkeypatch):
-        # work ratchet: profile stream passes per report outside the store
-        # build, 0 today (both profile kinds walk in the build; the
-        # profiles, the three stream-based remainder kinds and the tail
-        # sups read those walks); no change raises it
+        # work ratchet: profile stream passes outside the store build, 0
+        # today for report, remainders, verify, h-profile and intervals
+        # (each command plans the profile points it reads, and the build
+        # walks their kinds and answers them; the profiles, the three
+        # stream-based remainder kinds and the tail sups read those walks);
+        # no change raises it
         passes = []
         stream_cumulative = hprofile.stream_cumulative
 
@@ -225,15 +238,55 @@ class TestDeterminism:
             return stream_cumulative(*args, **kwargs)
 
         monkeypatch.setattr(hprofile, "stream_cumulative", counted)
-        assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
-                    "--grid", "100:2.0", "--out", str(tmp_path / "r.json")]) == 0
-        assert len(passes) == 0
+        for command in (["report"], ["remainders"], ["verify"],
+                        ["h-profile", "--kind", "mertens"], ["intervals"]):
+            out = tmp_path / command[0]
+            out.mkdir()
+            assert run(command + ["--n-max", "5000", "--conv-cap", "5000",
+                                  "--grid", "100:2.0", "--out", str(out)]) == 0
+            assert len(passes) == 0, command
+
+    @pytest.mark.parametrize("command", ["report", "remainders"])
+    def test_planned_answers_match_the_library_route(self, command, tmp_path, monkeypatch):
+        # the profile points a command reads are answered in its store's
+        # build; every remainder series and profile it reads has the bits
+        # that the library route gives on a plain store
+        series_seen, profiles_seen = {}, {}
+        remainder_series, build_profile = identities.remainder_series, hprofile.build_profile
+
+        def series(store, kind, xs):
+            series_seen[kind] = (xs, remainder_series(store, kind, xs))
+            return series_seen[kind][1]
+
+        def profile(store, kind, samples_per_decade):
+            profiles_seen[kind] = build_profile(store, kind, samples_per_decade)
+            return profiles_seen[kind]
+
+        with monkeypatch.context() as m:
+            m.setattr(identities, "remainder_series", series)
+            m.setattr(hprofile, "build_profile", profile)
+            m.setattr(hprofile, "stream_cumulative", None)
+            assert run([command, "--n-max", "5000", "--conv-cap", "5000", "--grid", "100:2.0",
+                        "--out", str(tmp_path / "r.json")]) == 0
+        plain = summatory.PrefixSums(5000)
+        assert sorted(series_seen) == sorted(identities.SERIES_KINDS)
+        for kind, (xs, got) in series_seen.items():
+            want = remainder_series(plain, kind, xs)
+            assert got.raw.tolist() == want.raw.tolist(), kind
+            assert got.normalized.tolist() == want.normalized.tolist(), kind
+        assert sorted(profiles_seen) == ([] if command == "remainders" else ["mertens", "smoothed"])
+        for kind, got in profiles_seen.items():
+            want = build_profile(plain, kind)
+            for name in ("y_samples", "h_values", "cumulative_abs_integral",
+                         "cumulative_signed_integral", "zeros", "cum_abs_at_zeros"):
+                assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
 
     # integers visited by PrefixSums.window_terms per report, over n_max:
-    # 71.30 at the defaults of the run below (72.12 while the profile walks
-    # made their own pass after the build); this ceiling may be lowered,
-    # never raised
-    WINDOW_TERMS_PER_N_MAX = 71.4
+    # 66.30 at the defaults of the run below (71.30 while the profile
+    # points were replayed from the walk's block seams, 72.12 while the
+    # profile walks made their own pass after the build); this ceiling may
+    # be lowered, never raised
+    WINDOW_TERMS_PER_N_MAX = 66.4
 
     def test_report_window_terms_visits(self, tmp_path, monkeypatch):
         # work ratchet: the build, the walks that ride in it and every

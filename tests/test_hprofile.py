@@ -130,27 +130,43 @@ class TestStreamCumulative:
             return window_terms(k, kinds, hi)
 
         monkeypatch.setattr(store, "window_terms", recorded)
-        hprofile.stream_cumulative(store, ("mertens",))
+        hprofile.stream_cumulative(store, {"mertens": ()})
         assert len(asked) == 10 and all("a" not in kinds for kinds in asked)
+
+    # query points at seams, inside the zero runs 39..40, 422..425 and
+    # 45519..45522, on both sides of the first smoothed zero, sqrt(30), at
+    # y = 1 and n_max, in unsorted order, with duplicates, and with
+    # floor(max y) < n_max, where the single pass stops short of the walk
+    QUERY_SETS = (
+        [2.5, 39.0, 39.5, 40.0, 423.0, 1000.3, 65536.5, float(N_STRIDED)],
+        [40.0, 2.0, 424.7, 2.0, 5.6, 5.2],
+        [78.0, 211.0, 422.0, 5000.0, 12345.6, 45519.0, 45520.5, 45521.0],
+        [float(N_STRIDED) + 0.5, 17.0, 65536.0],
+        [1.0],
+    )
 
     @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
     def test_matches_single_pass(self, strided_stores, stride):
-        # replaying one block from the walk's seam gives the single pass's
-        # values bit for bit: query points at seams, inside the zero runs
-        # 39..40, 422..425 and 45519..45522, in unsorted order, and with
-        # floor(max y) < n_max, where the pass stops short of the walk
+        # a walk of the built store that is given the points answers them
+        # with the single pass's values, bit for bit
         store = strided_stores[stride]
-        query_sets = (
-            [2.5, 39.0, 39.5, 40.0, 423.0, 1000.3, 65536.5, float(N_STRIDED)],
-            [40.0, 2.0, 424.7],
-            [78.0, 211.0, 422.0, 5000.0, 12345.6, 45519.0, 45520.5, 45521.0],
-            [float(N_STRIDED) + 0.5, 17.0, 65536.0],
-            [1.0],
-        )
-        for ys in query_sets:
+        for ys in self.QUERY_SETS:
             for kind in ("smoothed", "mertens"):
                 assert_same_stream(hprofile.cumulative_at(store, ys, kind),
                                    oracles.stream_single_pass(store, ys, kind))
+
+    @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
+    def test_build_answers_match_single_pass(self, strided_stores, stride, monkeypatch):
+        # a build that carries the points answers each in the block that
+        # holds its floor, with the single pass's values, bit for bit; a
+        # point's answer does not depend on the other points
+        plan = {kind: np.concatenate(self.QUERY_SETS) for kind in ("smoothed", "mertens")}
+        store = summatory.PrefixSums(N_STRIDED, stride=stride, walk=hprofile.Walk(plan))
+        monkeypatch.setattr(hprofile, "stream_cumulative", None)
+        for ys in self.QUERY_SETS:
+            for kind in ("smoothed", "mertens"):
+                assert_same_stream(hprofile.cumulative_at(store, ys, kind),
+                                   oracles.stream_single_pass(strided_stores[stride], ys, kind))
 
     @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
     def test_walk_matches_single_pass(self, strided_stores, stride):
@@ -165,12 +181,13 @@ class TestStreamCumulative:
     @pytest.mark.parametrize("stride", [211, 2845, 1 << 16])
     def test_joint_walk_matches_separate_walks(self, strided_stores, stride):
         # one pass for both kinds shares each block's M, logs and Q; every
-        # seam, zero and decade sup is that of the kind's own walk
+        # answer, zero and decade sup is that of the kind's own walk
         store = strided_stores[stride]
-        joint = hprofile.stream_cumulative(store, ("mertens", "smoothed"))
+        ys = [2.5, 39.5, 1000.3, 45520.5, float(N_STRIDED)]
+        joint = hprofile.stream_cumulative(store, {"mertens": ys, "smoothed": ys})
         for kind in ("smoothed", "mertens"):
-            alone = hprofile.stream_cumulative(store, (kind,))[kind]
-            assert joint[kind].seams == alone.seams, kind
+            alone = hprofile.stream_cumulative(store, {kind: ys})[kind]
+            assert joint[kind].answers == alone.answers, kind
             assert joint[kind].zeros_y == alone.zeros_y, kind
             assert joint[kind].zeros_cum_abs == alone.zeros_cum_abs, kind
             assert list(joint[kind].decade_sup.items()) == list(alone.decade_sup.items())
@@ -183,37 +200,41 @@ class TestStreamCumulative:
         # without walks, and every walk is that of stream_cumulative and of
         # one pass over [1, n_max], bit for bit, the tail window included
         plain = strided_stores[stride]
+        ys = [2.5, 39.5, 1000.3, 45520.5, float(N_STRIDED)]
         for kinds in (("mertens",), ("smoothed", "mertens")):
-            walk = hprofile.Walk(kinds)
+            plan = {kind: ys for kind in kinds}
+            walk = hprofile.Walk(plan)
             store = summatory.PrefixSums(N_STRIDED, stride=stride, walk=walk)
             assert walk.seconds > 0.0
             for name in ("cp_m", "cp_a", "cp_fint"):
                 assert getattr(store, name).tolist() == getattr(plain, name).tolist(), name
             assert store.mertens_at_n_max == plain.mertens_at_n_max
-            streamed = hprofile.stream_cumulative(plain, kinds)
+            streamed = hprofile.stream_cumulative(plain, plan)
             with monkeypatch.context() as m:
                 m.setattr(hprofile, "stream_cumulative", None)
                 walks = hprofile.profile_walk(store, kinds)
-                ys = [2.5, 39.5, 1000.3, 45520.5, float(N_STRIDED)]
                 for kind in kinds:
-                    assert walks[kind].seams == streamed[kind].seams, kind
+                    assert walks[kind].answers == streamed[kind].answers, kind
                     assert_same_events(walks[kind], oracles.stream_single_pass(
                         plain, [float(N_STRIDED)], kind))
                     assert_same_stream(hprofile.cumulative_at(store, ys, kind),
                                        oracles.stream_single_pass(plain, ys, kind))
 
-    def test_build_walks_a_tail_window_alone(self):
+    def test_build_walks_a_tail_window_alone(self, monkeypatch):
         # 16 full windows fill the first block, so the last five integers
         # make a block of their own, which only the walks read
         n_max = summatory.BLOCK * 64 + 5
-        walk = hprofile.Walk(("smoothed", "mertens"))
+        ys = [float(n_max - 5), n_max - 2.5, float(n_max)]
+        walk = hprofile.Walk({"smoothed": ys, "mertens": ys})
         store = summatory.PrefixSums(n_max, stride=64, walk=walk)
         plain = summatory.PrefixSums(n_max, stride=64)
         assert store.mertens_at_n_max == plain.mertens_at_n_max
+        monkeypatch.setattr(hprofile, "stream_cumulative", None)
         for kind in ("smoothed", "mertens"):
             walked = hprofile.profile_walk(store, (kind,))[kind]
-            assert len(walked.seams) == 2
             assert_same_events(walked, oracles.stream_single_pass(plain, [float(n_max)], kind))
+            assert_same_stream(hprofile.cumulative_at(store, ys, kind),
+                               oracles.stream_single_pass(plain, ys, kind))
 
     def test_decade_sup_deep_inside_a_block(self, strided_stores):
         # at stride 211, sup |M(n)|/n over [10^4, 10^5) lies at n = 11 773,
@@ -234,9 +255,9 @@ class TestStreamCumulative:
         walked = []
         stream_cumulative = hprofile.stream_cumulative
 
-        def counted(store, kinds):
-            walked.append(kinds)
-            return stream_cumulative(store, kinds)
+        def counted(store, plan):
+            walked.append(tuple(plan))
+            return stream_cumulative(store, plan)
 
         monkeypatch.setattr(hprofile, "stream_cumulative", counted)
         hprofile.profile_walk(store, ("mertens",))
@@ -247,8 +268,10 @@ class TestStreamCumulative:
             hprofile.profile_walk(store, ("smooth",))
 
     def test_walks_once_per_store(self, monkeypatch):
+        # the points a walk was given, the profile samples among them, are
+        # read from its answers without another walk
         store = summatory.PrefixSums(3000, stride=97)
-        ys = [2.0, 100.5, 2999.0]
+        ys = np.concatenate(([2.0, 100.5, 2999.0], hprofile.sample_ys(3000)))
         first = {kind: hprofile.cumulative_at(store, ys, kind)
                  for kind in ("smoothed", "mertens")}
         walks = hprofile.profile_walk(store, ("smoothed", "mertens"))
@@ -258,9 +281,9 @@ class TestStreamCumulative:
 
         monkeypatch.setattr(hprofile, "stream_cumulative", no_walk)
         for kind in ("smoothed", "mertens"):
+            assert_same_stream(hprofile.cumulative_at(store, ys[::-1], kind),
+                               oracles.stream_single_pass(store, ys[::-1], kind))
             assert_same_stream(hprofile.cumulative_at(store, ys, kind), first[kind])
-            assert_same_stream(hprofile.cumulative_at(store, [50.5], kind),
-                               oracles.stream_single_pass(store, [50.5], kind))
             assert hprofile.profile_walk(store, (kind,))[kind] is walks[kind]
             hprofile.build_profile(store, kind)
 
