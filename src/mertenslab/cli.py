@@ -151,9 +151,10 @@ class Context:
 
     def plan(self, kind: str, ys=None) -> None:
         """Have the store's build answer the points ys of the profile kind,
-        by default the profile's samples."""
+        by default every point its profile reads."""
         if ys is None:
-            ys = hprofile.sample_ys(self.config.n_max, self.config.samples_per_decade)
+            ys = np.concatenate(hprofile.profile_ys(self.config.n_max,
+                                                    self.config.samples_per_decade))
         self.walk_plan[kind] = np.concatenate((self.walk_plan.get(kind, []), ys))
 
     def profile(self, kind: str) -> hprofile.HProfile:
@@ -335,11 +336,14 @@ def grid_for(cfg: RunConfig, name: str):
     lie in its name's domain: x >= 1 for ``mertens`` and log_square_sum,
     x > 0 for the mean-gap kinds, x >= 2 for the rest (a usage error
     below), and x at most n_max, or log(n_max)^2 for the mean-gap kinds
-    (a capability error above).  A command takes every grid it needs
-    before the store is built, so each error raised here comes before any
-    work.
+    (a capability error above).  lambda2-forms and residual-stats refuse
+    a conv_cap whose table would not fit in memory (a capability error).
+    A command takes every grid it needs before the store is built, so each
+    error raised here comes before any work.
     """
     n_max = float(cfg.n_max)
+    if name in ("lambda2-forms", "residual-stats"):
+        dirichlet.check_table_cap(cfg.conv_cap)
     if name == "mertens-values":
         return [10 ** k for k in sorted(MERTENS_POWERS_OF_TEN) if 10 ** k <= cfg.n_max]
     if name == "residual-stats":
@@ -530,6 +534,7 @@ def cmd_sieve(ctx: Context) -> int:
 
 def cmd_table(ctx: Context) -> int:
     cfg = ctx.config
+    dirichlet.check_table_cap(cfg.conv_cap)
     ns = range(1, cfg.conv_cap + 1)
     if cfg.points is not None:
         # every row is named before the store and the table are built

@@ -36,6 +36,14 @@ TOL_REL = 1e-9
 TABLE_BYTES_PER_INT = 96
 
 
+def check_table_cap(n_max: int) -> None:
+    """Refuse a table cap whose table would not fit in physical memory."""
+    usable = max_usable(TABLE_BYTES_PER_INT)
+    if n_max > usable:
+        raise CapabilityError(f"table cap {n_max} needs more than physical memory; "
+                              f"max usable table cap is {usable}", max_usable=usable)
+
+
 def convolve_prefix(f: np.ndarray, g: np.ndarray, n_max: int) -> np.ndarray:
     """Dirichlet convolution (f*g)(n) = sum_{d|n} f(d) g(n/d) for n <= n_max.
 
@@ -106,10 +114,7 @@ def build_arith_table(store: PrefixSums, n_max: int,
     if n_max > store.n_max:
         raise CapabilityError(f"table cap {n_max} beyond store cap {store.n_max}",
                               max_usable=store.n_max)
-    usable = max_usable(TABLE_BYTES_PER_INT)
-    if n_max > usable:
-        raise CapabilityError(f"table cap {n_max} needs more than physical memory; "
-                              f"max usable table cap is {usable}", max_usable=usable)
+    check_table_cap(n_max)
 
     mu = np.zeros(n_max + 1, dtype=np.int8)
     mu[1:] = store.mu[:n_max]

@@ -28,17 +28,22 @@ floor, so every answer is that of a single pass up to the point, and it
 records the crossings or zero runs, with the integral of |H| up to each,
 and for mertens the decade sups, over the whole range.  The kinds walked
 together share each block's M, logs and Q, and A is built only for the
-smoothed kind.  :func:`cumulative_at` reads the answers, and walks once
-more for points that no walk was given.
+smoothed kind.  Every reader (:func:`cumulative_at`,
+:func:`h_derivative_many`, :func:`build_profile`) takes the answers through
+:func:`profile_walk`, which walks once more only for points that no walk
+was given.
 
 For the mertens profile H is a step function: M moves by at most one per
 step, so every sign change passes through an exact-zero run; the run's
-first and last step boundaries are recorded as zeros (left endpoints, in
-x-coordinates) and flagged as step boundaries.
+first and last steps, where M is 0 but not on both sides, are recorded as
+zeros (left endpoints, in x-coordinates) and flagged as step boundaries.
 
 A profile carries the sup of |H'| it was built with (``deriv_sup``, over a
 grid four times as dense as its samples), so the interval statistics and
-the constants read it without asking which kind of profile they hold.
+the constants read it without asking which kind of profile they hold.  The
+grid, like the samples, depends only on n_max and the samples a decade
+(:func:`profile_ys`), so a build planned with both answers every value a
+profile reads.
 """
 
 from __future__ import annotations
@@ -117,7 +122,8 @@ class _Block:
     ``window_terms``: M, the step ends u, and the increments of 2 Q (the
     exact factor 2 of every step's integral); the logs and A's running
     sums only for the smoothed kind, and without it Q takes the logs'
-    place."""
+    place.  ``m_out`` holds M(lo - 1) and M(hi), the neighbours of its
+    steps; past n_max, M counts as 1."""
 
     # the window_terms read without and with the smoothed kind
     TERMS = {False: ("m", "log"), True: ("m", "log", "a")}
@@ -126,6 +132,8 @@ class _Block:
         self.m_cum = terms["m"]
         self.lo = k * store.stride + 1
         self.hi = self.lo + len(self.m_cum)
+        m_next = int(self.m_cum[-1]) + int(store.mu[self.hi - 1]) if self.hi <= store.n_max else 1
+        self.m_out = (int(self.m_cum[0]) - int(store.mu[self.lo - 1]), m_next)
         # step i is [n, n + 1) with n = lo + i; u_all holds both ends
         self.u_all = terms["u"]
         if "a" in terms:        # the smoothed kind reads A
@@ -162,6 +170,11 @@ class ProfileWalk:
     zeros_cum_abs: list = field(default_factory=list)
     decade_sup: dict = field(default_factory=dict)
 
+    def at(self, ys: np.ndarray) -> np.ndarray:
+        """The answers at the points ys as four rows: the integrals of |H|
+        and of H, M and A."""
+        return np.array([self.answers[y] for y in ys.tolist()]).reshape(-1, 4).T
+
 
 class _Walker:
     """Carries one kind's stream across blocks from n = 1 and records its
@@ -175,14 +188,7 @@ class _Walker:
         self.ys = ys.tolist()[::-1]     # the points not yet answered, largest first
         self.acc_abs = NeumaierSum()
         self.acc_sig = NeumaierSum()
-        self.run_open = False           # an M == 0 run reaches the seam
-        self.run_start_n = 0
-        self.last_zero_n = 0
         self.walk = ProfileWalk()
-
-    def _emit_step_zero(self, n_pos: int, cum_value: float) -> None:
-        self.walk.zeros_y.append(float(n_pos))
-        self.walk.zeros_cum_abs.append(cum_value)
 
     def step(self, block: _Block) -> None:
         """Walk the block from the integrals where it starts: its zeros,
@@ -207,52 +213,30 @@ class _Walker:
             d_sig = m_cum * block.q2_step
         d_abs = np.abs(d_sig)
 
-        # crossings of the continuous smoothed sum (rare); fix the step's
-        # absolute increment before prefix sums are taken
-        cross_fix = {}
+        # the zeros: step i -> (the zero's y, the integral of |H| over the
+        # step up to it)
+        zeros = {}
+        run_ends_last = False
         if self.smoothed:
-            for i in np.flatnonzero(cross):
+            # crossings of the continuous smoothed sum (rare); fix the
+            # step's absolute increment before prefix sums are taken
+            for i in np.flatnonzero(cross).tolist():
                 m_i = float(m_cum[i])
                 a_i = float(a_cum[i])
-                step_n = lo + int(i)
-                u_star = _refine_crossing(m_i, a_i, step_n)
-                left = abs(_piece_smoothed(m_i, a_i, step_n, u_star))
-                right = abs(_piece_smoothed(m_i, a_i, u_star, step_n + 1))
-                d_abs[i] = left + right
-                cross_fix[i] = (u_star, left)
-            if cross_fix:
-                pre_abs = _exclusive(d_abs, start_abs, max(cross_fix) + 1)
-                for i in sorted(cross_fix):
-                    walk.zeros_y.append(cross_fix[i][0])
-                    walk.zeros_cum_abs.append(float(pre_abs[i]) + cross_fix[i][1])
+                u_star = _refine_crossing(m_i, a_i, lo + i)
+                left = abs(_piece_smoothed(m_i, a_i, lo + i, u_star))
+                d_abs[i] = left + abs(_piece_smoothed(m_i, a_i, u_star, lo + i + 1))
+                zeros[i] = (u_star, left)
         else:
-            # maximal runs of M == 0: zeros at the run's first and last step;
-            # M moves by one per step, so a block without a sign change of M
-            # holds none
+            # the first and last step of each maximal run of M == 0, the
+            # steps where M is 0 and not on both sides; M moves by one per
+            # step, so a block without a sign change of M holds none
             top, bottom = int(m_cum.max()), int(m_cum.min())
-            idx = np.flatnonzero(m_cum == 0) if bottom <= 0 <= top else []
-            if self.run_open and not (len(idx) and idx[0] == 0):
-                if self.last_zero_n > self.run_start_n:
-                    self._emit_step_zero(self.last_zero_n, start_abs)
-                self.run_open = False
-            if len(idx):
-                pre_abs = _exclusive(d_abs, start_abs, int(idx[-1]) + 1)
-                gaps = np.flatnonzero(np.diff(idx) > 1)
-                starts = idx[np.concatenate(([0], gaps + 1))]
-                ends = idx[np.concatenate((gaps, [len(idx) - 1]))]
-                for s_i, e_i in zip(starts, ends):
-                    n_s, n_e = lo + int(s_i), lo + int(e_i)
-                    continued = self.run_open and s_i == 0
-                    if not continued:
-                        self._emit_step_zero(n_s, float(pre_abs[s_i]))
-                        self.run_start_n = n_s
-                    if n_e == hi - 1:
-                        self.run_open = True
-                        self.last_zero_n = n_e
-                    else:
-                        self.run_open = False
-                        if n_e > self.run_start_n:
-                            self._emit_step_zero(n_e, float(pre_abs[e_i]))
+            if bottom <= 0 <= top:
+                zero = np.concatenate(([block.m_out[0] == 0], m_cum == 0, [block.m_out[1] == 0]))
+                for i in np.flatnonzero(zero[1:-1] & ~(zero[:-2] & zero[2:])).tolist():
+                    zeros[i] = (float(lo + i), 0.0)
+                run_ends_last = len(m_cum) - 1 in zeros and zero[-3]
             for dec in range(len(str(lo)) - 1, len(str(hi - 1))):
                 a_edge = max(lo, 10 ** dec)
                 cut = slice(a_edge - lo, min(hi - 1, 10 ** (dec + 1) - 1) - lo + 1)
@@ -268,8 +252,14 @@ class _Walker:
         points = []
         while self.ys and self.ys[-1] < hi:
             points.append(self.ys.pop())
+        # one prefix of the |H| increments serves the zeros and the points
+        reach = max([*zeros, int(points[-1]) - lo if points else -1]) + 1
+        if reach:
+            pre_abs = _exclusive(d_abs, start_abs, reach)
+        for i, (y_zero, part_abs) in zeros.items():
+            walk.zeros_y.append(y_zero)
+            walk.zeros_cum_abs.append(float(pre_abs[i]) + part_abs)
         if points:
-            pre_abs = _exclusive(d_abs, start_abs, int(points[-1]) - lo + 1)
             pre_sig = _exclusive(d_sig, start_sig, int(points[-1]) - lo + 1)
             for yq in points:
                 i = int(yq) - lo
@@ -283,26 +273,18 @@ class _Walker:
                     else:
                         part_sig = _piece_mertens(m_i, step_n, yq)
                     part_abs = abs(part_sig)
-                    if i in cross_fix and cross_fix[i][0] < yq:
-                        u_star, left_abs = cross_fix[i]
+                    if self.smoothed and i in zeros and zeros[i][0] < yq:
+                        u_star, left_abs = zeros[i]
                         part_abs = left_abs + abs(_piece_smoothed(m_i, a_i, u_star, yq))
                 walk.answers[yq] = (float(pre_abs[i]) + part_abs,
                                     float(pre_sig[i]) + part_sig, m_i, a_i)
 
         self.acc_abs.add(float(d_abs.sum()))
         self.acc_sig.add(float(d_sig.sum()))
-
-    def finish(self) -> ProfileWalk:
-        """Close a zero run that reaches n_max; the walk is then complete."""
-        if self.run_open and self.last_zero_n > self.run_start_n:
-            self._emit_step_zero(self.last_zero_n, self.acc_abs.value)
-        return self.walk
-
-
-def _check_kinds(kinds) -> None:
-    for kind in kinds:
-        if kind not in ("smoothed", "mertens"):
-            raise RangeError(f"unknown profile kind {kind!r}")
+        # a run that ends on the block's last step takes the integral of |H|
+        # after the block
+        if run_ends_last:
+            walk.zeros_cum_abs[-1] = self.acc_abs.value
 
 
 _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -318,7 +300,9 @@ class Walk:
     alone.  ``seconds`` is the time the steps took."""
 
     def __init__(self, plan: dict):
-        _check_kinds(plan)
+        for kind in plan:
+            if kind not in ("smoothed", "mertens"):
+                raise RangeError(f"unknown profile kind {kind!r}")
         self.terms = _Block.TERMS["smoothed" in plan]
         self.walkers = {kind: _Walker(kind, ys) for kind, ys in plan.items()}
         self.seconds = 0.0
@@ -334,7 +318,7 @@ class Walk:
         """kind -> walk, each complete.  The store keeps one walk per kind
         for as long as it lives (:func:`profile_walk`); the answers of a
         later walk of a kept kind join the kept walk's."""
-        walks = {kind: walker.finish() for kind, walker in self.walkers.items()}
+        walks = {kind: walker.walk for kind, walker in self.walkers.items()}
         kept = _WALKS.setdefault(store, {})
         for kind, walk in walks.items():
             kept.setdefault(kind, walk).answers.update(walk.answers)
@@ -344,23 +328,28 @@ class Walk:
 def stream_cumulative(store: PrefixSums, plan: dict) -> dict[str, ProfileWalk]:
     """Walk the built store once over [1, n_max] for ``plan`` as a build
     that carries ``Walk(plan)`` does, and keep the walks; returns kind ->
-    walk.  Use :func:`profile_walk` and :func:`cumulative_at`, which walk
-    only for what no walk of the store has done."""
+    walk.  Use :func:`profile_walk`, which walks only for what no walk of
+    the store has done."""
     walk = Walk(plan)
     for k, terms in store._blocks(walk.terms):
         walk.step(store, k, terms)
     return walk.finish(store)
 
 
-def profile_walk(store: PrefixSums, kinds: tuple[str, ...]) -> dict[str, ProfileWalk]:
-    """The store's walks of ``kinds``, kind -> walk.  The kinds not yet
-    walked are walked together, in one pass, and every walk is then kept
-    for as long as the store lives."""
-    walks = _WALKS.setdefault(store, {})
-    todo = {kind: () for kind in kinds if kind not in walks}
+def profile_walk(store: PrefixSums, kinds: tuple[str, ...], ys=()) -> dict[str, ProfileWalk]:
+    """The store's walks of ``kinds``, kind -> walk, each with an answer at
+    every point of ``ys`` (y >= 1 with floor(y) <= n_max).  The kinds not
+    yet walked, and those without an answer at some point, are walked
+    together in one pass for the missing points (:func:`stream_cumulative`);
+    every walk is kept for as long as the store lives."""
+    kept = _WALKS.get(store, {})
+    keys = np.asarray(ys, dtype=np.float64).tolist()
+    todo = {kind: [y for y in keys if kind not in kept or y not in kept[kind].answers]
+            for kind in kinds}
+    todo = {kind: missing for kind, missing in todo.items() if missing or kind not in kept}
     if todo:
         stream_cumulative(store, todo)
-    return {kind: walks[kind] for kind in kinds}
+    return {kind: _WALKS[store][kind] for kind in kinds}
 
 
 def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult:
@@ -370,25 +359,16 @@ def cumulative_at(store: PrefixSums, ys, kind: str = "smoothed") -> StreamResult
     in the caller's order.  ``cum_abs[i]`` is the x-domain integral of |H|
     from 0 up to x = (log ys[i])^2, ``cum_signed`` likewise without the
     absolute value, and ``f_at`` the profile's numerator at ys[i].  These
-    are the answers of the store's walk of ``kind``; points that no walk
-    was given, in the build or since, are answered by one more walk
-    (:func:`stream_cumulative`).  Every value is the one a single pass up
-    to max ys gives; off the stride grid ``f_at`` equals
-    ``store.big_f_many(ys)`` bitwise.
+    are the answers of the store's walk of ``kind`` (:func:`profile_walk`).
+    Every value is the one a single pass up to max ys gives; off the stride
+    grid ``f_at`` equals ``store.big_f_many(ys)`` bitwise.
     """
-    _check_kinds((kind,))
     ys = np.asarray(ys, dtype=np.float64)
     y_top = float(ys.max(initial=0.0))
     if y_top >= store.n_max + 1:
         raise CapabilityError(f"query point {y_top} beyond store cap {store.n_max}",
                               max_usable=store.n_max)
-    keys = ys.tolist()
-    walk = _WALKS.get(store, {}).get(kind)
-    todo = [y for y in keys if walk is None or y not in walk.answers]
-    if todo:
-        stream_cumulative(store, {kind: todo})
-        walk = _WALKS[store][kind]
-    cum_abs, cum_sig, m, a = np.array([walk.answers[y] for y in keys]).reshape(-1, 4).T
+    cum_abs, cum_sig, m, a = profile_walk(store, (kind,), ys)[kind].at(ys)
     return StreamResult(cum_abs=cum_abs, cum_signed=cum_sig,
                         f_at=m * np.log(ys) - a if kind == "smoothed" else m)
 
@@ -468,46 +448,46 @@ class HProfile:
         return len(self.zeros) < 2
 
 
-def sample_ys(n_max: int, samples_per_decade: int = 32) -> np.ndarray:
-    """The profile's sample points: a geometric y-grid of
-    ``samples_per_decade`` points a decade from y = 2 to y = n_max, empty
-    when n_max lies below the grid start (2.0)."""
+def profile_ys(n_max: int, samples_per_decade: int = 32) -> tuple[np.ndarray, np.ndarray]:
+    """The points a profile over [1, n_max] reads: its samples, a geometric
+    y-grid of ``samples_per_decade`` points a decade from y = 2 to
+    y = n_max, and the grid four times as dense on which it takes the sup
+    of |H'|; both empty when n_max lies below the grid start (2.0)."""
     if samples_per_decade < 10:
         raise RangeError("samples_per_decade must be >= 10")
     if n_max < Y_GRID_START:
-        return np.zeros(0)
+        return np.zeros(0), np.zeros(0)
     n_pts = max(int(math.ceil(samples_per_decade * math.log10(n_max / Y_GRID_START))), 1) + 1
     ys = np.geomspace(Y_GRID_START, float(n_max), n_pts)
     ys[-1] = float(n_max)
-    return np.unique(ys)
+    ys = np.unique(ys)
+    return ys, np.minimum(np.geomspace(Y_GRID_START, n_max, 4 * len(ys)), n_max)
 
 
 def build_profile(store: PrefixSums, kind: str = "smoothed",
                   samples_per_decade: int = 32) -> HProfile:
-    """Sample H at the points :func:`sample_ys` over the store's whole range
-    [1, n_max] and attach exact cumulative integrals, the walk's zeros and
-    ``deriv_sup``.
+    """Sample H at the points :func:`profile_ys` over the store's whole
+    range [1, n_max] and attach exact cumulative integrals, the walk's zeros
+    and ``deriv_sup``, the sup of |H'| on the denser grid.  Every value is
+    an answer of the store's walk of ``kind``: a build planned with those
+    points gives them all, and otherwise one more walk does
+    (:func:`profile_walk`).
 
     A profile of [1, y] is the profile of ``PrefixSums(y, stride)``.  A
     store with n_max below the grid start yields a profile without samples
     (``deriv_sup`` 0), which downstream consumers must treat as the
     finite-zeros branch rather than an error.
     """
-    _check_kinds((kind,))
-    ys = sample_ys(store.n_max, samples_per_decade)
+    ys, yd = profile_ys(store.n_max, samples_per_decade)
+    walk = profile_walk(store, (kind,), np.concatenate((ys, yd)))[kind]
     res = cumulative_at(store, ys, kind=kind)
-    walk = profile_walk(store, (kind,))[kind]
     xs = np.log(ys) ** 2
     h_vals = res.f_at / ys
-
-    # sup |H'| over a geometric grid four times as dense as the samples
-    yd = np.geomspace(Y_GRID_START, store.n_max, 4 * len(ys))
-    yd = np.minimum(np.maximum(yd, 1.0), store.n_max)
     if kind == "smoothed":
         h_prime = h_derivative_many(store, yd)
     else:
         xd = np.maximum(np.log(yd) ** 2, X_MIN_GUARD)
-        h_prime = store.mertens_many(yd).astype(np.float64) / yd / (2.0 * np.sqrt(xd))
+        h_prime = cumulative_at(store, yd, kind).f_at / yd / (2.0 * np.sqrt(xd))
 
     zeros_y = np.array(walk.zeros_y, dtype=np.float64)
     return HProfile(
@@ -542,11 +522,21 @@ def h_derivative_many(store: PrefixSums, ys) -> np.ndarray:
     dH/dx = (M(y) - F(y)) / (2 sqrt(x) y), from F'(y) = M(y)/y and the chain
     rule.  At integer y the step value of M gives the right-hand limit; x
     below the left cutoff is clamped to it.  Every y must lie in [1, n_max].
+    M and A at floor(y) are the answers of the store's smoothed walk
+    (:func:`profile_walk`).
     """
-    ys, ns = store._floor_many(ys)
+    try:
+        ys = np.asarray(ys, dtype=np.float64)
+    except OverflowError:
+        raise CapabilityError(f"argument beyond table cap {store.n_max}",
+                              max_usable=store.n_max) from None
+    if not ys.min(initial=1.0) >= 1.0:
+        raise RangeError(f"argument {ys.min()} below admissible minimum 1.0")
+    if ys.max(initial=1.0) > store.n_max:
+        raise CapabilityError(f"argument {ys.max()} beyond table cap {store.n_max}",
+                              max_usable=store.n_max)
     xs = np.maximum(np.log(ys) ** 2, X_MIN_GUARD)
-    m, a = store._cum_many(("m", "a"), ns)
-    m = m.astype(np.float64)
+    _, _, m, a = profile_walk(store, ("smoothed",), ys)["smoothed"].at(ys)
     f = m * np.log(ys) - a
     return (m - f) / (2.0 * np.sqrt(xs) * ys)
 

@@ -205,15 +205,15 @@ class PrefixSums:
         return {kind: terms[kind] if kind == "m" else self._running(k, kind, terms[kind])
                 for kind in kinds}
 
-    def _floor_checked(self, x, lo: float = 1.0) -> int:
+    def _floor_checked(self, x) -> int:
         # exact for integers: float() rounds them above 2^53 and overflows
         xv = int(x) if isinstance(x, (int, np.integer)) else float(x)
-        if lo <= xv <= self.n_max:
+        if 1 <= xv <= self.n_max:
             return int(math.floor(xv))
         shown = xv if not isinstance(xv, int) or xv.bit_length() <= 64 else \
             f"of {xv.bit_length()} bits"    # str() refuses 4 300 digits
-        if not (lo <= xv):
-            raise RangeError(f"argument {shown} below admissible minimum {lo}")
+        if not (1 <= xv):
+            raise RangeError(f"argument {shown} below admissible minimum 1.0")
         raise CapabilityError(
             f"argument {shown} beyond table cap {self.n_max}", max_usable=self.n_max)
 
@@ -353,10 +353,6 @@ class PrefixSums:
         x must lie in [1, n_max], as for psi."""
         return self._pp_running(self._lam, self._floor_many(xs)[1])
 
-    def lambda2_sum(self, x) -> float:
-        """Sum of the Selberg weight up to x: ``lambda2_sums`` at x alone."""
-        return float(self.lambda2_sums([self._floor_checked(x)])[0])
-
     def lambda2_sums(self, xs) -> np.ndarray:
         """Sum of the Selberg weight (Lambda*Lambda + Lambda log) up to every
         x of ``xs``.  Every hyperbola row of Lambda*Lambda sums psi, so one
@@ -367,10 +363,6 @@ class PrefixSums:
 
         ns = self._floor_many(xs)[1]
         return self._hyperbola(ns, psi_rows) + self._pp_running(self._lam_log, ns)
-
-    def theta_sum(self, x) -> float:
-        """Sum of (Lambda*Lambda)(n)/log n up to x: ``theta_sums`` at x alone."""
-        return float(self.theta_sums([self._floor_checked(x)])[0])
 
     def theta_sums(self, xs) -> np.ndarray:
         """Sum of (Lambda*Lambda)(n)/log n up to every x of ``xs``.  Row a
@@ -386,11 +378,6 @@ class PrefixSums:
                 yield self._pp_running(
                     lambda c0, c1: self.pp_lam[c0:c1] / (lga + log_pp[c0:c1]), p)
         return self._hyperbola(ns, theta_rows)
-
-    def lambda_over_n_sum(self, x) -> tuple[float, float]:
-        """(sum_{n<=x} Lambda(n)/n, its gap to log x); 2 <= x <= n_max."""
-        val = float(self.lambda_over_n_sums([self._floor_checked(x, lo=2.0)])[0])
-        return val, val - math.log(float(x))
 
     def lambda_over_n_sums(self, xs) -> np.ndarray:
         """sum_{n<=x} Lambda(n)/n at every x of ``xs``."""

@@ -338,7 +338,7 @@ def window_replay(store, k: int) -> dict:
 class SinglePass:
     """What one pass over [1, floor(max ys)] finds: the integrals and the
     profile's numerator at each query, and the zero events and decade sups
-    of the whole pass."""
+    of the whole pass, and the integral of |H| over the whole pass."""
 
     cum_abs: np.ndarray
     cum_signed: np.ndarray
@@ -346,6 +346,7 @@ class SinglePass:
     zeros_y: np.ndarray
     zeros_cum_abs: np.ndarray
     decade_sup: dict
+    total_abs: float
 
 
 def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
@@ -525,7 +526,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
         f_at=m_q * np.log(ys) - a_q if smoothed else m_q,
         zeros_y=np.array(zeros_y, dtype=np.float64),
         zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
-        decade_sup=decade_sup)
+        decade_sup=decade_sup, total_abs=acc_abs.value)
 
 
 def pointwise_residuals(table, x: float):

@@ -106,21 +106,32 @@ class TestCommands:
          "table rows must be integers >= 1, got 0"),
         (["table", "--n-max", "1000", "--conv-cap", "100", "--points", "4,200"],
          "table: row 200 beyond conv_cap 100"),
+        (["table", "--n-max", "200000", "--conv-cap", "200000", "--points", "5"],
+         "table cap 200000 needs more than physical memory"),
+        (["verify", "--which", "lambda2-forms", "--n-max", "200000", "--conv-cap", "200000"],
+         "table cap 200000 needs more than physical memory"),
+        (["verify", "--which", "residual-stats", "--n-max", "200000", "--conv-cap", "200000"],
+         "table cap 200000 needs more than physical memory"),
+        (["report", "--n-max", "200000", "--conv-cap", "200000"],
+         "table cap 200000 needs more than physical memory"),
     ])
     def test_bounds_refused_before_the_store(self, argv, bound, tmp_path,
                                              monkeypatch, capsys):
         # a grid that starts above n_max, a point outside its check's or
         # remainder kind's domain, a conv_cap below residual-stats' x >= 2,
-        # too few profile samples a decade, no iteration steps, or a table
-        # row that is not an integer in [1, conv_cap] is named before any
-        # work: a point beyond a cap is a capability
-        # error (exit 3), any other bound a usage error (exit 2); no point
-        # is dropped in silence
+        # too few profile samples a decade, no iteration steps, a table row
+        # that is not an integer in [1, conv_cap], or a table cap beyond
+        # memory (here made about 1e5 integers) is named before any work: a
+        # point or a cap beyond a bound is a capability error (exit 3), any
+        # other bound a usage error (exit 2); no point is dropped in silence
         def no_build(*args, **kwargs):
             raise AssertionError("the store began to build")
 
         monkeypatch.setattr(sieve, "base_primes", no_build)
-        status = cli.EXIT_CAPABILITY if "beyond" in bound else cli.EXIT_USAGE
+        memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+        monkeypatch.setattr(dirichlet, "TABLE_BYTES_PER_INT", memory // 10 ** 5)
+        capability = "beyond" in bound or "memory" in bound
+        status = cli.EXIT_CAPABILITY if capability else cli.EXIT_USAGE
         assert run(argv + ["--out", str(tmp_path / "o.json")]) == status
         assert bound in capsys.readouterr().err
         assert not (tmp_path / "o.json").exists()
@@ -282,11 +293,12 @@ class TestDeterminism:
                 assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
 
     # integers visited by PrefixSums.window_terms per report, over n_max:
-    # 66.30 at the defaults of the run below (71.30 while the profile
-    # points were replayed from the walk's block seams, 72.12 while the
-    # profile walks made their own pass after the build); this ceiling may
-    # be lowered, never raised
-    WINDOW_TERMS_PER_N_MAX = 66.4
+    # 64.32 at the defaults of the run below (66.30 while the profiles'
+    # derivative grids were replayed after the build, 71.30 while the
+    # profile points were replayed from the walk's block seams, 72.12 while
+    # the profile walks made their own pass after the build); this ceiling
+    # may be lowered, never raised
+    WINDOW_TERMS_PER_N_MAX = 64.4
 
     def test_report_window_terms_visits(self, tmp_path, monkeypatch):
         # work ratchet: the build, the walks that ride in it and every
@@ -304,6 +316,35 @@ class TestDeterminism:
         assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
                     "--out", str(tmp_path / "r.json")]) == 0
         assert sum(visited) <= self.WINDOW_TERMS_PER_N_MAX * 5000
+
+    @pytest.mark.parametrize("argv", [
+        ["report", "--conv-cap", "5000"],
+        ["h-profile", "--kind", "smoothed"], ["h-profile", "--kind", "mertens"],
+        ["intervals", "--kind", "smoothed"], ["intervals", "--kind", "mertens"],
+    ])
+    def test_planned_profiles_replay_no_window(self, argv, tmp_path, monkeypatch):
+        # work ratchet: a command plans every point its profiles read, the
+        # samples and the derivative grid, so build_profile reads the
+        # build's walk and replays no window
+        building, replayed = [], []
+        build_profile, window = hprofile.build_profile, summatory.PrefixSums._window
+
+        def traced_build(*args, **kwargs):
+            building.append(True)
+            try:
+                return build_profile(*args, **kwargs)
+            finally:
+                building.pop()
+
+        def traced_window(self, k, kinds, top):
+            if building:
+                replayed.append((k, kinds, top))
+            return window(self, k, kinds, top)
+
+        monkeypatch.setattr(hprofile, "build_profile", traced_build)
+        monkeypatch.setattr(summatory.PrefixSums, "_window", traced_window)
+        assert run(argv + ["--n-max", "5000", "--out", str(tmp_path / "out")]) == 0
+        assert replayed == []
 
     def test_report_convolve_prefix_calls(self, tmp_path, monkeypatch):
         # work ratchet: divisor-pair convolutions per report, 4 today (the

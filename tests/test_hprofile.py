@@ -178,6 +178,45 @@ class TestStreamCumulative:
             assert_same_events(hprofile.profile_walk(store, (kind,))[kind],
                                oracles.stream_single_pass(store, [float(N_STRIDED)], kind))
 
+    @pytest.mark.parametrize("case", ["run ends on a seam", "one step at n_max",
+                                      "run reaches n_max"])
+    def test_zero_run_on_a_block_end_matches_single_pass(self, case):
+        # a zero run that ends on a block's last step takes the integral of
+        # |H| after that block, a one-step run there the integral before its
+        # step, and M(n_max + 1) counts as nonzero, all as in one pass, bit
+        # for bit.  A seam (a multiple of BLOCK * stride) is divisible by 16,
+        # so mu vanishes there and no run starts on it: a one-step run ends a
+        # block only at n_max.  The two integrals differ in rounding alone,
+        # so the search takes the first store where they differ.
+        zero = oracles.mertens_dense(3001) == 0
+        at, before, after = zero[1:-1], zero[:-2], zero[2:]    # n = 1 .. 3000
+        block = summatory.BLOCK
+
+        def stores():
+            if case == "run ends on a seam":
+                for stride in range(3000 // block - 1, 0, -1):
+                    for end in range(block * stride, 3000, block * stride):
+                        if at[end - 1] and before[end - 1] and not after[end - 1]:
+                            yield 3000, stride, end
+            else:
+                ends = at & (before if case == "run reaches n_max" else ~before)
+                for n_max in (np.flatnonzero(ends)[::-1] + 1).tolist():
+                    for stride in range(n_max // block - 1, 0, -1):
+                        yield n_max, stride, n_max
+
+        for n_max, stride, end in stores():
+            store = summatory.PrefixSums(n_max, stride=stride)
+            want = oracles.stream_single_pass(store, [float(n_max)], "mertens")
+            before_step = hprofile.cumulative_at(store, [float(end)], "mertens").cum_abs[0]
+            zeros = want.zeros_y.tolist()
+            assert end in zeros
+            after_block = want.zeros_cum_abs[zeros.index(end)] if end < n_max else want.total_abs
+            if before_step != after_block:
+                break
+        else:
+            pytest.fail("no store tells the two integrals apart")
+        assert_same_events(hprofile.profile_walk(store, ("mertens",))["mertens"], want)
+
     @pytest.mark.parametrize("stride", [211, 2845, 1 << 16])
     def test_joint_walk_matches_separate_walks(self, strided_stores, stride):
         # one pass for both kinds shares each block's M, logs and Q; every
@@ -268,24 +307,32 @@ class TestStreamCumulative:
             hprofile.profile_walk(store, ("smooth",))
 
     def test_walks_once_per_store(self, monkeypatch):
-        # the points a walk was given, the profile samples among them, are
-        # read from its answers without another walk
+        # the points a walk was given, every point a profile reads among
+        # them, are read from its answers: build_profile neither walks nor
+        # replays, and its sup of |H'| is that of the store's lookups
         store = summatory.PrefixSums(3000, stride=97)
-        ys = np.concatenate(([2.0, 100.5, 2999.0], hprofile.sample_ys(3000)))
+        samples, grid = hprofile.profile_ys(3000)
+        ys = np.concatenate(([2.0, 100.5, 2999.0], samples, grid))
         first = {kind: hprofile.cumulative_at(store, ys, kind)
                  for kind in ("smoothed", "mertens")}
         walks = hprofile.profile_walk(store, ("smoothed", "mertens"))
+        xd = np.maximum(np.log(grid) ** 2, hprofile.X_MIN_GUARD)
+        m = store.mertens_many(grid).astype(np.float64)
+        h_prime = {"smoothed": (m - store.big_f_many(grid)) / (2.0 * np.sqrt(xd) * grid),
+                   "mertens": m / grid / (2.0 * np.sqrt(xd))}
 
-        def no_walk(*args, **kwargs):
-            raise AssertionError("the store was walked again")
+        def refused(*args, **kwargs):
+            raise AssertionError("the store was walked or replayed again")
 
-        monkeypatch.setattr(hprofile, "stream_cumulative", no_walk)
+        monkeypatch.setattr(hprofile, "stream_cumulative", refused)
+        monkeypatch.setattr(summatory.PrefixSums, "_window", refused)
         for kind in ("smoothed", "mertens"):
             assert_same_stream(hprofile.cumulative_at(store, ys[::-1], kind),
                                oracles.stream_single_pass(store, ys[::-1], kind))
             assert_same_stream(hprofile.cumulative_at(store, ys, kind), first[kind])
             assert hprofile.profile_walk(store, (kind,))[kind] is walks[kind]
-            hprofile.build_profile(store, kind)
+            prof = hprofile.build_profile(store, kind)
+            assert prof.deriv_sup == float(np.abs(h_prime[kind]).max())
 
     def test_tail_sups_match_single_pass(self, strided_stores):
         for store in strided_stores.values():

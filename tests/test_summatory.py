@@ -60,9 +60,7 @@ class TestMertens:
                 with pytest.raises(RangeError):
                     many(xs)
 
-    @pytest.mark.parametrize("query", ["mertens", "psi", "big_f", "big_f_integral",
-                                       "lambda2_sum", "theta_sum",
-                                       "lambda_over_n_sum"])
+    @pytest.mark.parametrize("query", ["mertens", "psi", "big_f", "big_f_integral"])
     def test_huge_integers_are_beyond_the_cap(self, store_1e4, query):
         # exact comparison: no OverflowError, and 2^53 + 1 is not rounded
         for x, shown in ((10 ** 400, "of 1329 bits"), (10 ** 5000, "of 16610 bits"),
@@ -153,16 +151,15 @@ class TestWeightedSums:
         assert np.all(np.abs(got - want) <= 1e-14 * np.maximum(want, 1.0))
 
     def test_lambda_over_n(self, store_1e5):
-        v, r = store_1e5.lambda_over_n_sum(2.0)
-        assert v == pytest.approx(LOG2 / 2, abs=1e-15)
-        assert r == pytest.approx(LOG2 / 2 - LOG2, abs=1e-15)
-        v, r = store_1e5.lambda_over_n_sum(3.0)
-        assert r == pytest.approx(LOG2 / 2 + math.log(3) / 3 - math.log(3), abs=1e-14)
+        v2, v3 = store_1e5.lambda_over_n_sums([2.0, 3.0])
+        assert v2 == pytest.approx(LOG2 / 2, abs=1e-15)
+        assert v3 - math.log(3) == pytest.approx(LOG2 / 2 + math.log(3) / 3 - math.log(3),
+                                                 abs=1e-14)
 
     def test_lambda_over_n_remainder_window(self, store_1e5):
-        for x in np.geomspace(2, 10 ** 5, 60):
-            _, r = store_1e5.lambda_over_n_sum(float(x))
-            assert -1.8 <= r <= 0.0, x
+        xs = np.geomspace(2, 10 ** 5, 60)
+        r = store_1e5.lambda_over_n_sums(xs) - np.log(xs)
+        assert np.all((-1.8 <= r) & (r <= 0.0))
 
 
 class TestPsiAndWeights:
@@ -179,15 +176,10 @@ class TestPsiAndWeights:
 
     def test_scalar_is_the_batch_at_one_point(self, store_1e5):
         xs = np.concatenate((identities.geometric_grid(2.0, 10.0 ** 5), [99_999.5]))
-        for scalar, many in (("psi", "psi_many"), ("lambda2_sum", "lambda2_sums"),
-                             ("theta_sum", "theta_sums")):
-            got = getattr(store_1e5, many)(xs)
-            assert [getattr(store_1e5, scalar)(x) for x in xs] == got.tolist(), scalar
-        got = store_1e5.lambda_over_n_sums(xs)
-        assert [store_1e5.lambda_over_n_sum(x)[0] for x in xs] == got.tolist()
+        assert [store_1e5.psi(x) for x in xs] == store_1e5.psi_many(xs).tolist()
 
     def test_lambda2_sum_hand_value(self, store_1e5):
-        got = store_1e5.lambda2_sum(10)
+        got = store_1e5.lambda2_sums([10])[0]
         want = (LOG2 ** 2 + 2 * LOG2 * math.log(3) + 2 * LOG2 ** 2
                 + 2 * LOG2 * math.log(5) + math.log(3) ** 2          # Lambda*Lambda
                 + LOG2 ** 2 + math.log(3) ** 2 + 2 * LOG2 ** 2
@@ -199,9 +191,9 @@ class TestPsiAndWeights:
         # the hyperbola route against cumulative sums of the dense table
         dense_l2 = np.cumsum(table_2e4.lambda2[1:])
         dense_th = np.cumsum(table_2e4.theta[1:])
-        for x in (100, 4096, 19999):
-            assert store_1e5.lambda2_sum(x) == pytest.approx(dense_l2[x - 1], rel=1e-10), x
-            assert store_1e5.theta_sum(x) == pytest.approx(dense_th[x - 1], rel=1e-10), x
+        xs = np.array([100, 4096, 19999])
+        assert store_1e5.lambda2_sums(xs) == pytest.approx(dense_l2[xs - 1], rel=1e-10)
+        assert store_1e5.theta_sums(xs) == pytest.approx(dense_th[xs - 1], rel=1e-10)
 
 
 # the prime-power sums: each batched route (a point set of integers) and its
