@@ -5,38 +5,54 @@ Two arithmetic profiles share one parametrization, y = exp(sqrt(x)):
     smoothed:  H(x) = F(y)/y   with F(y) = sum_{n<=y} mu(n) log(y/n)
     mertens:   H(x) = M(y)/y
 
-Cumulative integrals over the x-domain are evaluated exactly.  Substituting
-y = exp(sqrt(x)) gives dx = 2 log(u)/u du, and on each unit step [n, n+1)
-the integrand's arithmetic part is M(n) log u - A(n) (or the constant M(n)),
-so every step contributes a closed form built from
+Substituting y = exp(sqrt(x)) gives dx = 2 log(u)/u du, so the signed
+integral of H from 0 up to x = (log y)^2 is 2 times the integral over
+[1, y] of F(u) log u / u^2 (or M(u) log u / u^2).  On a unit step
+[n, n + 1) F is M(n) log u - A(n), with A(n) = sum_{k<=n} mu(k) log k, and
+the two antiderivatives
 
-    Q(u) = -(log u + 1)/u             (antiderivative of log u / u^2)
-    P(u) = -(log^2 u + 2 log u + 2)/u (antiderivative of log^2 u / u^2)
+    Q(u) = -(log u + 1)/u             (of log u / u^2)
+    P(u) = -(log^2 u + 2 log u + 2)/u (of log^2 u / u^2)
 
-Absolute-value integrals split a step only where the linear-in-log factor
-changes sign; that root is also a zero of the continuous F, which is how
-zero crossings are located and then refined by bisection.
+sum by parts over the steps into one closed form at each y.  With
+n = floor(y), T(n) = sum_{k<=n} mu(k) log k / k and U(n) = sum_{k<=n} mu(k)/k:
+
+    smoothed:  I(y) = 2 [M(n) P(y) - A(n) Q(y) + T(n) + 2 U(n)]
+    mertens:   I(y) = 2 [M(n) Q(y) + T(n) + U(n)]
+
+(T and U tend to -1 and 0, the prime number theorem's equivalents, so the
+signed integral of either profile tends to -2.)  H keeps one sign between
+consecutive zeros, so the integral of |H| up to a zero or a point is that
+up to the previous zero plus |I(here) - I(previous zero)|.  That
+difference is taken from the T and U terms between the two, not from two
+values of I near -2, whose rounding would swamp the small integrals
+between zeros at large y.
+
+The zeros come from sign tests.  F is linear in log u on each step, so a
+smoothed zero is a sign change of F between a step's ends, refined by
+bisection.  For the mertens profile H is a step function: M moves by at
+most one per step, so every sign change passes through an exact-zero run;
+the run's first and last steps, where M is 0 but not on both sides, are
+recorded as zeros (left endpoints, in x-coordinates) and flagged as step
+boundaries.
 
 Each kind is walked once per store (:class:`Walk`, :func:`profile_walk`):
 one pass over [1, n_max] in blocks of ``BLOCK`` stride windows, taking
 M(n) and A(n) from the store's checkpoints and mu as the window replay
-does, so its F(y) is the store's.  The walk rides in the store's build
-when the build is given it, and otherwise walks the built store
+does, so its F(y) is the store's.  Per kind it sums the terms of T and U
+block by block and carries their sum since the last zero, and I and the
+integral of |H| at that zero in compensated sums.  It rides in the store's
+build when the build is given it, and otherwise walks the built store
 (:func:`stream_cumulative`), by the same per-block code.  It answers the
 query points it is planned (kind -> points y) in the block that holds each
 floor, so every answer is that of a single pass up to the point, and it
-records the crossings or zero runs, with the integral of |H| up to each,
-and for mertens the decade sups, over the whole range.  The kinds walked
-together share each block's M, logs and Q, and A is built only for the
-smoothed kind.  Every reader (:func:`cumulative_at`,
+records the zeros, with the integral of |H| up to each, and for mertens
+the decade sups, over the whole range.  The kinds walked together share
+each block's M, logs and mu(n)/n, and A is built only for the smoothed
+kind.  Every reader (:func:`cumulative_at`,
 :func:`h_derivative_many`, :func:`build_profile`) takes the answers through
 :func:`profile_walk`, which walks once more only for points that no walk
-was given.
-
-For the mertens profile H is a step function: M moves by at most one per
-step, so every sign change passes through an exact-zero run; the run's
-first and last steps, where M is 0 but not on both sides, are recorded as
-zeros (left endpoints, in x-coordinates) and flagged as step boundaries.
+was given, and then only up to the block that holds the largest.
 
 A profile carries the sup of |H'| it was built with (``deriv_sup``, over a
 grid four times as dense as its samples), so the interval statistics and
@@ -74,18 +90,6 @@ def _p_anti(u, log_u):
     return -(log_u * (log_u + 2.0) + 2.0) / u
 
 
-def _piece_smoothed(m, a, u0, u1):
-    """Signed integral of 2 (m log u - a) log u / u^2 over [u0, u1]."""
-    l0, l1 = math.log(u0), math.log(u1)
-    return 2.0 * (m * (_p_anti(u1, l1) - _p_anti(u0, l0))
-                  - a * (_q_anti(u1, l1) - _q_anti(u0, l0)))
-
-
-def _piece_mertens(m, u0, u1):
-    """Signed integral of 2 m log u / u^2 over [u0, u1]."""
-    return 2.0 * m * (_q_anti(u1, math.log(u1)) - _q_anti(u0, math.log(u0)))
-
-
 @dataclass
 class StreamResult:
     """Exact cumulative integrals and the profile's numerator at each query
@@ -119,11 +123,10 @@ def _refine_crossing(m, a, n, tol_rel=ZERO_XTOL_REL):
 class _Block:
     """The unit steps [n, n + 1), n = k stride + 1 .. hi - 1, of the block
     that starts at window k, as both kinds read them, from its
-    ``window_terms``: M, the step ends u, and the increments of 2 Q (the
-    exact factor 2 of every step's integral); the logs and A's running
-    sums only for the smoothed kind, and without it Q takes the logs'
-    place.  ``m_out`` holds M(lo - 1) and M(hi), the neighbours of its
-    steps; past n_max, M counts as 1."""
+    ``window_terms``: M, the step ends u and their logs, mu(n)/n (and a 0
+    at the end), and A's running sums only for the smoothed kind.
+    ``m_out`` holds M(lo - 1) and M(hi), the neighbours of its steps; past
+    n_max, M counts as 1."""
 
     # the window_terms read without and with the smoothed kind
     TERMS = {False: ("m", "log"), True: ("m", "log", "a")}
@@ -136,25 +139,11 @@ class _Block:
         self.m_out = (int(self.m_cum[0]) - int(store.mu[self.lo - 1]), m_next)
         # step i is [n, n + 1) with n = lo + i; u_all holds both ends
         self.u_all = terms["u"]
+        self.log_all = terms["log"]
         if "a" in terms:        # the smoothed kind reads A
-            self.log_all = terms["log"]
             self.a_cum = store._running(k, "a", terms["a"])
-            q2 = self.log_all + 1.0
-        else:
-            q2 = terms["log"]
-            q2 += 1.0
-        q2 *= -2.0
-        q2 /= self.u_all
-        self.q2_step = q2[1:] - q2[:-1]
-
-
-def _exclusive(d: np.ndarray, start: float, top: int) -> np.ndarray:
-    """start plus the running sum of d before each of the first top steps."""
-    pre = np.empty(top)
-    pre[0] = start
-    np.cumsum(d[:top - 1], out=pre[1:])
-    pre[1:] += start
-    return pre
+        self.mu_n = np.zeros(len(self.u_all))
+        np.divide(store.mu[self.lo - 1:self.hi - 1], self.u_all[:-1], out=self.mu_n[:-1])
 
 
 @dataclass
@@ -178,65 +167,49 @@ class ProfileWalk:
 
 class _Walker:
     """Carries one kind's stream across blocks from n = 1 and records its
-    zero events, decade sups and the answers at its points in ``walk``."""
+    zeros, decade sups and the answers at its points in ``walk``.  I is
+    2 S + G, with S = T + c U (c = 2 smoothed, 1 mertens), whose terms are
+    mu(n) (log n + c) / n, and G = 2 (M P - A Q) or 2 M Q.  Of its last
+    zero (y = 1 before the first) the walker carries S's terms summed after
+    it up to the block (``s_after``), G there, and I and the integral of |H|
+    up to it, so I less I at that zero sums only the terms between."""
 
     def __init__(self, kind: str, ys):
         self.smoothed = kind == "smoothed"
+        self.c = 2.0 if self.smoothed else 1.0
         ys = np.unique(np.asarray(ys, dtype=np.float64))
         if not ys.min(initial=1.0) >= 1.0:
             raise RangeError("query points must satisfy y >= 1")
         self.ys = ys.tolist()[::-1]     # the points not yet answered, largest first
-        self.acc_abs = NeumaierSum()
-        self.acc_sig = NeumaierSum()
+        self.s_after, self.g_zero = 0.0, 0.0
+        self.i_zero, self.abs_zero = NeumaierSum(), NeumaierSum()
         self.walk = ProfileWalk()
 
     def step(self, block: _Block) -> None:
-        """Walk the block from the integrals where it starts: its zeros,
-        sups, points and sums, in the stream's order."""
+        """Walk the block: its zeros, sups and points, in the stream's
+        order."""
         walk = self.walk
         lo, hi = block.lo, block.hi
         # M stays int64: every product with it casts it exactly to float64
         m_cum = block.m_cum
-        start_abs, start_sig = self.acc_abs.value, self.acc_sig.value
         if self.smoothed:
-            a_cum = block.a_cum
-            log_all = block.log_all
-            p_all = _p_anti(block.u_all, log_all)
-            # 2 (M dP - A dQ), with the factor 2 of dQ taken by the block
-            d_sig = m_cum * (p_all[1:] - p_all[:-1])
-            d_sig *= 2.0
-            d_sig -= a_cum * block.q2_step
+            # sign changes of the continuous smoothed sum (rare)
+            a_cum, log_all = block.a_cum, block.log_all
             g_start = m_cum * log_all[:-1] - a_cum
             g_end = m_cum * log_all[1:] - a_cum
-            cross = g_start * g_end < 0.0
-        else:
-            d_sig = m_cum * block.q2_step
-        d_abs = np.abs(d_sig)
-
-        # the zeros: step i -> (the zero's y, the integral of |H| over the
-        # step up to it)
-        zeros = {}
-        run_ends_last = False
-        if self.smoothed:
-            # crossings of the continuous smoothed sum (rare); fix the
-            # step's absolute increment before prefix sums are taken
-            for i in np.flatnonzero(cross).tolist():
-                m_i = float(m_cum[i])
-                a_i = float(a_cum[i])
-                u_star = _refine_crossing(m_i, a_i, lo + i)
-                left = abs(_piece_smoothed(m_i, a_i, lo + i, u_star))
-                d_abs[i] = left + abs(_piece_smoothed(m_i, a_i, u_star, lo + i + 1))
-                zeros[i] = (u_star, left)
+            zero_i = np.flatnonzero(g_start * g_end < 0.0)
+            zero_y = [_refine_crossing(float(m_cum[i]), float(a_cum[i]), lo + i)
+                      for i in zero_i.tolist()]
         else:
             # the first and last step of each maximal run of M == 0, the
             # steps where M is 0 and not on both sides; M moves by one per
             # step, so a block without a sign change of M holds none
             top, bottom = int(m_cum.max()), int(m_cum.min())
+            zero_i = np.zeros(0, dtype=np.int64)
             if bottom <= 0 <= top:
                 zero = np.concatenate(([block.m_out[0] == 0], m_cum == 0, [block.m_out[1] == 0]))
-                for i in np.flatnonzero(zero[1:-1] & ~(zero[:-2] & zero[2:])).tolist():
-                    zeros[i] = (float(lo + i), 0.0)
-                run_ends_last = len(m_cum) - 1 in zeros and zero[-3]
+                zero_i = np.flatnonzero(zero[1:-1] & ~(zero[:-2] & zero[2:]))
+            zero_y = (zero_i + lo).astype(np.float64).tolist()
             for dec in range(len(str(lo)) - 1, len(str(hi - 1))):
                 a_edge = max(lo, 10 ** dec)
                 cut = slice(a_edge - lo, min(hi - 1, 10 ** (dec + 1) - 1) - lo + 1)
@@ -252,39 +225,48 @@ class _Walker:
         points = []
         while self.ys and self.ys[-1] < hi:
             points.append(self.ys.pop())
-        # one prefix of the |H| increments serves the zeros and the points
-        reach = max([*zeros, int(points[-1]) - lo if points else -1]) + 1
-        if reach:
-            pre_abs = _exclusive(d_abs, start_abs, reach)
-        for i, (y_zero, part_abs) in zeros.items():
-            walk.zeros_y.append(y_zero)
-            walk.zeros_cum_abs.append(float(pre_abs[i]) + part_abs)
+        # S's terms summed from the last zero before the block to its first
+        # zero, between its zeros, and from its last zero to its end, the
+        # sum carried on
+        s_terms = block.mu_n * (block.log_all + self.c)
+        n_z, s_before = len(zero_y), self.s_after
+        s_seg = np.add.reduceat(s_terms, np.concatenate(([0], zero_i + 1)))
+        s_seg[0] += s_before
+        self.s_after = float(s_seg[-1])
+        if not n_z and not points:
+            return
+        ys = np.array(zero_y + points)
+        steps = np.concatenate((zero_i, np.floor(ys[n_z:]).astype(np.int64) - lo))
+        m, log_y = m_cum[steps], np.log(ys)
+        if self.smoothed:       # G = I - 2 S at the zeros and points
+            g = 2.0 * (m * _p_anti(ys, log_y) - a_cum[steps] * _q_anti(ys, log_y))
+        else:
+            g = 2.0 * (m * _q_anti(ys, log_y))
+        # G at the last zero before the block and at each zero in it, and I
+        # and the integral of |H| from that zero to each: a zero adds
+        # I - I(previous zero) and its size
+        g_z = np.concatenate(([self.g_zero], g[:n_z]))
+        d_z = 2.0 * s_seg[:n_z] + np.diff(g_z)
+        sig_z, abs_z = np.cumsum([np.concatenate(([0.0], d_z)),
+                                  np.concatenate(([0.0], np.abs(d_z)))], axis=1)
+        sig_before, abs_before = self.i_zero.value, self.abs_zero.value
+        walk.zeros_y += zero_y
+        walk.zeros_cum_abs += (abs_before + abs_z[1:]).tolist()
+        self.g_zero = float(g_z[-1])
+        self.i_zero.add(float(sig_z[-1]))
+        self.abs_zero.add(float(abs_z[-1]))
         if points:
-            pre_sig = _exclusive(d_sig, start_sig, int(points[-1]) - lo + 1)
-            for yq in points:
-                i = int(yq) - lo
-                m_i = float(m_cum[i])
-                a_i = float(a_cum[i]) if self.smoothed else 0.0
-                step_n = lo + i
-                part_sig = part_abs = 0.0
-                if yq > step_n:
-                    if self.smoothed:
-                        part_sig = _piece_smoothed(m_i, a_i, step_n, yq)
-                    else:
-                        part_sig = _piece_mertens(m_i, step_n, yq)
-                    part_abs = abs(part_sig)
-                    if self.smoothed and i in zeros and zeros[i][0] < yq:
-                        u_star, left_abs = zeros[i]
-                        part_abs = left_abs + abs(_piece_smoothed(m_i, a_i, u_star, yq))
-                walk.answers[yq] = (float(pre_abs[i]) + part_abs,
-                                    float(pre_sig[i]) + part_sig, m_i, a_i)
-
-        self.acc_abs.add(float(d_abs.sum()))
-        self.acc_sig.add(float(d_sig.sum()))
-        # a run that ends on the block's last step takes the integral of |H|
-        # after the block
-        if run_ends_last:
-            walk.zeros_cum_abs[-1] = self.acc_abs.value
+            # I less I at each point's last zero, from prefix sums of the
+            # block's S terms up to the last point
+            p = slice(n_z, None)
+            s = np.cumsum(s_terms[:int(steps.max()) + 1])[steps]
+            j = np.searchsorted(zero_y, points, side="right")
+            d_p = 2.0 * (s[p] - np.concatenate(([-s_before], s[:n_z]))[j]) + (g[p] - g_z[j])
+            p_abs = abs_before + (abs_z[j] + np.abs(d_p))
+            p_sig = sig_before + (sig_z[j] + d_p)
+            a = a_cum[steps[p]] if self.smoothed else np.zeros(len(points))
+            walk.answers.update(zip(points, zip(p_abs.tolist(), p_sig.tolist(),
+                                                m[p].astype(np.float64).tolist(), a.tolist())))
 
 
 _WALKS: weakref.WeakKeyDictionary = weakref.WeakKeyDictionary()
@@ -296,8 +278,8 @@ class Walk:
     past n_max goes unanswered.  The store's build (``PrefixSums(n_max,
     walk=Walk(plan))``) or :func:`stream_cumulative` hands :meth:`step` the
     ``window_terms`` of ``terms`` of every block in order; each block's M,
-    logs and Q serve all the kinds (:class:`_Block`), A the smoothed kind
-    alone.  ``seconds`` is the time the steps took."""
+    logs and mu(n)/n serve all the kinds (:class:`_Block`), A the smoothed
+    kind alone.  ``seconds`` is the time the steps took."""
 
     def __init__(self, plan: dict):
         for kind in plan:
@@ -314,10 +296,15 @@ class Walk:
             walker.step(block)
         self.seconds += time.perf_counter() - t0
 
+    @property
+    def answered(self) -> bool:
+        """Whether every planned point has its answer."""
+        return not any(walker.ys for walker in self.walkers.values())
+
     def finish(self, store: PrefixSums) -> dict[str, ProfileWalk]:
-        """kind -> walk, each complete.  The store keeps one walk per kind
-        for as long as it lives (:func:`profile_walk`); the answers of a
-        later walk of a kept kind join the kept walk's."""
+        """kind -> walk.  The store keeps one walk per kind for as long as
+        it lives (:func:`profile_walk`); the answers of a later walk of a
+        kept kind join the kept walk's."""
         walks = {kind: walker.walk for kind, walker in self.walkers.items()}
         kept = _WALKS.setdefault(store, {})
         for kind, walk in walks.items():
@@ -326,13 +313,18 @@ class Walk:
 
 
 def stream_cumulative(store: PrefixSums, plan: dict) -> dict[str, ProfileWalk]:
-    """Walk the built store once over [1, n_max] for ``plan`` as a build
-    that carries ``Walk(plan)`` does, and keep the walks; returns kind ->
-    walk.  Use :func:`profile_walk`, which walks only for what no walk of
-    the store has done."""
+    """Walk the built store for ``plan`` as a build that carries
+    ``Walk(plan)`` does, and keep the walks; returns kind -> walk.  When
+    the store keeps a walk of every kind of the plan, only the answers are
+    new, and the walk stops after the block that holds the largest point's
+    floor; otherwise it covers [1, n_max].  Use :func:`profile_walk`, which
+    walks only for what no walk of the store has done."""
     walk = Walk(plan)
+    points_only = all(kind in _WALKS.get(store, {}) for kind in plan)
     for k, terms in store._blocks(walk.terms):
         walk.step(store, k, terms)
+        if points_only and walk.answered:
+            break
     return walk.finish(store)
 
 

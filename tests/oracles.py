@@ -334,11 +334,27 @@ def window_replay(store, k: int) -> dict:
     return {"m": m_cum, "a": a_cum, "fint": f_cum}
 
 
+def _piece_smoothed(m, a, u0, u1):
+    """Signed integral of 2 (m log u - a) log u / u^2 over [u0, u1]."""
+    from mertenslab.hprofile import _p_anti, _q_anti
+
+    l0, l1 = math.log(u0), math.log(u1)
+    return 2.0 * (m * (_p_anti(u1, l1) - _p_anti(u0, l0))
+                  - a * (_q_anti(u1, l1) - _q_anti(u0, l0)))
+
+
+def _piece_mertens(m, u0, u1):
+    """Signed integral of 2 m log u / u^2 over [u0, u1]."""
+    from mertenslab.hprofile import _q_anti
+
+    return 2.0 * m * (_q_anti(u1, math.log(u1)) - _q_anti(u0, math.log(u0)))
+
+
 @dataclass
 class SinglePass:
     """What one pass over [1, floor(max ys)] finds: the integrals and the
     profile's numerator at each query, and the zero events and decade sups
-    of the whole pass, and the integral of |H| over the whole pass."""
+    of the whole pass."""
 
     cum_abs: np.ndarray
     cum_signed: np.ndarray
@@ -346,20 +362,18 @@ class SinglePass:
     zeros_y: np.ndarray
     zeros_cum_abs: np.ndarray
     decade_sup: dict
-    total_abs: float
 
 
 def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     """The profile stream as one pass over [1, floor(max ys)] per query set.
 
-    The reference for ``hprofile.Walk``, which answers its planned points
-    the same way on its one pass over all of [1, n_max], in the store's
-    build or through ``hprofile.stream_cumulative``: this pass walks every
+    The per-step reference for ``hprofile.Walk``: this pass walks every
     block of ``summatory.BLOCK`` stride windows up to the largest query and
-    answers the queries on the way, with the same operations in the same
-    order, so the values agree bit for bit, though the walk's last block
-    runs past the largest query.  A is summed window by window, each window
-    from its own checkpoint.
+    sums each unit step's closed-form integral, and its |H| split at a
+    smoothed crossing, where the walk takes one closed form per point from
+    the running sums T and U.  M, A, F, the zeros and the decade sups are
+    the walk's bit for bit (A is summed window by window, each window from
+    its own checkpoint); the integrals agree up to rounding.
 
     ``cum_abs[i]`` is the x-domain integral of |H| from 0 up to
     x = (log ys[i])^2; the zero events are those of [1, floor(max ys)], and
@@ -367,8 +381,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
     floor(max ys).
     """
     from mertenslab.accum import NeumaierSum
-    from mertenslab.hprofile import (_p_anti, _piece_mertens, _piece_smoothed,
-                                     _q_anti, _refine_crossing)
+    from mertenslab.hprofile import _p_anti, _q_anti, _refine_crossing
     from mertenslab.summatory import BLOCK
 
     ys = np.asarray(ys, dtype=np.float64)
@@ -526,7 +539,7 @@ def stream_single_pass(store, ys, kind: str = "smoothed") -> SinglePass:
         f_at=m_q * np.log(ys) - a_q if smoothed else m_q,
         zeros_y=np.array(zeros_y, dtype=np.float64),
         zeros_cum_abs=np.array(zeros_cum, dtype=np.float64),
-        decade_sup=decade_sup, total_abs=acc_abs.value)
+        decade_sup=decade_sup)
 
 
 def pointwise_residuals(table, x: float):

@@ -6,6 +6,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from mertenslab import cli, dirichlet, hprofile, identities, sieve, summatory
@@ -316,6 +317,31 @@ class TestDeterminism:
         assert run(["report", "--n-max", "5000", "--conv-cap", "5000",
                     "--out", str(tmp_path / "r.json")]) == 0
         assert sum(visited) <= self.WINDOW_TERMS_PER_N_MAX * 5000
+
+    def test_report_profile_closed_forms(self, tmp_path, monkeypatch):
+        # work ratchet: the walks evaluate P and Q only where they take an
+        # integral, at the planned points and the zeros (P and Q for the
+        # smoothed kind, Q for mertens), never over every step
+        plans, elements = [], []
+        walk = hprofile.Walk
+
+        def planned(plan):
+            plans.append(plan)
+            return walk(plan)
+
+        monkeypatch.setattr(hprofile, "Walk", planned)
+        for name in ("_p_anti", "_q_anti"):
+            def counted(u, log_u, anti=getattr(hprofile, name)):
+                elements.append(np.size(u))
+                return anti(u, log_u)
+
+            monkeypatch.setattr(hprofile, name, counted)
+        out = tmp_path / "r.json"
+        assert run(["report", "--n-max", "5000", "--conv-cap", "5000", "--out", str(out)]) == 0
+        points = sum(len(np.unique(ys)) for plan in plans for ys in plan.values())
+        zeros = sum(prof["n_zeros"] for prof in json.loads(out.read_text())["profiles"].values())
+        assert len(plans) == 1 and zeros > 0
+        assert sum(elements) <= 2 * (points + zeros)
 
     @pytest.mark.parametrize("argv", [
         ["report", "--conv-cap", "5000"],

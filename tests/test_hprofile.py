@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -23,15 +24,95 @@ def strided_stores():
             for stride in (39, 211, 1000, 2845, 1 << 16)}
 
 
+@functools.lru_cache(maxsize=None)
+def gap_bound(kind, n, n_zeros, stride):
+    """A bound on the gap between the walk's integrals and those of
+    ``oracles.stream_single_pass`` at points y < n + 1 of a store with this
+    stride and ``n_zeros`` zeros below n + 1.
+
+    First-order rounding analysis, u = 2^-53.  Both routes read the same
+    M(k), A(k) and log k, so the gap is the sum of their rounding errors.
+    P and Q below are the sizes of the antiderivatives, which fall on
+    [1, oo); I(k) is the signed integral up to k, C(k) an upper bound of
+    the integral of |H| up to k (2 sum_j |M(j)| (P(j) - P(j+1)) +
+    |A(j)| (Q(j) - Q(j+1))), w_k = |M(k)| P(k) + |A(k)| Q(k) (A = 0 for
+    mertens), and X_loc(k) = X(k) - X(block start) the partial sum of a
+    quantity X inside the block of BLOCK * stride integers that holds k.
+    - The single pass takes each step's increment 2 (M dP - A dQ) from P
+      and Q at the step's ends.  An error in P(k) enters steps k - 1 and k
+      with M(k - 1) and -M(k), so it adds mu(k) times itself; likewise
+      mu(k) log k times an error in Q(k).  P and Q are off by at most 8u of
+      their size (their terms share one sign), and each difference and
+      product rounds once: at most 8u sum_k |mu(k)| (P(k) + log k Q(k))
+      plus 4u C.
+    - A running sum is off by at most u times the sum of its partial sums
+      (Higham's running error bound).  Each route sums inside a block from
+      0 and adds the carry once, so its partial sums are X_loc, or
+      differences of two: I_loc and C_loc for the pass and again for
+      the walk's sums of dI and |dI| over the zeros, and S_loc, at most
+      |T_loc| + c |U_loc| (c = 2 for smoothed, 1 for mertens), for the
+      walk's sums of S = T + c U between zeros and its prefix sums (S
+      enters I times 2).
+    - Each value then adds the carry once, and the walk forms each dI from
+      M, A, P, Q and S with at most eight roundings, at each of Z + 1 zeros
+      and points: 8 (Z + 2) u (max |I| + max C + max w).
+    The pairwise block totals and the compensated carries add at most
+    u ceil(log2 n) times the sum of the terms' sizes; doubling the sum
+    covers them:
+    2u (8 sum_k |mu(k)| (P(k) + log k Q(k)) + 4 C(n)
+        + sum_k (2 |I_loc| + 2 |C_loc| + 4 |T_loc| + 4c |U_loc|)
+        + 8 (Z + 2) (max |I| + max C + max w)).
+    """
+    k = np.arange(1, n + 2, dtype=np.float64)
+    mu = oracles.mobius_dense(n + 1)[1:].astype(np.float64)
+    log_k = np.log(k)
+    m = np.cumsum(mu)
+    p, q = (log_k * (log_k + 2.0) + 2.0) / k, (log_k + 1.0) / k
+    t, v = np.cumsum(mu * log_k / k), np.cumsum(mu / k)
+    c = 2.0 if kind == "smoothed" else 1.0
+    a = np.cumsum(mu * log_k) if kind == "smoothed" else np.zeros(n + 1)
+    signed = 2.0 * (a * q - m * p + t + c * v) if kind == "smoothed" else 2.0 * (t + v - m * q)
+    w = np.abs(m) * p + np.abs(a) * q
+    total_abs = np.concatenate(([0.0], np.cumsum(
+        2.0 * (np.abs(m[:-1]) * -np.diff(p) + np.abs(a[:-1]) * -np.diff(q)))))
+    start = (np.arange(n + 1) // (summatory.BLOCK * stride)) * (summatory.BLOCK * stride)
+
+    def local(x):
+        return np.abs(x - np.concatenate(([0.0], x))[start])
+
+    ends = (np.abs(mu) * (p + log_k * q))[:n].sum() * 8.0 + 4.0 * total_abs[-1]
+    partials = (2.0 * local(signed) + 2.0 * local(total_abs) + 4.0 * local(t)
+                + 4.0 * c * local(v))[:n].sum()
+    tops = np.abs(signed).max() + total_abs.max() + w.max()
+    return 2.0 * 2.0 ** -53 * (ends + partials + 8.0 * (n_zeros + 2) * tops)
+
+
+def assert_close_stream(res, want, kind, ys, stride):
+    # the integrals within gap_bound, the numerator bit for bit
+    bound = gap_bound(kind, int(max(ys)), len(want.zeros_y), stride)
+    assert np.abs(res.cum_abs - want.cum_abs).max(initial=0.0) <= bound
+    assert np.abs(res.cum_signed - want.cum_signed).max(initial=0.0) <= bound
+    assert res.f_at.tolist() == want.f_at.tolist()
+
+
+def assert_close_events(walk, want, kind, n, stride):
+    # the zeros and decade sups bit for bit, the integrals within gap_bound
+    assert walk.zeros_y == want.zeros_y.tolist()
+    gap = np.abs(np.array(walk.zeros_cum_abs) - want.zeros_cum_abs).max(initial=0.0)
+    assert gap <= gap_bound(kind, n, len(want.zeros_y), stride)
+    assert list(walk.decade_sup.items()) == list(want.decade_sup.items())
+
+
 def assert_same_stream(res, want):
     assert res.cum_abs.tolist() == want.cum_abs.tolist()
     assert res.cum_signed.tolist() == want.cum_signed.tolist()
     assert res.f_at.tolist() == want.f_at.tolist()
 
 
-def assert_same_events(walk, want):
-    assert walk.zeros_y == want.zeros_y.tolist()
-    assert walk.zeros_cum_abs == want.zeros_cum_abs.tolist()
+def assert_same_walk(walk, want):
+    assert walk.answers == want.answers
+    assert walk.zeros_y == want.zeros_y
+    assert walk.zeros_cum_abs == want.zeros_cum_abs
     assert list(walk.decade_sup.items()) == list(want.decade_sup.items())
 
 
@@ -119,8 +200,9 @@ class TestStreamCumulative:
         assert [store.mertens(n) for n in range(seam - 2, seam + 4)] == [-1, 0, 0, 0, 0, -1]
 
     def test_mertens_walk_builds_no_a(self, monkeypatch):
-        # the step profile needs M and the logs only, never mu(n) log n;
-        # one window_terms call per block: 157 windows of 64 make 10 blocks
+        # the step profile needs M and the logs (T's terms are mu(n)/n
+        # times log n), never A's terms mu(n) log n; one window_terms call
+        # per block: 157 windows of 64 make 10 blocks
         store = summatory.PrefixSums(10 ** 4, stride=1 << 6)
         asked = []
         window_terms = store.window_terms
@@ -148,25 +230,33 @@ class TestStreamCumulative:
     @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
     def test_matches_single_pass(self, strided_stores, stride):
         # a walk of the built store that is given the points answers them
-        # with the single pass's values, bit for bit
+        # with the single pass's values, the integrals within gap_bound
         store = strided_stores[stride]
         for ys in self.QUERY_SETS:
             for kind in ("smoothed", "mertens"):
-                assert_same_stream(hprofile.cumulative_at(store, ys, kind),
-                                   oracles.stream_single_pass(store, ys, kind))
+                assert_close_stream(hprofile.cumulative_at(store, ys, kind),
+                                    oracles.stream_single_pass(store, ys, kind), kind, ys,
+                                    stride)
 
     @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
     def test_build_answers_match_single_pass(self, strided_stores, stride, monkeypatch):
         # a build that carries the points answers each in the block that
-        # holds its floor, with the single pass's values, bit for bit; a
-        # point's answer does not depend on the other points
+        # holds its floor, with the single pass's values (the integrals
+        # within gap_bound); a point's answer does not depend on the other
+        # points, bit for bit
+        plain = strided_stores[stride]
+        want = {(i, kind): hprofile.stream_cumulative(plain, {kind: ys})[kind]
+                for i, ys in enumerate(self.QUERY_SETS) for kind in ("smoothed", "mertens")}
         plan = {kind: np.concatenate(self.QUERY_SETS) for kind in ("smoothed", "mertens")}
         store = summatory.PrefixSums(N_STRIDED, stride=stride, walk=hprofile.Walk(plan))
         monkeypatch.setattr(hprofile, "stream_cumulative", None)
-        for ys in self.QUERY_SETS:
+        walks = hprofile.profile_walk(store, ("smoothed", "mertens"))
+        for i, ys in enumerate(self.QUERY_SETS):
             for kind in ("smoothed", "mertens"):
-                assert_same_stream(hprofile.cumulative_at(store, ys, kind),
-                                   oracles.stream_single_pass(strided_stores[stride], ys, kind))
+                assert_close_stream(hprofile.cumulative_at(store, ys, kind),
+                                    oracles.stream_single_pass(plain, ys, kind), kind, ys,
+                                    stride)
+                assert {y: walks[kind].answers[y] for y in ys} == want[i, kind].answers
 
     @pytest.mark.parametrize("stride", [39, 211, 1000, 2845, 1 << 16])
     def test_walk_matches_single_pass(self, strided_stores, stride):
@@ -175,19 +265,20 @@ class TestStreamCumulative:
         # straddles a block seam at stride 2845
         store = strided_stores[stride]
         for kind in ("smoothed", "mertens"):
-            assert_same_events(hprofile.profile_walk(store, (kind,))[kind],
-                               oracles.stream_single_pass(store, [float(N_STRIDED)], kind))
+            assert_close_events(hprofile.profile_walk(store, (kind,))[kind],
+                                oracles.stream_single_pass(store, [float(N_STRIDED)], kind),
+                                kind, N_STRIDED, stride)
 
     @pytest.mark.parametrize("case", ["run ends on a seam", "one step at n_max",
                                       "run reaches n_max"])
     def test_zero_run_on_a_block_end_matches_single_pass(self, case):
-        # a zero run that ends on a block's last step takes the integral of
-        # |H| after that block, a one-step run there the integral before its
-        # step, and M(n_max + 1) counts as nonzero, all as in one pass, bit
-        # for bit.  A seam (a multiple of BLOCK * stride) is divisible by 16,
-        # so mu vanishes there and no run starts on it: a one-step run ends a
-        # block only at n_max.  The two integrals differ in rounding alone,
-        # so the search takes the first store where they differ.
+        # a zero run that ends on a block's last step, a one-step run at
+        # n_max and a run that reaches n_max (M(n_max + 1) counts as
+        # nonzero) give the single pass's zeros, and their integrals within
+        # gap_bound.  A seam (a multiple of BLOCK * stride) is divisible by
+        # 16, so mu vanishes there and no run starts on it: a one-step run
+        # ends a block only at n_max.  Each case takes the first store where
+        # it occurs.
         zero = oracles.mertens_dense(3001) == 0
         at, before, after = zero[1:-1], zero[:-2], zero[2:]    # n = 1 .. 3000
         block = summatory.BLOCK
@@ -204,18 +295,12 @@ class TestStreamCumulative:
                     for stride in range(n_max // block - 1, 0, -1):
                         yield n_max, stride, n_max
 
-        for n_max, stride, end in stores():
-            store = summatory.PrefixSums(n_max, stride=stride)
-            want = oracles.stream_single_pass(store, [float(n_max)], "mertens")
-            before_step = hprofile.cumulative_at(store, [float(end)], "mertens").cum_abs[0]
-            zeros = want.zeros_y.tolist()
-            assert end in zeros
-            after_block = want.zeros_cum_abs[zeros.index(end)] if end < n_max else want.total_abs
-            if before_step != after_block:
-                break
-        else:
-            pytest.fail("no store tells the two integrals apart")
-        assert_same_events(hprofile.profile_walk(store, ("mertens",))["mertens"], want)
+        n_max, stride, end = next(stores())
+        store = summatory.PrefixSums(n_max, stride=stride)
+        want = oracles.stream_single_pass(store, [float(n_max)], "mertens")
+        assert end in want.zeros_y.tolist()
+        assert_close_events(hprofile.profile_walk(store, ("mertens",))["mertens"], want,
+                            "mertens", n_max, stride)
 
     @pytest.mark.parametrize("stride", [211, 2845, 1 << 16])
     def test_joint_walk_matches_separate_walks(self, strided_stores, stride):
@@ -225,19 +310,16 @@ class TestStreamCumulative:
         ys = [2.5, 39.5, 1000.3, 45520.5, float(N_STRIDED)]
         joint = hprofile.stream_cumulative(store, {"mertens": ys, "smoothed": ys})
         for kind in ("smoothed", "mertens"):
-            alone = hprofile.stream_cumulative(store, {kind: ys})[kind]
-            assert joint[kind].answers == alone.answers, kind
-            assert joint[kind].zeros_y == alone.zeros_y, kind
-            assert joint[kind].zeros_cum_abs == alone.zeros_cum_abs, kind
-            assert list(joint[kind].decade_sup.items()) == list(alone.decade_sup.items())
+            assert_same_walk(joint[kind], hprofile.stream_cumulative(store, {kind: ys})[kind])
 
     @pytest.mark.parametrize("stride", [211, 2845, 1 << 16])
     def test_walks_in_the_build_match_stream_and_single_pass(self, strided_stores,
                                                              stride, monkeypatch):
         # a build that carries the walks hands each block's terms to them
         # once its checkpoints are set: the checkpoints are those of a build
-        # without walks, and every walk is that of stream_cumulative and of
-        # one pass over [1, n_max], bit for bit, the tail window included
+        # without walks, every walk is that of stream_cumulative, bit for
+        # bit, and of one pass over [1, n_max] (the integrals within
+        # gap_bound), the tail window included
         plain = strided_stores[stride]
         ys = [2.5, 39.5, 1000.3, 45520.5, float(N_STRIDED)]
         for kinds in (("mertens",), ("smoothed", "mertens")):
@@ -253,27 +335,73 @@ class TestStreamCumulative:
                 m.setattr(hprofile, "stream_cumulative", None)
                 walks = hprofile.profile_walk(store, kinds)
                 for kind in kinds:
-                    assert walks[kind].answers == streamed[kind].answers, kind
-                    assert_same_events(walks[kind], oracles.stream_single_pass(
-                        plain, [float(N_STRIDED)], kind))
-                    assert_same_stream(hprofile.cumulative_at(store, ys, kind),
-                                       oracles.stream_single_pass(plain, ys, kind))
+                    assert_same_walk(walks[kind], streamed[kind])
+                    assert_close_events(walks[kind], oracles.stream_single_pass(
+                        plain, [float(N_STRIDED)], kind), kind, N_STRIDED, stride)
+                    assert_close_stream(hprofile.cumulative_at(store, ys, kind),
+                                        oracles.stream_single_pass(plain, ys, kind), kind, ys,
+                                        stride)
 
     def test_build_walks_a_tail_window_alone(self, monkeypatch):
         # 16 full windows fill the first block, so the last five integers
         # make a block of their own, which only the walks read
         n_max = summatory.BLOCK * 64 + 5
         ys = [float(n_max - 5), n_max - 2.5, float(n_max)]
-        walk = hprofile.Walk({"smoothed": ys, "mertens": ys})
-        store = summatory.PrefixSums(n_max, stride=64, walk=walk)
+        plan = {"smoothed": ys, "mertens": ys}
+        store = summatory.PrefixSums(n_max, stride=64, walk=hprofile.Walk(plan))
         plain = summatory.PrefixSums(n_max, stride=64)
         assert store.mertens_at_n_max == plain.mertens_at_n_max
+        streamed = hprofile.stream_cumulative(plain, plan)
         monkeypatch.setattr(hprofile, "stream_cumulative", None)
         for kind in ("smoothed", "mertens"):
             walked = hprofile.profile_walk(store, (kind,))[kind]
-            assert_same_events(walked, oracles.stream_single_pass(plain, [float(n_max)], kind))
-            assert_same_stream(hprofile.cumulative_at(store, ys, kind),
-                               oracles.stream_single_pass(plain, ys, kind))
+            assert_same_walk(walked, streamed[kind])
+            assert_close_events(walked, oracles.stream_single_pass(plain, [float(n_max)], kind),
+                                kind, n_max, 64)
+            assert_close_stream(hprofile.cumulative_at(store, ys, kind),
+                                oracles.stream_single_pass(plain, ys, kind), kind, ys, 64)
+
+    @pytest.mark.parametrize("stride", [39, 2845, 1 << 16])
+    def test_one_sign_between_zeros(self, strided_stores, stride):
+        # the premise of the integral of |H| as the sum of |I(here) -
+        # I(previous zero)|: between two recorded zeros, and before the
+        # first and after the last, F (smoothed, linear in log u on each
+        # step) or M (mertens) takes no two signs at the integers
+        n = np.arange(1, N_STRIDED + 1, dtype=np.float64)
+        mu = oracles.mobius_dense(N_STRIDED)[1:]
+        mertens = oracles.mertens_dense(N_STRIDED)[1:]
+        big_f = mertens * np.log(n) - np.cumsum(mu * np.log(n))
+        for kind, values in (("smoothed", big_f), ("mertens", mertens)):
+            zeros = hprofile.profile_walk(strided_stores[stride], (kind,))[kind].zeros_y
+            # the integers n with z_(j-1) < n <= z_j, for every j
+            runs = np.split(values, np.searchsorted(n, zeros, side="right"))
+            assert len(runs) == len(zeros) + 1
+            for j, run in enumerate(runs):
+                assert run.max(initial=0) <= 0 or run.min(initial=0) >= 0, (kind, j)
+
+    def test_new_point_walks_to_its_block_only(self, monkeypatch):
+        # once the store keeps a walk of every kind, a walk for a new point
+        # stops after the block that holds its floor: y = 1000 lies in the
+        # first of 16 blocks
+        store = summatory.PrefixSums(10 ** 6)
+        kept = hprofile.profile_walk(store, ("smoothed", "mertens"))
+        zeros = {kind: list(walk.zeros_y) for kind, walk in kept.items()}
+        walked, blocks = [], summatory.PrefixSums._blocks
+
+        def counted(self, kinds):
+            for k, terms in blocks(self, kinds):
+                walked.append(k)
+                yield k, terms
+
+        monkeypatch.setattr(summatory.PrefixSums, "_blocks", counted)
+        for kind in ("smoothed", "mertens"):
+            res = hprofile.cumulative_at(store, [1000.0], kind)
+            assert_close_stream(res, oracles.stream_single_pass(store, [1000.0], kind),
+                                kind, [1000.0], store.stride)
+        assert walked == [0, 0]
+        # the kept walks, and their zeros over [1, n_max], stay
+        assert hprofile.profile_walk(store, ("smoothed", "mertens")) == kept
+        assert {kind: walk.zeros_y for kind, walk in kept.items()} == zeros
 
     def test_decade_sup_deep_inside_a_block(self, strided_stores):
         # at stride 211, sup |M(n)|/n over [10^4, 10^5) lies at n = 11 773,
@@ -327,8 +455,8 @@ class TestStreamCumulative:
         monkeypatch.setattr(hprofile, "stream_cumulative", refused)
         monkeypatch.setattr(summatory.PrefixSums, "_window", refused)
         for kind in ("smoothed", "mertens"):
-            assert_same_stream(hprofile.cumulative_at(store, ys[::-1], kind),
-                               oracles.stream_single_pass(store, ys[::-1], kind))
+            assert_close_stream(hprofile.cumulative_at(store, ys[::-1], kind),
+                                oracles.stream_single_pass(store, ys[::-1], kind), kind, ys, 97)
             assert_same_stream(hprofile.cumulative_at(store, ys, kind), first[kind])
             assert hprofile.profile_walk(store, (kind,))[kind] is walks[kind]
             prof = hprofile.build_profile(store, kind)
@@ -349,19 +477,21 @@ class TestBuildProfile:
     # 424 lies inside the zero run 422..425, which the cut store ends early
     @pytest.mark.parametrize("y_max", [10, 40, 424, 1000, N_STRIDED])
     def test_matches_single_pass(self, strided_stores, y_max):
-        # the profile of [1, y] is that of the store PrefixSums(y): bit for
-        # bit the single pass over the larger store cut at y
+        # the profile of [1, y] is that of the store PrefixSums(y): the
+        # single pass over the larger store cut at y, bit for bit but for
+        # the integrals, which agree within gap_bound
         for stride, full in strided_stores.items():
             store = full if y_max == full.n_max else summatory.PrefixSums(y_max, stride)
             for kind in ("smoothed", "mertens"):
                 prof = hprofile.build_profile(store, kind)
                 res = oracles.stream_single_pass(full, prof.y_samples, kind)
+                bound = gap_bound(kind, y_max, len(res.zeros_y), stride)
                 assert prof.y_samples[-1] == y_max
                 assert prof.h_values.tolist() == (res.f_at / prof.y_samples).tolist()
-                assert prof.cumulative_abs_integral.tolist() == res.cum_abs.tolist()
-                assert prof.cumulative_signed_integral.tolist() == res.cum_signed.tolist()
+                assert np.abs(prof.cumulative_abs_integral - res.cum_abs).max() <= bound
+                assert np.abs(prof.cumulative_signed_integral - res.cum_signed).max() <= bound
                 assert prof.zeros.tolist() == (np.log(res.zeros_y) ** 2).tolist()
-                assert prof.cum_abs_at_zeros.tolist() == res.zeros_cum_abs.tolist()
+                assert np.abs(prof.cum_abs_at_zeros - res.zeros_cum_abs).max(initial=0.0) <= bound
                 assert prof.decade_sups == (res.decade_sup or None)
 
     def test_single_sample_profile(self):
