@@ -26,7 +26,9 @@ consecutive zeros, so the integral of |H| up to a zero or a point is that
 up to the previous zero plus |I(here) - I(previous zero)|.  That
 difference is taken from the T and U terms between the two, not from two
 values of I near -2, whose rounding would swamp the small integrals
-between zeros at large y.
+between zeros at large y.  The walk records that difference at each zero
+(``zeros_abs``) and not the running total, so a zero interval's integral
+is read, never taken back out of two totals.
 
 The zeros come from sign tests.  F is linear in log u on each step, so a
 smoothed zero is a sign change of F between a step's ends, refined by
@@ -46,13 +48,14 @@ build when the build is given it, and otherwise walks the built store
 (:func:`stream_cumulative`), by the same per-block code.  It answers the
 query points it is planned (kind -> points y) in the block that holds each
 floor, so every answer is that of a single pass up to the point, and it
-records the zeros, with the integral of |H| up to each, and for mertens
-the decade sups, over the whole range.  The kinds walked together share
-each block's M, logs and mu(n)/n, and A is built only for the smoothed
-kind.  Every reader (:func:`cumulative_at`,
+records the zeros, with the integral of |H| from the zero before each, and
+for mertens the decade sups, over the whole range.  The kinds walked
+together share each block's M, logs and mu(n)/n, and A is built only for
+the smoothed kind.  Every reader (:func:`cumulative_at`,
 :func:`h_derivative_many`, :func:`build_profile`) takes the answers through
 :func:`profile_walk`, which walks once more only for points that no walk
-was given, and then only up to the block that holds the largest.
+was given, and then only up to the block that holds the largest;
+:func:`build_profile` asks it once for all the points it reads.
 
 A profile carries the sup of |H'| it was built with (``deriv_sup``, over a
 grid four times as dense as its samples), so the interval statistics and
@@ -151,12 +154,13 @@ class ProfileWalk:
     """One walk of a profile kind over all of [1, n_max]: ``answers`` maps
     each point y it was given to the integrals of |H| and of H up to
     x = (log y)^2, M(floor(y)) and A(floor(y)) (0.0 for mertens); the
-    zeros, the integral of |H| up to each and the decade sups (mertens:
-    decade -> sup |M(n)|/n) are those of the whole range."""
+    zeros, the integral of |H| from the zero before each (from x = 0 for
+    the first) and the decade sups (mertens: decade -> sup |M(n)|/n) are
+    those of the whole range."""
 
     answers: dict = field(default_factory=dict)
     zeros_y: list = field(default_factory=list)
-    zeros_cum_abs: list = field(default_factory=list)
+    zeros_abs: list = field(default_factory=list)
     decade_sup: dict = field(default_factory=dict)
 
     def at(self, ys: np.ndarray) -> np.ndarray:
@@ -247,11 +251,12 @@ class _Walker:
         # I - I(previous zero) and its size
         g_z = np.concatenate(([self.g_zero], g[:n_z]))
         d_z = 2.0 * s_seg[:n_z] + np.diff(g_z)
+        abs_d = np.abs(d_z)
         sig_z, abs_z = np.cumsum([np.concatenate(([0.0], d_z)),
-                                  np.concatenate(([0.0], np.abs(d_z)))], axis=1)
+                                  np.concatenate(([0.0], abs_d))], axis=1)
         sig_before, abs_before = self.i_zero.value, self.abs_zero.value
         walk.zeros_y += zero_y
-        walk.zeros_cum_abs += (abs_before + abs_z[1:]).tolist()
+        walk.zeros_abs += abs_d.tolist()
         self.g_zero = float(g_z[-1])
         self.i_zero.add(float(sig_z[-1]))
         self.abs_zero.add(float(abs_z[-1]))
@@ -423,7 +428,7 @@ class HProfile:
     cumulative_abs_integral: np.ndarray
     cumulative_signed_integral: np.ndarray
     zeros: np.ndarray           # x-domain positions
-    cum_abs_at_zeros: np.ndarray
+    zeros_abs: np.ndarray       # integral of |H| from the zero before (x = 0)
     zeros_are_step_boundaries: bool
     deriv_sup: float            # sup |H'| over a grid 4x as dense as the samples
     h_continuous: Callable = field(repr=False, default=None)
@@ -460,10 +465,11 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
                   samples_per_decade: int = 32) -> HProfile:
     """Sample H at the points :func:`profile_ys` over the store's whole
     range [1, n_max] and attach exact cumulative integrals, the walk's zeros
-    and ``deriv_sup``, the sup of |H'| on the denser grid.  Every value is
-    an answer of the store's walk of ``kind``: a build planned with those
-    points gives them all, and otherwise one more walk does
-    (:func:`profile_walk`).
+    with the integral of |H| between each and the one before, and
+    ``deriv_sup``, the sup of |H'| on the denser grid.  Every value is an
+    answer of the store's walk of ``kind``, read in one call of
+    :func:`profile_walk`: a build planned with those points gives them all,
+    and otherwise one more walk does.
 
     A profile of [1, y] is the profile of ``PrefixSums(y, stride)``.  A
     store with n_max below the grid start yields a profile without samples
@@ -472,24 +478,25 @@ def build_profile(store: PrefixSums, kind: str = "smoothed",
     """
     ys, yd = profile_ys(store.n_max, samples_per_decade)
     walk = profile_walk(store, (kind,), np.concatenate((ys, yd)))[kind]
-    res = cumulative_at(store, ys, kind=kind)
-    xs = np.log(ys) ** 2
-    h_vals = res.f_at / ys
-    if kind == "smoothed":
-        h_prime = h_derivative_many(store, yd)
-    else:
-        xd = np.maximum(np.log(yd) ** 2, X_MIN_GUARD)
-        h_prime = cumulative_at(store, yd, kind).f_at / yd / (2.0 * np.sqrt(xd))
+    smoothed = kind == "smoothed"
+    cum_abs, cum_signed, m, a = walk.at(ys)
+    _, _, m_d, a_d = walk.at(yd)
+    # H = F/y; |H'| as h_derivative_many forms it (smoothed), or that of
+    # M/y with M held on its step (mertens)
+    f = m * np.log(ys) - a if smoothed else m
+    f_d = m_d * np.log(yd) - a_d if smoothed else m_d
+    root_x = 2.0 * np.sqrt(np.maximum(np.log(yd) ** 2, X_MIN_GUARD))
+    h_prime = (m_d - f_d) / (root_x * yd) if smoothed else f_d / yd / root_x
 
     zeros_y = np.array(walk.zeros_y, dtype=np.float64)
     return HProfile(
-        kind=kind, x_samples=xs, y_samples=ys,
-        h_values=h_vals,
-        cumulative_abs_integral=res.cum_abs,
-        cumulative_signed_integral=res.cum_signed,
+        kind=kind, x_samples=np.log(ys) ** 2, y_samples=ys,
+        h_values=f / ys,
+        cumulative_abs_integral=cum_abs,
+        cumulative_signed_integral=cum_signed,
         zeros=np.log(zeros_y) ** 2,
-        cum_abs_at_zeros=np.array(walk.zeros_cum_abs, dtype=np.float64),
-        zeros_are_step_boundaries=(kind == "mertens"),
+        zeros_abs=np.array(walk.zeros_abs, dtype=np.float64),
+        zeros_are_step_boundaries=not smoothed,
         deriv_sup=float(np.abs(h_prime).max(initial=0.0)),
         h_continuous=_make_h_eval(store, kind),
         decade_sups=dict(walk.decade_sup) or None)
@@ -564,28 +571,23 @@ def _locate_mean_point(profile: HProfile, a: float, b: float,
     return 0.5 * (lo_x + hi_x)
 
 
-def interval_stats(profile: HProfile, m_hat: float | None = None) -> list[ZeroInterval]:
-    """Per-interval exact integrals, mean-value data and derivative bounds
-    (m = ``m_hat``, by default the profile's ``deriv_sup``); ``damped_bound``
-    is left nan for :func:`estimate_constants`, which knows kappa.
+def interval_stats(profile: HProfile) -> list[ZeroInterval]:
+    """Per-interval exact integrals (each the integral of |H| the profile
+    records at the interval's right zero), mean-value data and derivative
+    bounds (m = the profile's ``deriv_sup``); ``damped_bound`` is left nan
+    for :func:`estimate_constants`, which knows kappa.
 
     With fewer than two zeros the list is empty: that is the finite-zeros
     branch of the analysis, not an error.
     """
     if profile.finite_zero_branch():
         return []
-    if m_hat is None:
-        m_hat = profile.deriv_sup
+    m_hat = profile.deriv_sup
     crossings = not profile.zeros_are_step_boundaries
     out = []
-    za = profile.zeros
-    ca = profile.cum_abs_at_zeros
-    for i in range(len(za) - 1):
-        a, b = float(za[i]), float(za[i + 1])
+    za = profile.zeros.tolist()
+    for a, b, integral in zip(za, za[1:], profile.zeros_abs[1:].tolist()):
         width = b - a
-        integral = float(ca[i + 1] - ca[i])
-        if integral < 0.0:   # exact-zero rounding
-            integral = 0.0
         h_xi = integral / width if width > 0 else 0.0
         xi = _locate_mean_point(profile, a, b, h_xi) if (crossings and h_xi > 0) \
             else float("nan")

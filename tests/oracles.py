@@ -570,8 +570,9 @@ def build_synthetic_profile(h_func, x_grid, dh_func=None):
 
     Zeros are bracketed on the sample grid and refined with Brent's method;
     cumulative integrals come from adaptive quadrature on the sign-constant
-    subintervals, so closed-form test cases reproduce to near machine
-    precision.  ``deriv_sup`` is the sup of |dh_func|, or of a central
+    subintervals, and each zero's integral from the zero before is the
+    difference of two of them, so closed-form test cases reproduce to near
+    machine precision.  ``deriv_sup`` is the sup of |dh_func|, or of a central
     difference of h_func when dh_func is None, over a linspace grid four
     times as dense as x_grid.
     """
@@ -615,13 +616,13 @@ def build_synthetic_profile(h_func, x_grid, dh_func=None):
         deriv = [abs(h_func(x + step) - h_func(x - step)) / (2 * step) for x in dense]
 
     pos = np.searchsorted(breaks, xs)
-    zpos = np.searchsorted(breaks, zeros)
+    cum_zeros = cum_abs_b[np.searchsorted(breaks, zeros)]
     return HProfile(
         kind="synthetic", x_samples=xs,
         y_samples=np.full(len(xs), float("nan")), h_values=h_vals,
         cumulative_abs_integral=cum_abs_b[pos],
         cumulative_signed_integral=cum_sig_b[pos],
         zeros=zeros,
-        cum_abs_at_zeros=cum_abs_b[zpos],
+        zeros_abs=np.diff(cum_zeros, prepend=0.0),
         zeros_are_step_boundaries=False,
         deriv_sup=float(max(deriv)), h_continuous=h_func)

@@ -46,16 +46,15 @@ RESIDUALS = {
                       lambda c, tol: (c["max_form_discrepancy"], c["budget"])),
     "dual-route": (("max_gap", "worst.*"),
                    lambda c, tol: (c["worst"]["gap"], c["worst"]["budget"])),
-    "iteration-convergence": (("gap_at_50",), lambda c, tol: (c["gap_at_50"], 1e-12)),
 }
 # residual keys that name the worst point, or follow from it
 POINT_KEYS = ("x", "f", "worst_n", "budget")
 
 EXACT = (
     "tool.*", "config.n_max", "config.conv_cap", "config.segment_size",
-    "checks.*.name", "checks.*.status", "checks.*.tolerance", "checks.*.note",
+    "checks.*.name", "checks.*.status", "checks.*.tolerance",
     "checks.*.n_points", "checks.*.n_samples", "checks.*.seed", "checks.*.cap",
-    "checks.*.functions.*", "checks.*.non_increasing",
+    "checks.*.functions.*",
     "checks.mertens-values.values.*", "checks.lambda2-forms.anchors.*",
     "checks.residual-stats.x",
     "iterations.*.n_steps",
@@ -70,7 +69,6 @@ VALUES = (
     "config.grid.*", "config.tail_fraction", "config.tol_*",
     "checks.lambda2-forms.budget", "checks.h-bound.sup_abs_h",
     "checks.residual-stats.r1*", "checks.remainder-growth.kinds.*",
-    "checks.mertens-tail-ratio.sups.*",
     "iterations.*.alpha", "iterations.*.lambda", "iterations.*.limit",
     "iterations.*.final_*", "iterations.*.recurrence_limit_bound",
     "remainders.*.sup_normalized", "remainders.*.argmax_x",

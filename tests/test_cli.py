@@ -115,16 +115,19 @@ class TestCommands:
          "table cap 200000 needs more than physical memory"),
         (["report", "--n-max", "200000", "--conv-cap", "200000"],
          "table cap 200000 needs more than physical memory"),
+        (["h-profile", "--n-max", "5000"], "--out {out} is a file"),
+        (["intervals", "--n-max", "5000", "--kind", "mertens"], "--out {out} is a file"),
     ])
     def test_bounds_refused_before_the_store(self, argv, bound, tmp_path,
                                              monkeypatch, capsys):
         # a grid that starts above n_max, a point outside its check's or
         # remainder kind's domain, a conv_cap below residual-stats' x >= 2,
         # too few profile samples a decade, no iteration steps, a table row
-        # that is not an integer in [1, conv_cap], or a table cap beyond
-        # memory (here made about 1e5 integers) is named before any work: a
-        # point or a cap beyond a bound is a capability error (exit 3), any
-        # other bound a usage error (exit 2); no point is dropped in silence
+        # that is not an integer in [1, conv_cap], a table cap beyond memory
+        # (here made about 1e5 integers), or an --out file where a profile
+        # command writes a directory is named before any work: a point or a
+        # cap beyond a bound is a capability error (exit 3), any other bound
+        # a usage error (exit 2); no point is dropped in silence
         def no_build(*args, **kwargs):
             raise AssertionError("the store began to build")
 
@@ -133,9 +136,13 @@ class TestCommands:
         monkeypatch.setattr(dirichlet, "TABLE_BYTES_PER_INT", memory // 10 ** 5)
         capability = "beyond" in bound or "memory" in bound
         status = cli.EXIT_CAPABILITY if capability else cli.EXIT_USAGE
-        assert run(argv + ["--out", str(tmp_path / "o.json")]) == status
-        assert bound in capsys.readouterr().err
-        assert not (tmp_path / "o.json").exists()
+        out = tmp_path / "o.json"
+        kept = "is a file" in bound
+        if kept:
+            out.write_text("kept")
+        assert run(argv + ["--out", str(out)]) == status
+        assert bound.format(out=out) in capsys.readouterr().err
+        assert out.read_text() == "kept" if kept else not out.exists()
 
     def test_unknown_check_usage_error(self):
         status = run(["verify", "--which", "bogus"] + BASE)
@@ -215,8 +222,7 @@ class TestDeterminism:
                 "kappa", "lambda_est", "mean_abs_hat", "mean_abs_tail_hat",
                 "provenance", "signed_span_hat"]
         names = [c["name"] for c in payload["checks"]]
-        assert "mertens-values" in names
-        assert "mertens-tail-ratio" in names
+        assert names == list(cli.CHECK_NAMES) + ["remainder-growth"]
         statuses = {c["status"] for c in payload["checks"]}
         assert statuses <= {"pass", "fail", "not-applicable"}
 
@@ -290,7 +296,7 @@ class TestDeterminism:
         for kind, got in profiles_seen.items():
             want = build_profile(plain, kind)
             for name in ("y_samples", "h_values", "cumulative_abs_integral",
-                         "cumulative_signed_integral", "zeros", "cum_abs_at_zeros"):
+                         "cumulative_signed_integral", "zeros", "zeros_abs"):
                 assert getattr(got, name).tolist() == getattr(want, name).tolist(), name
 
     # integers visited by PrefixSums.window_terms per report, over n_max:
@@ -424,7 +430,9 @@ def test_report_timings_label_tail_sups_and_total(tmp_path):
                 "--grid", "100:2.0", "--out", str(tmp_path / "r.json"),
                 "--timings", str(side)]) == 0
     labels = json.loads(side.read_text())
-    assert "check-mertens-tail-ratio" in labels
+    # the tail sups are the mertens profile's decade sups, timed in its build
+    assert "build-profile-mertens" in labels
+    assert "check-mertens-tail-ratio" not in labels
     assert labels["total"] >= max(v for k, v in labels.items() if k != "total")
     # the walks ride in the store build, and their time shows inside it
     assert 0.0 < labels["build-prefix-sums/walks"] <= labels["build-prefix-sums"]
